@@ -2,10 +2,11 @@
 
 Times each kernel (exact edit distance, banded edit distance, the
 one-vs-many batch kernel, and gestalt matching blocks) under every
-backend at the paper's strand length (110) plus 220 and 1000, and the
-greedy-clustering end-to-end wall-clock under the ``python`` reference
-backend versus ``bitparallel``.  The JSON lands at the repo root so the
-kernel perf trajectory is recorded PR over PR.
+backend at the paper's strand length (110) plus 220 and 1000, the
+edit-operation traceback (one implementation, so one number per
+length), and the greedy-clustering end-to-end wall-clock under the
+``python`` reference backend versus ``bitparallel``.  The JSON lands at
+the repo root so the kernel perf trajectory is recorded PR over PR.
 
 Three floors are asserted (they are the PRs' acceptance criteria):
 
@@ -33,6 +34,7 @@ from repro.align.kernels import (
     edit_distances_one_to_many,
     set_align_backend,
 )
+from repro.align.operations import edit_operations
 from repro.cluster.greedy import GreedyClusterer
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
@@ -100,11 +102,12 @@ def test_bench_kernels_record():
         pairs = _noisy_pairs(length, PAIRS_PER_CELL[length])
         reads = [second for _, second in pairs]
         reference = pairs[0][0]
-        cell: dict[str, dict[str, float]] = {
+        cell: dict[str, dict[str, float] | float] = {
             "edit_distance": {},
             "banded_distance": {},
             "one_to_many": {},
             "matching_blocks": {},
+            "edit_operations": _time_per_pair(edit_operations, pairs),
         }
         for backend in KERNEL_BACKENDS:
             set_align_backend(backend)

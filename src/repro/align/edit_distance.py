@@ -9,9 +9,10 @@ implemented in :mod:`repro.align.operations`).
 Distance-only queries dispatch to the pluggable kernels of
 :mod:`repro.align.kernels` (Myers bit-parallel by default, with numpy and
 pure-Python reference backends selectable via ``REPRO_ALIGN_BACKEND`` /
-``--align-backend``); the full matrix used by the backtrace in
-:mod:`repro.align.operations` stays here.  Every backend is bit-identical,
-so callers never observe which one ran.
+``--align-backend``).  Every backend is bit-identical, so callers never
+observe which one ran.  The full DP matrix is available here for
+inspection; the backtrace in :mod:`repro.align.operations` reads the
+same cell values from Myers bit vectors instead.
 """
 
 from __future__ import annotations
@@ -70,8 +71,7 @@ def edit_distance_matrix(first: str, second: str) -> np.ndarray:
     """Full (len(first)+1) x (len(second)+1) DP matrix as ``int32`` numpy.
 
     ``matrix[i][j]`` is the distance between ``first[:i]`` and
-    ``second[:j]``.  Used by the backtrace in
-    :mod:`repro.align.operations`.  Large inputs are routed to the
+    ``second[:j]``; any alphabet is accepted.  Large inputs are routed to the
     vectorised :func:`edit_distance_matrix_fast`; small inputs use a
     pure-Python DP (less per-row overhead) whose result is converted, so
     **every** call returns the same type — callers must not have to care
@@ -110,7 +110,7 @@ def edit_distance_matrix_fast(first: str, second: str) -> np.ndarray:
     order of magnitude faster than the pure-Python matrix.
     """
     rows, columns = len(first) + 1, len(second) + 1
-    second_codes = np.frombuffer(second.encode("ascii"), dtype=np.uint8)
+    second_codes = kernels._string_codes(second)
     matrix = np.empty((rows, columns), dtype=np.int32)
     matrix[0] = np.arange(columns, dtype=np.int32)
     column_index = np.arange(columns, dtype=np.int32)

@@ -17,7 +17,7 @@ misalignment rather than their downstream propagation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from repro.align import kernels
 
@@ -36,29 +36,6 @@ class MatchingBlock:
     first_start: int
     second_start: int
     size: int
-
-
-def _longest_common_substring(
-    first: str,
-    second: str,
-    first_low: int,
-    first_high: int,
-    second_low: int,
-    second_high: int,
-) -> MatchingBlock:
-    """Longest common substring of ``first[first_low:first_high]`` and
-    ``second[second_low:second_high]``.
-
-    Dispatches to the backend-selected kernel (numpy-vectorised rows for
-    large regions by default, the classic two-rolling-row dynamic program
-    otherwise — see :mod:`repro.align.kernels`).  Ties are broken toward
-    the earliest position in ``first`` then ``second`` on every backend
-    (the conventional, deterministic choice).
-    """
-    first_start, second_start, size = kernels.longest_common_substring(
-        first, second, first_low, first_high, second_low, second_high
-    )
-    return MatchingBlock(first_start, second_start, size)
 
 
 def matching_blocks(first: str, second: str) -> list[MatchingBlock]:
@@ -80,35 +57,48 @@ def clear_block_cache() -> None:
 
 @lru_cache(maxsize=_BLOCK_CACHE_PAIRS)
 def _matching_blocks_cached(
-    first: str, second: str, _backend: str
+    first: str, second: str, backend: str
 ) -> tuple[MatchingBlock, ...]:
-    """The actual decomposition, keyed on the pair *and* the resolved LCS
-    backend so backend switches never serve stale entries (all backends
-    agree bit-for-bit, but equivalence tests must exercise each one).
+    """The memoised decomposition, keyed on the pair *and* the resolved
+    LCS backend so backend switches never serve stale entries (all
+    backends agree bit-for-bit, but equivalence tests must exercise each
+    one)."""
+    return _decompose(first, second, backend)
+
+
+def _decompose(first: str, second: str, backend: str) -> tuple[MatchingBlock, ...]:
+    """One cold block decomposition.
+
+    The ``python`` backend answers each region's LCS query with the
+    reference DP; every other backend builds one
+    :class:`~repro.align.kernels.RunTable` for the pair and answers every
+    region from it.  Both break ties toward the earliest position in
+    ``first`` then ``second``.
 
     The recursion is implemented with an explicit stack so pathological
     inputs cannot overflow Python's recursion limit.
     """
+    if not first or not second:
+        return ()
+    if backend == "python":
+        longest = partial(kernels.longest_common_substring, first, second)
+    else:
+        longest = kernels.RunTable(first, second).longest
     blocks: list[MatchingBlock] = []
     stack: list[tuple[int, int, int, int]] = [(0, len(first), 0, len(second))]
     while stack:
         first_low, first_high, second_low, second_high = stack.pop()
         if first_low >= first_high or second_low >= second_high:
             continue
-        block = _longest_common_substring(
-            first, second, first_low, first_high, second_low, second_high
+        first_start, second_start, size = longest(
+            first_low, first_high, second_low, second_high
         )
-        if block.size == 0:
+        if size == 0:
             continue
-        blocks.append(block)
-        stack.append((first_low, block.first_start, second_low, block.second_start))
+        blocks.append(MatchingBlock(first_start, second_start, size))
+        stack.append((first_low, first_start, second_low, second_start))
         stack.append(
-            (
-                block.first_start + block.size,
-                first_high,
-                block.second_start + block.size,
-                second_high,
-            )
+            (first_start + size, first_high, second_start + size, second_high)
         )
     blocks.sort(key=lambda item: (item.first_start, item.second_start))
     return tuple(blocks)

@@ -33,9 +33,11 @@ Backends (``REPRO_ALIGN_BACKEND`` / ``--align-backend`` /
   against.
 * ``auto`` (default) — ``bitparallel`` for pairwise distances, the
   ``batched`` sweep for one-vs-many batches of at least
-  :data:`_BATCH_MIN_READS` reads; the longest-common-substring kernel
-  vectorises large regions with numpy and keeps small recursion tails in
-  Python.
+  :data:`_BATCH_MIN_READS` reads.
+
+Every backend except ``python`` answers the gestalt recursion's
+longest-common-substring queries from one :class:`RunTable` per string
+pair; ``python`` keeps the seed's per-region DP.
 
 Every backend returns **bit-identical** results — distances, banded lower
 bounds, and matching blocks — so switching backends can never change
@@ -64,11 +66,6 @@ BACKENDS = ("auto", "batched", "bitparallel", "numpy", "python")
 #: Process-wide override installed by the CLI's ``--align-backend`` flag
 #: or :func:`set_align_backend`.
 _backend_override: str | None = None
-
-#: Regions smaller than this (cell count) stay in the pure-Python LCS
-#: even under the numpy/auto backends: a numpy row costs ~µs of fixed
-#: overhead, which dominates the recursion's many tiny tail regions.
-_LCS_NUMPY_MIN_CELLS = 2048
 
 
 def _validate_backend(name: str) -> str:
@@ -116,14 +113,15 @@ def align_backend() -> str:
 
 
 def lcs_backend() -> str:
-    """The backend the LCS kernel will run under (``auto`` resolves to the
-    numpy/Python hybrid).  Used as a memoisation key by
+    """The backend the LCS queries will run under: ``"python"`` for the
+    reference DP, ``"numpy"`` for the :class:`RunTable` every other
+    backend shares.  Used as a memoisation key by
     :mod:`repro.align.gestalt`."""
     backend = align_backend()
     if backend == "python":
         return "python"
     # bitparallel has no native LCS formulation that also yields block
-    # positions; auto/bitparallel/numpy all share the vectorised kernel.
+    # positions; auto/batched/bitparallel/numpy all share the run table.
     return "numpy"
 
 
@@ -354,37 +352,75 @@ def _numpy_banded(first: str, second: str, band: int) -> int:
     return min(int(row[-1]), band + 1)
 
 
-def _numpy_lcs(
-    first: str,
-    second: str,
-    first_low: int,
-    first_high: int,
-    second_low: int,
-    second_high: int,
-) -> tuple[int, int, int]:
-    """Row-vectorised suffix-match DP with the reference tie-break.
+class RunTable:
+    """Diagonal common-run lengths of one string pair, built once and
+    queried for the longest common substring of any sub-rectangle.
 
-    Within a row ``argmax`` returns the earliest maximal run end, and the
-    strictly-greater update across rows keeps the earliest ``first``
-    position — exactly the pure-Python kernel's progressive update order.
+    ``table[i, j]`` is the length of the common run that ends at
+    ``first[i]``, ``second[j]``.  It is built without a Python loop: the
+    match matrix is skewed so each diagonal becomes a column, a running
+    max of the last-mismatch row along it gives every run length, and the
+    inverse skew maps them back.
     """
-    first_codes = _string_codes(first)
-    segment = _string_codes(second)[second_low:second_high]
-    width = second_high - second_low
-    best_first, best_second, best_size = first_low, second_low, 0
-    previous = np.zeros(width + 1, dtype=np.int32)
-    current = np.zeros(width + 1, dtype=np.int32)
-    for first_index in range(first_low, first_high):
-        np.add(previous[:-1], 1, out=current[1:])
-        np.multiply(current[1:], segment == first_codes[first_index], out=current[1:])
-        row_best = int(current.max())
-        if row_best > best_size:
-            best_size = row_best
-            run_end = int(current.argmax())
-            best_first = first_index - row_best + 1
-            best_second = second_low + run_end - row_best
-        previous, current = current, previous
-    return best_first, best_second, best_size
+
+    __slots__ = ("table", "_row_caps", "_column_caps")
+
+    def __init__(self, first: str, second: str) -> None:
+        height, width = len(first), len(second)
+        # Diagonal j - i of the match matrix becomes column
+        # j - i + height - 1 of a (height, diagonals + 1) grid: written
+        # with row stride ``diagonals`` and read back with row stride
+        # ``diagonals + 1``, row i shifts left by i.  Every grid cell off
+        # the match matrix is False.
+        diagonals = height + width - 1
+        rows = np.arange(height, dtype=np.int32)[:, None]
+        grid = np.zeros(height * (diagonals + 1), dtype=bool)
+        grid[: height * diagonals].reshape(height, diagonals)[:, height - 1 :] = (
+            _string_codes(first)[:, None] == _string_codes(second)[None, :]
+        )
+        # A cell holds its own row on a mismatch and -1 on a match, so a
+        # running max down each column is the row of the diagonal's last
+        # mismatch (-1 if none), and the row minus it is the run length.
+        last_mismatch = rows - (rows + 1) * grid.reshape(height, diagonals + 1)
+        np.maximum.accumulate(last_mismatch, axis=0, out=last_mismatch)
+        runs = rows - last_mismatch
+        # The inverse shift: read back with row stride ``diagonals``.
+        self.table = runs.ravel()[: height * diagonals].reshape(height, diagonals)[
+            :, height - 1 :
+        ]
+        self._row_caps = rows + 1
+        self._column_caps = np.arange(1, width + 1, dtype=np.int32)[None, :]
+
+    def longest(
+        self, first_low: int, first_high: int, second_low: int, second_high: int
+    ) -> tuple[int, int, int]:
+        """Longest common substring of ``first[first_low:first_high]`` and
+        ``second[second_low:second_high]``, as
+        :func:`longest_common_substring` returns it.
+
+        A run inside the region can reach back at most to its top or left
+        edge, so clipping each run length by its distance from those
+        edges gives the region's own run lengths.  The first row-major
+        maximum is the earliest run end in ``first``, then in
+        ``second`` — the reference kernel's tie-break.
+        """
+        height = first_high - first_low
+        width = second_high - second_low
+        clipped = np.minimum(
+            self.table[first_low:first_high, second_low:second_high],
+            self._row_caps[:height],
+        )
+        np.minimum(clipped, self._column_caps[:, :width], out=clipped)
+        end = int(clipped.argmax())
+        size = int(clipped.flat[end])
+        if size == 0:
+            return first_low, second_low, 0
+        end_row, end_column = divmod(end, width)
+        return (
+            first_low + end_row - size + 1,
+            second_low + end_column - size + 1,
+            size,
+        )
 
 
 # ------------------------------------------------------------------ #
@@ -668,19 +704,13 @@ def longest_common_substring(
     second_low: int,
     second_high: int,
 ) -> tuple[int, int, int]:
-    """Backend-dispatched longest common substring of
+    """Reference longest common substring of
     ``first[first_low:first_high]`` vs ``second[second_low:second_high]``.
 
     Returns ``(first_start, second_start, size)`` with ties broken toward
-    the earliest position in ``first`` then ``second`` (the reference
-    kernel's deterministic choice, preserved by every backend).
+    the earliest position in ``first`` then ``second`` (the deterministic
+    choice :meth:`RunTable.longest` reproduces).
     """
-    if align_backend() != "python":
-        cells = (first_high - first_low) * (second_high - second_low)
-        if cells >= _LCS_NUMPY_MIN_CELLS:
-            return _numpy_lcs(
-                first, second, first_low, first_high, second_low, second_high
-            )
     return _python_lcs(first, second, first_low, first_high, second_low, second_high)
 
 

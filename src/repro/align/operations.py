@@ -10,8 +10,11 @@ are all tallied from them.
 
 The paper's Appendix B presents the extraction as an exponential recursion
 with random tie-breaking (``ChooseRandomAndInsertOp``).  This module
-implements the same semantics as an O(n*m) dynamic program with an explicit
-backtrace; ties between optimal paths are broken either deterministically
+implements the same semantics as a backtrace over the full edit-distance
+matrix, held implicitly: one Myers/Hyyrö bit-vector pass over the copy
+keeps each DP column's delta words (O(ceil(len(reference)/64) *
+len(copy)) word operations), and the backtrace reads every cell
+comparison it needs from them as a bit test.  Ties between optimal paths are broken either deterministically
 (preferring substitutions, the maximum-likelihood single-base error) or
 randomly when an ``rng`` is supplied, matching Algorithm 2.
 """
@@ -21,8 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
-from repro.align.edit_distance import edit_distance_matrix
+from repro.align import kernels
 
 
 class OpKind(Enum):
@@ -92,13 +96,10 @@ def edit_operations(
     # strings) or trivially len(other) (one side empty) the operation
     # sequence is forced — every backtrace candidate set is a singleton,
     # so tie-breaking (random or deterministic) cannot diverge — and the
-    # O(n*m) matrix is skipped entirely.  Identical copies are the common
-    # case when profiling low-noise pools.
+    # DP is skipped entirely.  Identical copies are the common case when
+    # profiling low-noise pools.
     if reference == copy:
-        return [
-            EditOp(OpKind.EQUAL, position, base, base)
-            for position, base in enumerate(reference)
-        ]
+        return [_equal_op(position, base) for position, base in enumerate(reference)]
     if not copy:
         return [
             EditOp(OpKind.DELETION, position, base, "")
@@ -106,53 +107,130 @@ def edit_operations(
         ]
     if not reference:
         return [EditOp(OpKind.INSERTION, 0, "", base) for base in copy]
-    # Always an int32 ndarray (both matrix code paths return one), so the
-    # backtrace comparisons below see uniform integer semantics.
-    matrix = edit_distance_matrix(reference, copy)
+    diagonal_zeros, vertical_positives, horizontal_positives = _delta_columns(
+        reference, copy
+    )
     operations: list[EditOp] = []
     row, column = len(reference), len(copy)
-    while row > 0 or column > 0:
-        candidates: list[EditOp] = []
-        if row > 0 and column > 0:
-            diagonal = matrix[row - 1][column - 1]
-            if reference[row - 1] == copy[column - 1]:
-                if matrix[row][column] == diagonal:
-                    candidates.append(
-                        EditOp(
-                            OpKind.EQUAL,
-                            row - 1,
-                            reference[row - 1],
-                            copy[column - 1],
-                        )
-                    )
-            elif matrix[row][column] == diagonal + 1:
-                candidates.append(
-                    EditOp(
-                        OpKind.SUBSTITUTION,
-                        row - 1,
-                        reference[row - 1],
-                        copy[column - 1],
-                    )
-                )
-        if row > 0 and matrix[row][column] == matrix[row - 1][column] + 1:
-            candidates.append(
-                EditOp(OpKind.DELETION, row - 1, reference[row - 1], "")
-            )
-        if column > 0 and matrix[row][column] == matrix[row][column - 1] + 1:
-            candidates.append(EditOp(OpKind.INSERTION, row, "", copy[column - 1]))
-        if not candidates:  # pragma: no cover - DP invariant
-            raise RuntimeError("edit-distance backtrace found no valid move")
-        chosen = rng.choice(candidates) if rng is not None else candidates[0]
-        operations.append(chosen)
-        if chosen.kind in (OpKind.EQUAL, OpKind.SUBSTITUTION):
-            row -= 1
-            column -= 1
-        elif chosen.kind is OpKind.DELETION:
-            row -= 1
+    # Bit ``row - 1`` of a column's words describes DP cell (row, column).
+    bit = 1 << (row - 1)
+    while row and column:
+        reference_base = reference[row - 1]
+        copy_base = copy[column - 1]
+        # A matching diagonal is always optimal (D[i][j] == D[i-1][j-1]
+        # whenever the bases agree); on a mismatch the diagonal is a
+        # substitution exactly when D0 is clear, since D[i][j] -
+        # D[i-1][j-1] is 0 or 1.
+        if reference_base == copy_base:
+            diagonal: OpKind | None = _EQUAL
+        elif diagonal_zeros[column - 1] & bit:
+            diagonal = None
         else:
+            diagonal = _SUBSTITUTION
+        if rng is None:
+            if diagonal is not None:
+                kind = diagonal
+            elif vertical_positives[column - 1] & bit:
+                kind = _DELETION
+            else:
+                kind = _INSERTION
+        else:
+            candidates = [] if diagonal is None else [diagonal]
+            if vertical_positives[column - 1] & bit:
+                candidates.append(_DELETION)
+            if horizontal_positives[column - 1] & bit:
+                candidates.append(_INSERTION)
+            kind = rng.choice(candidates)
+        if kind is _EQUAL:
+            operations.append(_equal_op(row - 1, reference_base))
             column -= 1
+        elif kind is _SUBSTITUTION:
+            operations.append(EditOp(kind, row - 1, reference_base, copy_base))
+            column -= 1
+        elif kind is _DELETION:
+            operations.append(EditOp(kind, row - 1, reference_base, ""))
+        else:
+            operations.append(EditOp(kind, row, "", copy_base))
+            column -= 1
+            continue
+        row -= 1
+        bit >>= 1
+    # One border remains: every cell on it has a single candidate, which
+    # ``rng.choice`` still draws for.
+    while row:
+        row -= 1
+        if rng is not None:
+            rng.choice(_FORCED)
+        operations.append(EditOp(_DELETION, row, reference[row], ""))
+    while column:
+        column -= 1
+        if rng is not None:
+            rng.choice(_FORCED)
+        operations.append(EditOp(_INSERTION, 0, "", copy[column]))
     operations.reverse()
     return operations
+
+
+_EQUAL = OpKind.EQUAL
+_SUBSTITUTION = OpKind.SUBSTITUTION
+_DELETION = OpKind.DELETION
+_INSERTION = OpKind.INSERTION
+
+#: A one-candidate list: ``rng.choice`` draws the same bits for any
+#: list of the same length.
+_FORCED = (None,)
+
+
+@lru_cache(maxsize=1 << 14)
+def _equal_op(position: int, base: str) -> EditOp:
+    """Shared EQUAL operations.  ``EditOp`` is frozen, so reusing one
+    instance is indistinguishable from building a new one, and EQUAL is
+    ~94% of every operation sequence."""
+    return EditOp(_EQUAL, position, base, base)
+
+
+def _delta_columns(reference: str, copy: str) -> tuple[list[int], list[int], list[int]]:
+    """Myers/Hyyrö bit vectors of every DP column, for the backtrace.
+
+    The pattern is ``reference`` (bit ``i - 1`` of a word is DP row
+    ``i``), the text is ``copy``; entry ``j - 1`` of each list describes
+    column ``j``:
+
+    * ``D0`` — bit set iff ``D[i][j] == D[i-1][j-1]``;
+    * ``VP`` — bit set iff ``D[i][j] == D[i-1][j] + 1`` (a deletion);
+    * ``PH`` before the shift — bit set iff ``D[i][j] == D[i][j-1] + 1``
+      (an insertion).
+
+    Together these decide every backtrace move of the full matrix, so
+    no band and no explicit matrix are needed.
+    """
+    masks = kernels.pattern_masks(reference)
+    full = (1 << len(reference)) - 1
+    vertical_positive = full
+    vertical_negative = 0
+    diagonal_zeros: list[int] = []
+    vertical_positives: list[int] = []
+    horizontal_positives: list[int] = []
+    get_mask = masks.get
+    for char in copy:
+        eq = get_mask(char, 0)
+        diagonal_zero = (
+            ((eq & vertical_positive) + vertical_positive) ^ vertical_positive
+        ) | eq | vertical_negative
+        horizontal_positive = vertical_negative | (
+            full & ~(diagonal_zero | vertical_positive)
+        )
+        horizontal_negative = vertical_positive & diagonal_zero
+        diagonal_zeros.append(diagonal_zero)
+        horizontal_positives.append(horizontal_positive)
+        horizontal_positive = ((horizontal_positive << 1) | 1) & full
+        horizontal_negative = (horizontal_negative << 1) & full
+        vertical_positive = horizontal_negative | (
+            full & ~(diagonal_zero | horizontal_positive)
+        )
+        vertical_negative = horizontal_positive & diagonal_zero
+        vertical_positives.append(vertical_positive)
+    return diagonal_zeros, vertical_positives, horizontal_positives
 
 
 def apply_operations(reference: str, operations: list[EditOp]) -> str:

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.align import kernels
+from repro.align import gestalt, kernels
 from repro.align.edit_distance import edit_distance, edit_distance_banded
 from repro.align.gestalt import clear_block_cache, matching_blocks
 from repro.align.kernels import (
@@ -411,13 +411,13 @@ class TestBlockMemoisation:
     def test_same_pair_computes_blocks_once(self, monkeypatch):
         clear_block_cache()
         calls = {"n": 0}
-        real = kernels.longest_common_substring
+        real = gestalt._decompose
 
         def counting(*args):
             calls["n"] += 1
             return real(*args)
 
-        monkeypatch.setattr(kernels, "longest_common_substring", counting)
+        monkeypatch.setattr(gestalt, "_decompose", counting)
         first = matching_blocks("WIKIMEDIA", "WIKIMANIA")
         after_first = calls["n"]
         assert after_first > 0
@@ -431,13 +431,13 @@ class TestBlockMemoisation:
         set_align_backend("python")
         matching_blocks("WIKIMEDIA", "WIKIMANIA")
         calls = {"n": 0}
-        real = kernels.longest_common_substring
+        real = gestalt._decompose
 
         def counting(*args):
             calls["n"] += 1
             return real(*args)
 
-        monkeypatch.setattr(kernels, "longest_common_substring", counting)
+        monkeypatch.setattr(gestalt, "_decompose", counting)
         set_align_backend("numpy")
         matching_blocks("WIKIMEDIA", "WIKIMANIA")
         assert calls["n"] > 0  # recomputed under the new backend key
@@ -446,13 +446,13 @@ class TestBlockMemoisation:
         matching_blocks("ACGTACGT", "ACGGACGT")
         clear_block_cache()
         calls = {"n": 0}
-        real = kernels.longest_common_substring
+        real = gestalt._decompose
 
         def counting(*args):
             calls["n"] += 1
             return real(*args)
 
-        monkeypatch.setattr(kernels, "longest_common_substring", counting)
+        monkeypatch.setattr(gestalt, "_decompose", counting)
         matching_blocks("ACGTACGT", "ACGGACGT")
         assert calls["n"] > 0
 
