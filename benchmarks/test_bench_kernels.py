@@ -1,18 +1,21 @@
 """Alignment-kernel benchmarks, recorded to ``BENCH_kernels.json``.
 
 Times each kernel (exact edit distance, banded edit distance, the
-one-vs-many batch kernel, and gestalt matching blocks) under every
-backend at the paper's strand length (110) plus 220 and 1000, the
-edit-operation traceback (one implementation, so one number per
-length), and the greedy-clustering end-to-end wall-clock under the
-``python`` reference backend versus ``bitparallel``.  The JSON lands at
-the repo root so the kernel perf trajectory is recorded PR over PR.
+one-vs-many batch kernel, and gestalt matching blocks) at the paper's
+strand length (110) plus 220 and 1000, once as the ``python`` reference
+function and once per fast path that serves the shape (``bitparallel``
+for pairwise distances and small batches, ``batched`` for the uint64
+sweep, ``runtable`` for gestalt); the edit-operation traceback (one
+implementation, so one number per length); and the greedy-clustering
+end-to-end wall-clock with the reference DPs patched in (``python``)
+versus the code-chosen kernels (``bitparallel``).  The JSON lands at the
+repo root so the kernel perf trajectory is recorded PR over PR.
 
 Three floors are asserted (they are the PRs' acceptance criteria):
 
 * bit-parallel exact distance >= 5x the pure-Python DP at length 110;
-* clustering end-to-end >= 2x under ``bitparallel`` vs ``python``,
-  with bit-identical assignments;
+* clustering end-to-end >= 2x with the code-chosen kernels vs the
+  reference DPs, with bit-identical assignments;
 * the batched one-vs-many sweep >= 10x scalar bit-parallel on a
   4096-read batch of length-110 strands, bit-identical distances.
 """
@@ -21,18 +24,19 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.align import kernels
-from repro.align.gestalt import clear_block_cache, matching_blocks
+from repro.align.gestalt import clear_block_cache, matching_blocks, reference_blocks
 from repro.align.kernels import (
-    edit_distance_kernel,
+    CompiledPattern,
     banded_distance_kernel,
+    edit_distance_kernel,
     edit_distances_one_to_many,
-    set_align_backend,
 )
 from repro.align.operations import edit_operations
 from repro.cluster.greedy import GreedyClusterer
@@ -46,11 +50,9 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
 
 STRAND_LENGTHS = (110, 220, 1000)
 
-KERNEL_BACKENDS = ("python", "numpy", "bitparallel", "batched")
-
 BAND = 25
 
-#: Pairs timed per (kernel, backend, length) cell; long strands use fewer.
+#: Pairs timed per (kernel, path, length) cell; long strands use fewer.
 PAIRS_PER_CELL = {110: 40, 220: 20, 1000: 4}
 
 #: Acceptance floors (ISSUE 3; batched floor from ISSUE 7).
@@ -58,7 +60,7 @@ MIN_KERNEL_SPEEDUP = 5.0
 MIN_CLUSTER_SPEEDUP = 2.0
 MIN_BATCHED_SPEEDUP = 10.0
 
-#: One-vs-many batch size for the batched-backend floor: wide enough
+#: One-vs-many batch size for the batched-sweep floor: wide enough
 #: that NumPy per-op dispatch overhead is amortised across lanes (the
 #: sweep's per-pair cost keeps dropping up to ~4k lanes).
 BATCH_READS = 4096
@@ -68,10 +70,38 @@ CLUSTER_REFERENCES = 40
 CLUSTER_COVERAGE = 8
 
 
-@pytest.fixture(scope="module", autouse=True)
-def _restore_backend():
-    yield
-    set_align_backend(None)
+def _reference_distance(pattern: CompiledPattern, other: str) -> int:
+    return kernels._python_distance(pattern.text, other)
+
+
+def _reference_banded(pattern: CompiledPattern, other: str, band: int) -> int:
+    if abs(len(pattern.text) - len(other)) > band:
+        return band + 1
+    return kernels._python_banded(pattern.text, other, band)
+
+
+def _patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
+    """Route every distance through the seed's DPs and turn the batched
+    sweep off: the clustering baseline the floor compares against."""
+    patch.setattr(kernels, "_BATCH_MIN_READS", sys.maxsize)
+    patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
+    patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
+    patch.setattr(CompiledPattern, "distance", _reference_distance)
+    patch.setattr(CompiledPattern, "banded_distance", _reference_banded)
+
+
+def _one_to_many_swept(reference: str, reads: list[str]) -> list[int]:
+    """:func:`edit_distances_one_to_many` with the batched sweep forced
+    at any batch size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_BATCH_MIN_READS", 1)
+        return edit_distances_one_to_many(reference, reads)
+
+
+def _per_read_ns(function, reference: str, reads: list[str]) -> float:
+    start = time.perf_counter()
+    function(reference, reads)
+    return (time.perf_counter() - start) / len(reads) * 1e9
 
 
 def _noisy_pairs(length: int, count: int) -> list[tuple[str, str]]:
@@ -96,42 +126,49 @@ def _time_per_pair(function, pairs, repeats: int = 3) -> float:
 
 
 def test_bench_kernels_record():
-    """Time every kernel x backend x length cell and write the record."""
+    """Time every kernel x path x length cell and write the record."""
     kernels_record: dict[str, dict] = {}
     for length in STRAND_LENGTHS:
         pairs = _noisy_pairs(length, PAIRS_PER_CELL[length])
         reads = [second for _, second in pairs]
         reference = pairs[0][0]
-        cell: dict[str, dict[str, float] | float] = {
-            "edit_distance": {},
-            "banded_distance": {},
-            "one_to_many": {},
-            "matching_blocks": {},
+        cell = {
+            "edit_distance": {
+                "python": _time_per_pair(kernels._python_distance, pairs),
+                "bitparallel": _time_per_pair(edit_distance_kernel, pairs),
+            },
+            "banded_distance": {
+                "python": _time_per_pair(
+                    lambda a, b: kernels._python_banded(a, b, BAND), pairs
+                ),
+                "bitparallel": _time_per_pair(
+                    lambda a, b: banded_distance_kernel(a, b, BAND), pairs
+                ),
+            },
+            "one_to_many": {
+                "python": _per_read_ns(
+                    lambda a, batch: [kernels._python_distance(a, b) for b in batch],
+                    reference,
+                    reads,
+                ),
+                "bitparallel": _per_read_ns(
+                    edit_distances_one_to_many, reference, reads
+                ),
+                "batched": _per_read_ns(_one_to_many_swept, reference, reads),
+            },
+            "matching_blocks": {
+                "python": _time_per_pair(reference_blocks, pairs, repeats=2),
+                "runtable": _time_per_pair(
+                    lambda a, b: (clear_block_cache(), matching_blocks(a, b))[1],
+                    pairs,
+                    repeats=2,
+                ),
+            },
             "edit_operations": _time_per_pair(edit_operations, pairs),
         }
-        for backend in KERNEL_BACKENDS:
-            set_align_backend(backend)
-            cell["edit_distance"][backend] = _time_per_pair(
-                edit_distance_kernel, pairs
-            )
-            cell["banded_distance"][backend] = _time_per_pair(
-                lambda a, b: banded_distance_kernel(a, b, BAND), pairs
-            )
-            start = time.perf_counter()
-            edit_distances_one_to_many(reference, reads)
-            cell["one_to_many"][backend] = (
-                (time.perf_counter() - start) / len(reads) * 1e9
-            )
-            clear_block_cache()
-            cell["matching_blocks"][backend] = _time_per_pair(
-                lambda a, b: (clear_block_cache(), matching_blocks(a, b))[1],
-                pairs,
-                repeats=2,
-            )
         kernels_record[str(length)] = cell
-    set_align_backend(None)
 
-    # Clustering end-to-end: python reference vs bit-parallel.
+    # Clustering end-to-end: reference DPs vs the code-chosen kernels.
     rng = random.Random(99)
     channel = Channel(ground_truth_model(), random.Random(100))
     references = [
@@ -146,13 +183,14 @@ def test_bench_kernels_record():
     rng.shuffle(reads)
     clustering: dict[str, float] = {}
     results = {}
-    for backend in ("python", "bitparallel"):
-        set_align_backend(backend)
-        clear_block_cache()
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_reference_kernels(patch)
         start = time.perf_counter()
-        results[backend] = GreedyClusterer().cluster(reads)
-        clustering[backend] = time.perf_counter() - start
-    set_align_backend(None)
+        results["python"] = GreedyClusterer().cluster(reads)
+        clustering["python"] = time.perf_counter() - start
+    start = time.perf_counter()
+    results["bitparallel"] = GreedyClusterer().cluster(reads)
+    clustering["bitparallel"] = time.perf_counter() - start
     assert results["bitparallel"].assignments == results["python"].assignments
     clustering["speedup"] = clustering["python"] / clustering["bitparallel"]
 
@@ -164,19 +202,17 @@ def test_bench_kernels_record():
     batch_reads = [
         batch_channel.transmit(batch_reference) for _ in range(BATCH_READS)
     ]
-    set_align_backend("bitparallel")
-    scalar_distances = edit_distances_one_to_many(batch_reference, batch_reads)
+    pattern = CompiledPattern(batch_reference)
+    scalar_distances = [pattern.distance(read) for read in batch_reads]
     start = time.perf_counter()
-    edit_distances_one_to_many(batch_reference, batch_reads)
+    [pattern.distance(read) for read in batch_reads]
     scalar_s = time.perf_counter() - start
-    set_align_backend("batched")
     batched_distances = edit_distances_one_to_many(batch_reference, batch_reads)
     batched_s = float("inf")
     for _ in range(3):
         start = time.perf_counter()
         edit_distances_one_to_many(batch_reference, batch_reads)
         batched_s = min(batched_s, time.perf_counter() - start)
-    set_align_backend(None)
     assert batched_distances == scalar_distances
     batched_record = {
         "reads": BATCH_READS,

@@ -1,6 +1,6 @@
 """Alignment substrate: edit distance, maximum-likelihood edit operations
 (Algorithm 2), gestalt pattern matching, and Hamming comparisons — all
-running on the pluggable bit-parallel/numpy/python kernel backends of
+running on the bit-parallel and vectorised kernels of
 :mod:`repro.align.kernels`."""
 
 from repro.align.edit_distance import (
@@ -17,12 +17,8 @@ from repro.align.gestalt import (
     matching_blocks,
 )
 from repro.align.kernels import (
-    ALIGN_BACKEND_ENV,
-    BACKENDS,
     CompiledPattern,
-    align_backend,
     edit_distances_one_to_many,
-    set_align_backend,
 )
 from repro.align.hamming import (
     hamming_distance,
@@ -39,13 +35,10 @@ from repro.align.operations import (
 )
 
 __all__ = [
-    "ALIGN_BACKEND_ENV",
-    "BACKENDS",
     "CompiledPattern",
     "EditOp",
     "MatchingBlock",
     "OpKind",
-    "align_backend",
     "aligned_segments",
     "apply_operations",
     "deletion_runs",
@@ -55,7 +48,6 @@ __all__ = [
     "edit_distances_one_to_many",
     "edit_operations",
     "error_operations",
-    "set_align_backend",
     "gestalt_error_positions",
     "gestalt_score",
     "hamming_distance",

@@ -6,13 +6,12 @@ edit-distance similarity, Section 1.1.2), reconstruction-quality metrics
 extraction of error sequences from reference/copy pairs (Appendix B,
 implemented in :mod:`repro.align.operations`).
 
-Distance-only queries dispatch to the pluggable kernels of
-:mod:`repro.align.kernels` (Myers bit-parallel by default, with numpy and
-pure-Python reference backends selectable via ``REPRO_ALIGN_BACKEND`` /
-``--align-backend``).  Every backend is bit-identical, so callers never
-observe which one ran.  The full DP matrix is available here for
-inspection; the backtrace in :mod:`repro.align.operations` reads the
-same cell values from Myers bit vectors instead.
+Distance-only queries run the Myers bit-parallel kernels of
+:mod:`repro.align.kernels`, which are bit-identical to the seed's
+pure-Python DPs (kept there as the oracles' references).  The full DP
+matrix is available here for inspection; the backtrace in
+:mod:`repro.align.operations` reads the same cell values from Myers bit
+vectors instead.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from repro.align import kernels
 def edit_distance(first: str, second: str) -> int:
     """Levenshtein distance between two strings (unit costs).
 
-    O(max(len)/64 * min(len)) word-time on the default bit-parallel
-    backend; O(len(first) * len(second)) on the reference backend.
+    O(max(len)/64 * min(len)) word-time on the bit-parallel kernel.
     """
     if first == second:
         return 0
@@ -43,7 +41,7 @@ def edit_distance_banded(first: str, second: str, band: int) -> int:
     If the true distance exceeds ``band`` the result is a lower bound of
     ``band + 1`` ("at least this far apart"), which is all clustering needs
     to reject a pair quickly.  The length-difference lower bound
-    short-circuits before any kernel runs; the bit-parallel backend
+    short-circuits before any kernel runs; the bit-parallel kernel
     early-exits the moment the band is provably exceeded.
     """
     if band < 0:

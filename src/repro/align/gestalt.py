@@ -46,7 +46,7 @@ def matching_blocks(first: str, second: str) -> list[MatchingBlock]:
     the string pair (see :data:`_BLOCK_CACHE_PAIRS`); the returned list is
     a fresh copy, safe for callers to mutate.
     """
-    return list(_matching_blocks_cached(first, second, kernels.lcs_backend()))
+    return list(_matching_blocks_cached(first, second))
 
 
 def clear_block_cache() -> None:
@@ -56,34 +56,40 @@ def clear_block_cache() -> None:
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_PAIRS)
-def _matching_blocks_cached(
-    first: str, second: str, backend: str
-) -> tuple[MatchingBlock, ...]:
-    """The memoised decomposition, keyed on the pair *and* the resolved
-    LCS backend so backend switches never serve stale entries (all
-    backends agree bit-for-bit, but equivalence tests must exercise each
-    one)."""
-    return _decompose(first, second, backend)
+def _matching_blocks_cached(first: str, second: str) -> tuple[MatchingBlock, ...]:
+    """The memoised decomposition."""
+    return _decompose(first, second)
 
 
-def _decompose(first: str, second: str, backend: str) -> tuple[MatchingBlock, ...]:
-    """One cold block decomposition.
+def _decompose(first: str, second: str) -> tuple[MatchingBlock, ...]:
+    """One cold block decomposition: one
+    :class:`~repro.align.kernels.RunTable` for the pair answers every
+    region's LCS query."""
+    if not first or not second:
+        return ()
+    return _recurse(first, second, kernels.RunTable(first, second).longest)
 
-    The ``python`` backend answers each region's LCS query with the
-    reference DP; every other backend builds one
-    :class:`~repro.align.kernels.RunTable` for the pair and answers every
-    region from it.  Both break ties toward the earliest position in
+
+def reference_blocks(first: str, second: str) -> tuple[MatchingBlock, ...]:
+    """The seed's decomposition: each region's LCS query answered by the
+    reference DP (:func:`~repro.align.kernels.longest_common_substring`),
+    kept as the reference :func:`_decompose` is checked against."""
+    if not first or not second:
+        return ()
+    return _recurse(
+        first, second, partial(kernels.longest_common_substring, first, second)
+    )
+
+
+def _recurse(first: str, second: str, longest) -> tuple[MatchingBlock, ...]:
+    """The Ratcliff-Obershelp recursion over ``longest(first_low,
+    first_high, second_low, second_high) -> (first_start, second_start,
+    size)``, which must break ties toward the earliest position in
     ``first`` then ``second``.
 
     The recursion is implemented with an explicit stack so pathological
     inputs cannot overflow Python's recursion limit.
     """
-    if not first or not second:
-        return ()
-    if backend == "python":
-        longest = partial(kernels.longest_common_substring, first, second)
-    else:
-        longest = kernels.RunTable(first, second).longest
     blocks: list[MatchingBlock] = []
     stack: list[tuple[int, int, int, int]] = [(0, len(first), 0, len(second))]
     while stack:

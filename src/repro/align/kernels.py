@@ -1,4 +1,4 @@
-"""Bit-parallel and vectorised alignment kernels with pluggable backends.
+"""Bit-parallel and vectorised alignment kernels.
 
 Every layer of the harness above the channel ultimately bottoms out in a
 handful of single-pair string kernels: Levenshtein distance (clustering,
@@ -7,126 +7,57 @@ reconstruction-quality scoring), its banded variant (the
 candidate pair), and the longest-common-substring recursion behind gestalt
 matching (the Fig. 3.2b/3.4 error-position analyses).  This module makes
 those kernels fast while keeping the original pure-Python dynamic programs
-available as a reference backend for equivalence testing.
+as plain reference functions for the differential oracles.
 
-Backends (``REPRO_ALIGN_BACKEND`` / ``--align-backend`` /
-:func:`set_align_backend`):
+There is one code-chosen path per input shape:
 
-* ``bitparallel`` — Myers' 1999 bit-vector algorithm (in Hyyrö's
-  Levenshtein formulation): one column of the DP matrix is packed into the
-  bits of a single integer and advanced with O(1) word operations per text
-  character, O(ceil(m/64) * n) word-time overall.  Python integers are
-  arbitrary-width, so a length-m pattern is simply an m-bit int — the
-  64-bit word blocking happens inside CPython's limb arithmetic and
-  patterns longer than 64 characters need no extra code.
-* ``batched`` — the one-vs-many shape as a single vectorised sweep: the
-  pattern's match masks are packed into NumPy uint64 words once per
-  :class:`CompiledPattern`, every read of a batch becomes one lane of a
-  padded 2-D code matrix, and Myers' block recurrence advances all lanes
-  together (one set of word-wide array operations per text position,
-  with the banded Ukkonen early exit preserved lane-wise).  Pairwise
-  calls fall through to ``bitparallel``.
-* ``numpy`` — row-vectorised DP (the intra-row insertion dependency is
-  resolved in closed form with one ``np.minimum.accumulate`` per row).
-* ``python`` — the original rolling-row dynamic programs, bit-for-bit the
-  seed implementations; the ground truth every other backend is tested
-  against.
-* ``auto`` (default) — ``bitparallel`` for pairwise distances, the
-  ``batched`` sweep for one-vs-many batches of at least
-  :data:`_BATCH_MIN_READS` reads.
+* pairwise distances (plain and banded) run Myers' 1999 bit-vector
+  algorithm (in Hyyrö's Levenshtein formulation): one column of the DP
+  matrix is packed into the bits of a single integer and advanced with
+  O(1) word operations per text character, O(ceil(m/64) * n) word-time
+  overall.  Python integers are arbitrary-width, so a length-m pattern
+  is simply an m-bit int — the 64-bit word blocking happens inside
+  CPython's limb arithmetic and patterns longer than 64 characters need
+  no extra code.
+* one-vs-many batches of at least :data:`_BATCH_MIN_READS` reads run as
+  a single vectorised sweep: the pattern's match masks are packed into
+  NumPy uint64 words once per :class:`CompiledPattern`, every read of a
+  batch becomes one lane of a padded 2-D code matrix, and Myers' block
+  recurrence advances all lanes together (one set of word-wide array
+  operations per text position, with the banded Ukkonen early exit
+  preserved lane-wise).  Smaller batches loop the pairwise kernel.
+* the gestalt recursion's longest-common-substring queries are answered
+  from one :class:`RunTable` per string pair.
 
-Every backend except ``python`` answers the gestalt recursion's
-longest-common-substring queries from one :class:`RunTable` per string
-pair; ``python`` keeps the seed's per-region DP.
-
-Every backend returns **bit-identical** results — distances, banded lower
-bounds, and matching blocks — so switching backends can never change
-clustering assignments, fitted profiles, or reported curves, and the
-deterministic parallel-stage guarantees of :mod:`repro.parallel` are
+The reference DPs (:func:`_python_distance`, :func:`_python_banded`,
+:func:`longest_common_substring`) are the seed implementations, verbatim;
+``tests/test_alignment_oracle.py`` checks every fast path against them.
+Every path is **bit-identical** to its reference — distances, banded
+lower bounds, and matching blocks — so the choice of path can never
+change clustering assignments, fitted profiles, or reported curves, and
+the deterministic parallel-stage guarantees of :mod:`repro.parallel` are
 preserved.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
-from repro.exceptions import ConfigError
 from repro.observability import _state as _obs_state
-
-#: Environment variable naming the default backend.
-ALIGN_BACKEND_ENV = "REPRO_ALIGN_BACKEND"
-
-#: Accepted backend names.
-BACKENDS = ("auto", "batched", "bitparallel", "numpy", "python")
-
-#: Process-wide override installed by the CLI's ``--align-backend`` flag
-#: or :func:`set_align_backend`.
-_backend_override: str | None = None
-
-
-def _validate_backend(name: str) -> str:
-    if name not in BACKENDS:
-        raise ConfigError(
-            f"unknown align backend {name!r}; choose from "
-            f"{'|'.join(BACKENDS)} (set via REPRO_ALIGN_BACKEND or "
-            f"--align-backend)"
-        )
-    return name
-
-
-def set_align_backend(name: str | None) -> None:
-    """Install (or clear, with ``None``) a process-wide backend override.
-
-    The CLI's ``--align-backend`` flag calls this so every alignment a
-    subcommand performs — clustering, profiling, scoring, curves — uses
-    the requested kernels without threading the value through each call
-    site.
-
-    Raises:
-        ConfigError: for a name not in :data:`BACKENDS`.
-    """
-    global _backend_override
-    if name is not None:
-        _validate_backend(name)
-    _backend_override = name
 
 
 def align_backend() -> str:
-    """The currently selected backend name (possibly ``"auto"``).
-
-    Resolution order: :func:`set_align_backend` override, then the
-    ``REPRO_ALIGN_BACKEND`` environment variable, then ``"auto"``.
-
-    Raises:
-        ConfigError: if the environment variable holds an unknown name.
-    """
-    if _backend_override is not None:
-        return _backend_override
-    raw = os.environ.get(ALIGN_BACKEND_ENV, "").strip()
-    if not raw:
-        return "auto"
-    return _validate_backend(raw)
-
-
-def lcs_backend() -> str:
-    """The backend the LCS queries will run under: ``"python"`` for the
-    reference DP, ``"numpy"`` for the :class:`RunTable` every other
-    backend shares.  Used as a memoisation key by
-    :mod:`repro.align.gestalt`."""
-    backend = align_backend()
-    if backend == "python":
-        return "python"
-    # bitparallel has no native LCS formulation that also yields block
-    # positions; auto/batched/bitparallel/numpy all share the run table.
-    return "numpy"
+    """Always ``"auto"``: the kernels pick their path from the input
+    shape, and there is no other selection.  Kept so run records that
+    note the backend stay comparable across versions."""
+    return "auto"
 
 
 # ------------------------------------------------------------------ #
-# Reference (python) backend — the seed's rolling-row DPs, verbatim
+# Reference DPs — the seed's rolling-row programs, verbatim
 # ------------------------------------------------------------------ #
 
 
@@ -203,7 +134,7 @@ def _python_lcs(
 
 
 # ------------------------------------------------------------------ #
-# Bit-parallel (Myers) backend
+# Bit-parallel (Myers) pairwise kernel
 # ------------------------------------------------------------------ #
 
 
@@ -299,7 +230,7 @@ def _bitparallel_banded(first: str, second: str, band: int) -> int:
 
 
 # ------------------------------------------------------------------ #
-# NumPy backend
+# Diagonal run table (gestalt LCS queries)
 # ------------------------------------------------------------------ #
 
 
@@ -307,49 +238,6 @@ def _bitparallel_banded(first: str, second: str, band: int) -> int:
 def _string_codes(text: str) -> np.ndarray:
     """The string as an array of Unicode code points (any alphabet)."""
     return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
-
-
-def _numpy_rows(first: str, second: str):
-    """Yield successive DP rows (over ``first``) as int32 arrays.
-
-    Same closed-form resolution of the intra-row insertion dependency as
-    :func:`repro.align.edit_distance.edit_distance_matrix_fast`.
-    """
-    columns = len(second) + 1
-    second_codes = _string_codes(second)
-    column_index = np.arange(columns, dtype=np.int32)
-    previous = column_index.copy()
-    yield previous
-    for row, char in enumerate(first, start=1):
-        current = np.empty(columns, dtype=np.int32)
-        current[0] = row
-        substitution_cost = (second_codes != ord(char)).astype(np.int32)
-        current[1:] = np.minimum(previous[1:] + 1, previous[:-1] + substitution_cost)
-        current = np.minimum.accumulate(current - column_index) + column_index
-        yield current
-        previous = current
-
-
-def _numpy_distance(first: str, second: str) -> int:
-    if not first:
-        return len(second)
-    if not second:
-        return len(first)
-    for row in _numpy_rows(first, second):
-        pass
-    return int(row[-1])
-
-
-def _numpy_banded(first: str, second: str, band: int) -> int:
-    if not first or not second:
-        return min(abs(len(first) - len(second)), band + 1)
-    # DP values never decrease along a path toward the corner and every
-    # path crosses every row, so min(row) is a lower bound on the final
-    # distance — early-exit the moment it clears the band.
-    for row in _numpy_rows(first, second):
-        if int(row.min()) > band:
-            return band + 1
-    return min(int(row[-1]), band + 1)
 
 
 class RunTable:
@@ -424,7 +312,7 @@ class RunTable:
 
 
 # ------------------------------------------------------------------ #
-# Batched uint64-word Myers backend
+# Batched uint64-word Myers sweep (one-vs-many)
 # ------------------------------------------------------------------ #
 
 _WORD_BITS = 64
@@ -433,8 +321,8 @@ _ALL_ONES = np.uint64(_WORD_MASK)
 _ONE = np.uint64(1)
 _TOP_BIT_SHIFT = np.uint64(_WORD_BITS - 1)
 
-#: Under ``auto``, one-vs-many sweeps below this batch size stay on the
-#: scalar bit-parallel kernel: every vectorised step costs ~µs of fixed
+#: One-vs-many calls below this batch size stay on the scalar
+#: bit-parallel kernel: every vectorised step costs ~µs of fixed
 #: NumPy dispatch overhead regardless of lane count, which dominates
 #: until the batch is a few dozen reads wide.
 _BATCH_MIN_READS = 48
@@ -643,7 +531,7 @@ def _batched_sweep(
 # ------------------------------------------------------------------ #
 
 
-def _count_kernel_call(backend: str, kernel: str) -> None:
+def _count_kernel_call(kernel: str) -> None:
     """Record one kernel dispatch in the metrics registry.
 
     These kernels are the innermost hot path of the whole harness, so the
@@ -651,49 +539,30 @@ def _count_kernel_call(backend: str, kernel: str) -> None:
     ``_obs_state.registry is not None`` (one global load and an ``is``
     check) and pay nothing when metrics are disabled.
     """
-    _obs_state.registry.counter(
-        "kernel.calls", backend=backend, kernel=kernel
-    ).inc()
+    _obs_state.registry.counter("kernel.calls", kernel=kernel).inc()
 
 
 def edit_distance_kernel(first: str, second: str) -> int:
-    """Backend-dispatched Levenshtein distance (no fast exits — callers
-    like :func:`repro.align.edit_distance.edit_distance` apply those).
-
-    ``batched`` has no pairwise formulation of its own; single pairs run
-    on the scalar bit-parallel kernel (bit-identical, and faster than a
-    one-lane sweep).
-    """
-    backend = align_backend()
+    """Bit-parallel Levenshtein distance (no fast exits — callers like
+    :func:`repro.align.edit_distance.edit_distance` apply those)."""
     if _obs_state.registry is not None:
-        _count_kernel_call(backend, "edit")
-    if backend == "python":
-        return _python_distance(first, second)
-    if backend == "numpy":
-        return _numpy_distance(first, second)
+        _count_kernel_call("edit")
     return _bitparallel_distance(first, second)
 
 
 def banded_distance_kernel(first: str, second: str, band: int) -> int:
-    """Backend-dispatched banded distance: the exact distance when it is
+    """Bit-parallel banded distance: the exact distance when it is
     ``<= band``, else the lower bound ``band + 1``.  Callers must have
     applied the ``abs(len difference) > band`` short-circuit already."""
-    backend = align_backend()
     if _obs_state.registry is not None:
-        _count_kernel_call(backend, "banded")
-    if backend == "python":
-        return _python_banded(first, second, band)
-    if backend == "numpy":
-        return _numpy_banded(first, second, band)
+        _count_kernel_call("banded")
     return _bitparallel_banded(first, second, band)
 
 
-def _batch_selected(backend: str, batch_size: int) -> bool:
+def _batch_selected(batch_size: int) -> bool:
     """Whether a one-vs-many call of ``batch_size`` reads should run the
-    vectorised sweep under ``backend``."""
-    if backend == "batched":
-        return batch_size > 0
-    return backend == "auto" and batch_size >= _BATCH_MIN_READS
+    vectorised sweep."""
+    return batch_size >= _BATCH_MIN_READS
 
 
 def longest_common_substring(
@@ -720,13 +589,10 @@ class CompiledPattern:
     Precomputes the Myers pattern-match bitmasks once, so a one-vs-many
     sweep — a cluster representative against every candidate read, a
     reconstruction candidate against every copy in its cluster — pays the
-    O(m) mask build a single time instead of once per pair.  Under the
-    ``batched`` backend (and under ``auto`` for batches of at least
-    :data:`_BATCH_MIN_READS` reads) the masks are additionally packed
-    into uint64 words and whole batches run as one vectorised sweep.
-    Under the ``numpy``/``python`` backends the masks are skipped and
-    each call falls through to the corresponding pairwise kernel, so
-    results are identical on every backend.
+    O(m) mask build a single time instead of once per pair.  For batches
+    of at least :data:`_BATCH_MIN_READS` reads the masks are additionally
+    packed into uint64 words and the whole batch runs as one vectorised
+    sweep; results are identical either way.
     """
 
     __slots__ = ("text", "_masks", "_packed")
@@ -753,13 +619,8 @@ class CompiledPattern:
             return 0
         if not self.text or not other:
             return abs(len(self.text) - len(other))
-        backend = align_backend()
         if _obs_state.registry is not None:
-            _count_kernel_call(backend, "edit")
-        if backend == "python":
-            return _python_distance(self.text, other)
-        if backend == "numpy":
-            return _numpy_distance(self.text, other)
+            _count_kernel_call("edit")
         return _myers_distance(self._pattern(), len(self.text), other)
 
     def banded_distance(self, other: str, band: int) -> int:
@@ -770,37 +631,29 @@ class CompiledPattern:
             return band + 1
         if self.text == other:
             return 0
-        backend = align_backend()
         if _obs_state.registry is not None:
-            _count_kernel_call(backend, "banded")
-        if backend == "python":
-            return _python_banded(self.text, other, band)
-        if backend == "numpy":
-            return _numpy_banded(self.text, other, band)
+            _count_kernel_call("banded")
         return _myers_distance(self._pattern(), len(self.text), other, band)
 
     def distances(self, others: Sequence[str]) -> list[int]:
         """Levenshtein distance to each of ``others``.
 
-        Runs as one vectorised uint64 sweep under the ``batched`` backend
-        (and under ``auto`` for batches of at least
-        :data:`_BATCH_MIN_READS` reads); otherwise loops the pairwise
+        Runs as one vectorised uint64 sweep for batches of at least
+        :data:`_BATCH_MIN_READS` reads; otherwise loops the pairwise
         kernel.  Bit-identical either way.
         """
-        backend = align_backend()
-        if _batch_selected(backend, len(others)):
+        if _batch_selected(len(others)):
             if _obs_state.registry is not None:
-                _count_kernel_call(backend, "batch")
+                _count_kernel_call("batch")
             return _batched_distances(self._packed_pattern(), others, None)
         return [self.distance(other) for other in others]
 
     def banded_distances(self, others: Sequence[str], band: int) -> list[int]:
         """Banded distance to each of ``others`` (exact when ``<= band``,
         else ``band + 1``), batched like :meth:`distances`."""
-        backend = align_backend()
-        if _batch_selected(backend, len(others)):
+        if _batch_selected(len(others)):
             if _obs_state.registry is not None:
-                _count_kernel_call(backend, "batch")
+                _count_kernel_call("batch")
             return _batched_distances(self._packed_pattern(), others, band)
         return [self.banded_distance(other, band) for other in others]
 
@@ -814,12 +667,10 @@ def edit_distances_one_to_many(
     and of reconstruction-quality scoring (one candidate, many copies):
     the reference's pattern-match bitmasks are computed once and reused
     across every read, and large batches run as a single vectorised
-    uint64 sweep under the ``batched``/``auto`` backends.  With ``band``
-    given, each distance is banded (``band + 1`` meaning "more than band
-    apart").
+    uint64 sweep.  With ``band`` given, each distance is banded
+    (``band + 1`` meaning "more than band apart").
 
-    Bit-identical to ``[edit_distance(reference, read) for read in reads]``
-    on every backend.
+    Bit-identical to ``[edit_distance(reference, read) for read in reads]``.
     """
     pattern = CompiledPattern(reference)
     if band is None:

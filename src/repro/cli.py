@@ -36,8 +36,6 @@ import sys
 from collections.abc import Sequence
 
 from repro import observability
-from repro.align.kernels import BACKENDS, set_align_backend
-from repro.core.channel_backend import CHANNEL_BACKENDS, set_channel_backend
 from repro.core.coverage import ConstantCoverage
 from repro.core.profile import ErrorProfile, SimulatorStage
 from repro.parallel import set_default_workers
@@ -349,22 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="partition per-cluster stages into N deterministic shards "
         "(bounded memory at paper scale; merged results are identical "
         "at any shard count; overrides REPRO_SHARDS; default: 1)",
-    )
-    parser.add_argument(
-        "--align-backend",
-        default=None,
-        metavar="NAME",
-        help="alignment kernel backend for edit-distance/gestalt hot "
-        f"paths ({'|'.join(BACKENDS)}; all bit-identical; overrides "
-        "REPRO_ALIGN_BACKEND; default: auto)",
-    )
-    parser.add_argument(
-        "--channel-backend",
-        default=None,
-        metavar="NAME",
-        help="channel transmission backend for dataset generation "
-        f"({'|'.join(CHANNEL_BACKENDS)}; all bit-identical; overrides "
-        "REPRO_CHANNEL_BACKEND; default: auto)",
     )
     parser.add_argument(
         "--log-level",
@@ -1096,12 +1078,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 set_default_shards(args.shards)
             except ValueError as error:
                 raise ConfigError(str(error)) from error
-        if args.align_backend is not None:
-            # Raises ConfigError (one-line [config] message) for unknown
-            # backend names, matching the --workers behaviour.
-            set_align_backend(args.align_backend)
-        if args.channel_backend is not None:
-            set_channel_backend(args.channel_backend)
         try:
             return args.handler(args)
         finally:

@@ -181,8 +181,8 @@ class GreedyClusterer:
             )
             # Compile the read once: its pattern masks are reused across
             # every candidate representative (the sweep's hot path).  The
-            # candidates go through one banded one-vs-many call so the
-            # batched backend can sweep them together; iteration order and
+            # candidates go through one banded one-vs-many call so large
+            # candidate sets run as one batched sweep; iteration order and
             # the strict < first-minimum tie-break match the prior
             # one-at-a-time loop exactly.
             pattern = CompiledPattern(read)

@@ -19,8 +19,6 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.align import kernels
-
 #: FNV-1a 32-bit parameters (shared by the scalar and vectorised paths).
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
@@ -59,6 +57,13 @@ def _stable_hash(text: str, seed: int) -> int:
         value ^= ord(char)
         value = (value * _FNV_PRIME) & 0xFFFFFFFF
     return value
+
+
+def reference_min_hashes(sequence: str, q: int, bands: int) -> list[int]:
+    """The seed's per-gram min-hash signature of a non-empty sequence:
+    the reference the vectorised paths are checked against."""
+    grams = qgrams(sequence, q)
+    return [min(_stable_hash(gram, band) for gram in grams) for band in range(bands)]
 
 
 def _batched_min_hashes(
@@ -178,13 +183,7 @@ class QGramIndex:
         """
         if not sequence:
             return [EMPTY_SIGNATURE] * self.bands
-        if kernels.align_backend() != "python":
-            return _vectorised_min_hashes(sequence, self.q, self.bands)
-        grams = qgrams(sequence, self.q)
-        return [
-            min(_stable_hash(gram, band) for gram in grams)
-            for band in range(self.bands)
-        ]
+        return _vectorised_min_hashes(sequence, self.q, self.bands)
 
     def signatures(self, sequences: Sequence[str]) -> list[list[int]]:
         """Signatures for a whole pool of reads at once.
@@ -193,10 +192,8 @@ class QGramIndex:
         instead of one :func:`_vectorised_min_hashes` call per read —
         the per-read path pays NumPy dispatch overhead per sequence,
         which dominates at paper-scale read counts.  Bit-identical to
-        ``[self.signature(s) for s in sequences]`` on every backend.
+        ``[self.signature(s) for s in sequences]``.
         """
-        if kernels.align_backend() == "python":
-            return [self.signature(sequence) for sequence in sequences]
         return _batched_min_hashes(sequences, self.q, self.bands)
 
     def add(

@@ -2,11 +2,6 @@
 channel, data-driven profiling, and the simulator front-end."""
 
 from repro.core.channel import Channel
-from repro.core.channel_backend import (
-    CHANNEL_BACKENDS,
-    channel_backend,
-    set_channel_backend,
-)
 from repro.core.coverage import (
     ConstantCoverage,
     CoverageModel,
@@ -31,11 +26,8 @@ from repro.core.spatial import (
 from repro.core.strand import Cluster, StrandPool
 
 __all__ = [
-    "CHANNEL_BACKENDS",
     "Channel",
     "Cluster",
-    "channel_backend",
-    "set_channel_backend",
     "ConstantCoverage",
     "CoverageModel",
     "CustomCoverage",

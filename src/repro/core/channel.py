@@ -14,13 +14,13 @@ second-order errors -> long deletion -> substitution -> insertion ->
 deletion -> no error).  Ladders are cached per model and strand length,
 so the hot loop does one ``random()`` call and one short scan per base.
 
-Two execution backends share that draw-order contract bit for bit: the
-``python`` reference loop below, and the sparse-event NumPy sweep in
-:mod:`repro.core.channel_backend` (selected via
-``REPRO_CHANNEL_BACKEND`` / ``--channel-backend`` /
-:func:`repro.core.channel_backend.set_channel_backend`).  Both consume
+Two execution paths share that draw-order contract bit for bit: the
+reference loop below, and the sparse-event NumPy sweep in
+:mod:`repro.core.channel_backend`.  The channel picks one from the
+call's shape (:meth:`Channel._use_sweep`): bulk calls on a plain
+``random.Random`` run the sweep, everything else the loop.  Both consume
 the same uniform variates in the same order from ``self.rng``, so seeds
-remain portable across backends.
+give the same pools whichever path runs.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ import random
 import weakref
 from collections.abc import Sequence
 
+from repro.core import channel_backend
 from repro.core.alphabet import BASES, homopolymer_mask
 from repro.core.channel_backend import (
-    AUTO_MIN_DRAWS,
     ReferencePrep,
     UniformBulkSource,
     VectorTables,
-    channel_backend,
     homopolymer_mask_fast,
     rng_supports_bulk,
     transmit_batch,
@@ -111,7 +110,7 @@ class Channel:
             return transmit_vectorised(
                 self, reference, source, self._reference_prep(reference)
             )
-        if self._resolve_backend(len(reference)) == "vectorised":
+        if self._use_sweep(len(reference)):
             with self._bulk_source(len(reference) + 16) as bulk:
                 return transmit_vectorised(
                     self, reference, bulk, self._reference_prep(reference)
@@ -128,7 +127,7 @@ class Channel:
                 self, reference, coverage, source, self._reference_prep(reference)
             )
         draws_hint = len(reference) * coverage
-        if self._resolve_backend(draws_hint) == "vectorised":
+        if self._use_sweep(draws_hint):
             with self._bulk_source(draws_hint + 64) as bulk:
                 return transmit_batch(
                     self, reference, coverage, bulk, self._reference_prep(reference)
@@ -152,7 +151,7 @@ class Channel:
             len(reference) * coverage
             for reference, coverage in zip(references, coverages)
         )
-        if self._resolve_backend(draws_hint) == "vectorised":
+        if self._use_sweep(draws_hint):
             with self._bulk_source(draws_hint + 64):
                 return StrandPool(
                     [
@@ -168,25 +167,20 @@ class Channel:
         )
 
     # ---------------------------------------------------------------- #
-    # Backend dispatch
+    # Path selection
     # ---------------------------------------------------------------- #
 
-    def _resolve_backend(self, draws_hint: int) -> str:
-        """Pick the execution backend for a call expected to consume
-        roughly ``draws_hint`` uniform variates.
-
-        ``python`` and ``vectorised`` are honoured directly (the latter
-        silently degrades to the reference loop for RNGs whose state the
-        bulk source cannot mirror — output is bit-identical either way).
-        ``auto`` uses the sweep only when the transplant overhead
-        amortises (:data:`AUTO_MIN_DRAWS`).
-        """
-        name = channel_backend()
-        if name == "python" or not rng_supports_bulk(self.rng):
-            return "python"
-        if name == "vectorised":
-            return "vectorised"
-        return "vectorised" if draws_hint >= AUTO_MIN_DRAWS else "python"
+    def _use_sweep(self, draws_hint: int) -> bool:
+        """Whether a call expected to consume roughly ``draws_hint``
+        uniform variates runs the vectorised sweep: only when the RNG's
+        state can be mirrored and the transplant overhead amortises
+        (:data:`repro.core.channel_backend.AUTO_MIN_DRAWS`, read at call
+        time so a test can lower it to force the sweep).  Output is
+        bit-identical either way."""
+        return (
+            rng_supports_bulk(self.rng)
+            and draws_hint >= channel_backend.AUTO_MIN_DRAWS
+        )
 
     @contextlib.contextmanager
     def _bulk_source(self, hint: int | None = None):
@@ -242,7 +236,7 @@ class Channel:
         return prep
 
     # ---------------------------------------------------------------- #
-    # Reference (python) transmit loop
+    # Reference transmit loop
     # ---------------------------------------------------------------- #
 
     def _transmit_python(self, reference: str) -> str:
@@ -300,8 +294,8 @@ class Channel:
         """Apply one channel event; returns the next reference position.
 
         ``rng`` may be any object with a ``random()`` method — the raw
-        channel RNG on the python backend, or the bulk source's scalar
-        shim on the vectorised backend (same variates, same order).
+        channel RNG on the reference loop, or the bulk source's scalar
+        shim on the sweep (same variates, same order).
         """
         model = self.model
         if rng is None:

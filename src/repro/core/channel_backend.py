@@ -1,10 +1,10 @@
-"""Vectorised channel backend: sparse-event NumPy sweep, bit-identical
-to the serial transmit loop.
+"""Vectorised channel sweep: sparse-event NumPy walk, bit-identical to
+the serial transmit loop.
 
 :class:`repro.core.channel.Channel` walks every transmitted base in a
 Python loop with one ``random.Random.random()`` call per position.  That
 draw order is a reproducibility contract — the same seed must keep
-producing byte-identical pools — so a faster backend cannot simply batch
+producing byte-identical pools — so a faster path cannot simply batch
 its own randomness.  This module makes the channel fast *without
 touching a single draw*:
 
@@ -31,7 +31,7 @@ touching a single draw*:
 * **Exact effective thresholds.**  The serial loop shrinks the roll at
   homopolymer positions (``roll / factor``) before comparing against
   the ladder total.  Division then comparison is not bit-equivalent to
-  comparing against ``total * factor``, so the backend precomputes, per
+  comparing against ``total * factor``, so the sweep precomputes, per
   (base, position), the *minimal double* ``T`` with
   ``fl(T / factor) >= total`` — making ``roll < T`` decide the event
   exactly as the serial loop does, to the last ulp.
@@ -45,40 +45,25 @@ events that consume extra draws (substitutions, insertions, long
 deletions, bursts) shift it, while deletions and second-order errors
 consume exactly the one roll and leave it untouched.
 
-Backend selection mirrors the alignment-kernel idiom
-(``REPRO_CHANNEL_BACKEND`` / ``--channel-backend`` /
-:func:`set_channel_backend`): ``python`` is the reference loop,
-``vectorised`` forces this module, and ``auto`` (the default) picks the
-sweep for bulk transmissions (``transmit_many`` / ``transmit_pool``)
-and falls back to the reference loop for one-off ``transmit`` calls or
-RNGs that are not plain ``random.Random`` instances.  Every choice is
-bit-identical, so the knob is purely about speed.
+The channel picks the path from the call's shape, with no other
+selection: a call on a plain ``random.Random`` worth at least
+:data:`AUTO_MIN_DRAWS` uniform draws runs this sweep, and anything
+smaller — or any RNG whose state cannot be mirrored — runs the
+reference loop.  Both are bit-identical, so the choice is purely about
+speed.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import random
 from bisect import bisect_right
 
 import numpy as np
 
 from repro.core.alphabet import BASES
-from repro.exceptions import ConfigError
 
-#: Environment variable naming the default channel backend.
-CHANNEL_BACKEND_ENV = "REPRO_CHANNEL_BACKEND"
-
-#: Accepted backend names.
-CHANNEL_BACKENDS = ("auto", "python", "vectorised")
-
-#: Process-wide override installed by the CLI's ``--channel-backend``
-#: flag or :func:`set_channel_backend`.
-_backend_override: str | None = None
-
-#: Under ``auto``, a call worth fewer uniform draws than this runs the
-#: reference loop: transplanting MT19937 state into NumPy and back costs
+#: A call worth fewer uniform draws than this runs the reference loop: transplanting MT19937 state into NumPy and back costs
 #: ~150 µs per open/close, and the reference loop clears ~5 draws/µs —
 #: the sweep only wins once the transplant amortises across a couple of
 #: thousand draws (a handful of paper-length transmissions).
@@ -116,48 +101,11 @@ def _borrow_mt():
         return np.random.MT19937(0)
 
 
-def _validate_backend(name: str) -> str:
-    if name not in CHANNEL_BACKENDS:
-        raise ConfigError(
-            f"unknown channel backend {name!r}; choose from "
-            f"{'|'.join(CHANNEL_BACKENDS)} (set via {CHANNEL_BACKEND_ENV} "
-            f"or --channel-backend)"
-        )
-    return name
-
-
-def set_channel_backend(name: str | None) -> None:
-    """Install (or clear, with ``None``) a process-wide backend override.
-
-    The CLI's ``--channel-backend`` flag calls this so every channel
-    transmission a subcommand performs — dataset generation, chaos
-    trials, sensitivity sweeps — uses the requested backend without
-    threading the value through each call site.
-
-    Raises:
-        ConfigError: for a name not in :data:`CHANNEL_BACKENDS`.
-    """
-    global _backend_override
-    if name is not None:
-        _validate_backend(name)
-    _backend_override = name
-
-
 def channel_backend() -> str:
-    """The currently selected backend name (possibly ``"auto"``).
-
-    Resolution order: :func:`set_channel_backend` override, then the
-    ``REPRO_CHANNEL_BACKEND`` environment variable, then ``"auto"``.
-
-    Raises:
-        ConfigError: if the environment variable holds an unknown name.
-    """
-    if _backend_override is not None:
-        return _backend_override
-    raw = os.environ.get(CHANNEL_BACKEND_ENV, "").strip()
-    if not raw:
-        return "auto"
-    return _validate_backend(raw)
+    """Always ``"auto"``: the channel picks its path from the call's
+    shape, and there is no other selection.  Kept so run records that
+    note the backend stay comparable across versions."""
+    return "auto"
 
 
 def rng_supports_bulk(rng) -> bool:
@@ -166,7 +114,7 @@ def rng_supports_bulk(rng) -> bool:
     Only plain ``random.Random`` instances qualify: the bulk source
     mirrors the version-3 Mersenne-Twister state, and a subclass may
     override ``random()`` or carry extra state the transplant cannot
-    see.  Incompatible RNGs silently run the reference loop — the
+    see.  Incompatible RNGs run the reference loop — the
     outputs are bit-identical either way, so this is a speed decision,
     not a correctness one.
     """

@@ -31,7 +31,6 @@ from enum import Enum
 
 from functools import partial
 
-from repro.align.kernels import align_backend, set_align_backend
 from repro.analysis.error_stats import ErrorStatistics, SecondOrderKey
 from repro.core.alphabet import BASES
 from repro.core.errors import ErrorModel, SecondOrderError
@@ -97,16 +96,9 @@ def fit_three_position_skew(rates: list[float]) -> SpatialDistribution:
 
 
 def _tally_cluster_chunk(
-    max_copies_per_cluster: int | None, backend: str, clusters: list[Cluster]
+    max_copies_per_cluster: int | None, clusters: list[Cluster]
 ) -> ErrorStatistics:
-    """Worker task for the parallel profile fit: tally one cluster chunk.
-
-    The parent's alignment-backend selection rides along explicitly: a
-    process-local :func:`set_align_backend` override would be invisible to
-    spawned workers (every backend is bit-identical, so this is about
-    running the *fast* kernels in the workers, not about correctness).
-    """
-    set_align_backend(backend)
+    """Worker task for the parallel profile fit: tally one cluster chunk."""
     statistics = ErrorStatistics()
     statistics.tally_pool(StrandPool(clusters), max_copies_per_cluster)
     return statistics
@@ -199,9 +191,7 @@ class ErrorProfile:
             else:
                 chunks = chunk_items(pool.clusters, effective_workers, chunk_size)
             partials = parallel_map(
-                partial(
-                    _tally_cluster_chunk, max_copies_per_cluster, align_backend()
-                ),
+                partial(_tally_cluster_chunk, max_copies_per_cluster),
                 chunks,
                 workers=effective_workers,
                 chunk_size=1,
@@ -242,11 +232,7 @@ class ErrorProfile:
                     for start in range(0, len(wave), batch_size)
                 ]
                 partials = parallel_map(
-                    partial(
-                        _tally_cluster_chunk,
-                        max_copies_per_cluster,
-                        align_backend(),
-                    ),
+                    partial(_tally_cluster_chunk, max_copies_per_cluster),
                     chunks,
                     workers=effective_workers,
                     chunk_size=1,

@@ -27,7 +27,6 @@ from functools import partial
 
 from repro.core.alphabet import random_strand
 from repro.core.channel import Channel
-from repro.core.channel_backend import channel_backend, set_channel_backend
 from repro.core.coverage import ConstantCoverage, CoverageModel
 from repro.core.errors import ErrorModel
 from repro.core.profile import ErrorProfile, SimulatorStage
@@ -168,9 +167,7 @@ class Simulator:
             counter("simulate.clusters").inc(len(references))
             for wave in batched(per_shard, max(1, effective_workers)):
                 for shard_clusters in parallel_map(
-                    partial(
-                        _transmit_chunk, self.model, self.seed, channel_backend()
-                    ),
+                    partial(_transmit_chunk, self.model, self.seed),
                     wave,
                     workers=effective_workers,
                     chunk_size=1,
@@ -198,7 +195,7 @@ class Simulator:
         effective_workers = resolve_workers(workers)
         chunks = chunk_items(items, effective_workers, chunk_size)
         per_chunk = parallel_map(
-            partial(_transmit_chunk, self.model, self.seed, channel_backend()),
+            partial(_transmit_chunk, self.model, self.seed),
             chunks,
             workers=effective_workers,
             chunk_size=1,
@@ -239,7 +236,6 @@ class Simulator:
 def _transmit_chunk(
     model: ErrorModel,
     base_seed: int,
-    backend: str,
     chunk: list[tuple[int, str, int]],
 ) -> list[Cluster]:
     """Worker task for per-cluster-seeded simulation.
@@ -248,12 +244,8 @@ def _transmit_chunk(
     giving each cluster a fresh ``random.Random(derive_seed(base_seed,
     cluster_index))`` so the output is a pure function of the item — the
     channel (and its per-length ladder cache) is shared across the chunk
-    but its RNG is swapped per cluster.  The parent's channel-backend
-    selection rides along explicitly, as a process-local
-    :func:`set_channel_backend` override would be invisible to spawned
-    workers (every backend is bit-identical; this picks the fast one).
+    but its RNG is swapped per cluster.
     """
-    set_channel_backend(backend)
     channel = Channel(model)
     clusters: list[Cluster] = []
     for cluster_index, reference, coverage in chunk:

@@ -28,7 +28,6 @@ from functools import partial
 
 from repro.core.alphabet import random_strand
 from repro.core.channel import Channel
-from repro.core.channel_backend import channel_backend, set_channel_backend
 from repro.core.coverage import (
     ConstantCoverage,
     CoverageModel,
@@ -213,7 +212,6 @@ def _generate_cluster_chunk(
     seed: int,
     reference_base: int,
     strand_length: int,
-    backend: str,
     chunk: list[tuple[int, int]],
 ) -> list[Cluster]:
     """Worker task for sharded dataset generation.
@@ -223,11 +221,8 @@ def _generate_cluster_chunk(
     stream derived from ``(reference_base, index)`` and the channel noise
     from ``(seed, index)`` (the same per-cluster convention as
     ``Simulator(per_cluster_seeds=True)``), so the output is identical at
-    any shard and worker count.  The parent's channel-backend selection
-    rides along explicitly (a process-local override is invisible to
-    spawned workers; every backend is bit-identical).
+    any shard and worker count.
     """
-    set_channel_backend(backend)
     channel = Channel(model)
     clusters: list[Cluster] = []
     for cluster_index, coverage in chunk:
@@ -287,7 +282,6 @@ def iter_nanopore_clusters(
         seed,
         reference_base,
         strand_length,
-        channel_backend(),
     )
     # Waves of `workers` shards: enough in flight to keep the pool busy,
     # few enough that peak memory stays bounded by a wave, not the pool.

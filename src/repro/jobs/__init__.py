@@ -13,15 +13,13 @@ against it.  Kill the engine at any instant — SIGKILL included — and
 the rest, producing **bit-identical** merged output, because shard
 execution is pure and the merge is associative.
 
-:class:`JobQueue` wraps the engine in a thread pool with
-submit/status/resume/cancel, and ``dnasim jobs`` exposes the same verbs
-on the command line with distinct exit codes per outcome.
+``dnasim jobs`` exposes submit/status/resume/cancel on the command line
+with distinct exit codes per outcome.
 """
 
 from repro.jobs.backoff import DecorrelatedJitter, backoff_schedule
 from repro.jobs.engine import JobEngine, resume_job, run_job
 from repro.jobs.journal import JOBS_DIR_ENV, JobJournal, default_jobs_root
-from repro.jobs.queue import JobQueue
 from repro.jobs.spec import (
     EXIT_CODES,
     FULLSCALE_WORKLOAD,
@@ -43,7 +41,6 @@ __all__ = [
     "JOURNAL_FORMAT_VERSION",
     "JobEngine",
     "JobJournal",
-    "JobQueue",
     "JobResult",
     "JobSpec",
     "JobState",

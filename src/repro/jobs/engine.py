@@ -72,9 +72,9 @@ def _plan_for_spec(spec: JobSpec) -> FullScalePlan:
     """The deterministic fullscale plan a spec describes.
 
     One code path for first runs, resumes, and result replays: every
-    scenario knob the spec carries (channel parameters, fault severity,
-    pinned backends) reaches :func:`plan_fullscale` identically, which
-    is what makes checkpointed shard results valid across restarts.
+    scenario knob the spec carries (channel parameters, fault severity)
+    reaches :func:`plan_fullscale` identically, which is what makes
+    checkpointed shard results valid across restarts.
     """
     from repro.data.nanopore import nanopore_parameters
 
@@ -88,8 +88,6 @@ def _plan_for_spec(spec: JobSpec) -> FullScalePlan:
         max_copies=spec.max_copies,
         parameters=nanopore_parameters(spec.channel_parameters),
         fault_severity=spec.fault_severity,
-        align_backend=spec.align_backend,
-        channel_backend=spec.channel_backend,
     )
 
 _logger = get_logger("repro.jobs.engine")
@@ -761,9 +759,8 @@ class JobEngine:
         """Route SIGINT/SIGTERM into graceful checkpoint-then-cancel.
 
         Signal handlers can only live on the main thread; when the
-        engine runs elsewhere (the :class:`repro.jobs.queue.JobQueue`
-        thread pool), the cross-process cancel flag is the stop channel
-        instead.
+        engine runs on another thread, the cross-process cancel flag is
+        the stop channel instead.
         """
         if threading.current_thread() is not threading.main_thread():
             return None

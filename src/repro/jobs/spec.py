@@ -44,6 +44,10 @@ FULLSCALE_WORKLOAD = "fullscale"
 #: ``repro.experiments.fig_3_3.run`` as a single checkpointed unit).
 EXPERIMENT_PREFIX = "experiment:"
 
+#: Spec fields of older journals that no longer exist.  Every value they
+#: could hold gave the same bytes, so :meth:`JobSpec.from_json` drops them.
+RETIRED_FIELDS = frozenset({"align_backend", "channel_backend"})
+
 
 class JobState(str, Enum):
     """Where a job is in its lifecycle (persisted verbatim in job.json)."""
@@ -155,12 +159,6 @@ class JobSpec:
         fault_severity: named fault-injection severity applied to every
             cluster's reads inside the shards (``"none"`` disables it;
             see :data:`repro.robustness.SEVERITY_LEVELS`).
-        align_backend / channel_backend: backend names pinned into the
-            spec at submit time.  ``None`` resolves the ambient
-            backend (override/env/auto) *once*, inside the shard worker;
-            a non-``None`` value pins the cell so sweeps never inherit
-            ``REPRO_ALIGN_BACKEND``/``REPRO_CHANNEL_BACKEND`` from the
-            environment they happen to run in.
         channel_parameters: optional mapping of
             :class:`repro.data.NanoporeParameters` field overrides, so
             one journal can describe a non-default channel without a
@@ -194,8 +192,6 @@ class JobSpec:
     allow_partial: bool = True
     max_quarantined_shards: int | None = None
     fault_severity: str = "none"
-    align_backend: str | None = None
-    channel_backend: str | None = None
     channel_parameters: dict | None = None
     kill_worker_at_shard: int | None = None
     crash_engine_at_shard: int | None = None
@@ -260,28 +256,13 @@ class JobSpec:
                 f"shard_delay_s must be >= 0, got {self.shard_delay_s}"
             )
         # Imported here, not at module top: repro.jobs sits below the
-        # robustness/align/core layers in some import orders.
-        from repro.align.kernels import BACKENDS
-        from repro.core.channel_backend import CHANNEL_BACKENDS
+        # robustness layer in some import orders.
         from repro.robustness.faults import SEVERITY_LEVELS
 
         if self.fault_severity not in SEVERITY_LEVELS:
             raise ConfigError(
                 f"unknown fault_severity {self.fault_severity!r}; "
                 f"choose from {sorted(SEVERITY_LEVELS)}"
-            )
-        if self.align_backend is not None and self.align_backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown align_backend {self.align_backend!r}; "
-                f"choose from {list(BACKENDS)}"
-            )
-        if (
-            self.channel_backend is not None
-            and self.channel_backend not in CHANNEL_BACKENDS
-        ):
-            raise ConfigError(
-                f"unknown channel_backend {self.channel_backend!r}; "
-                f"choose from {list(CHANNEL_BACKENDS)}"
             )
         if self.channel_parameters is not None:
             from repro.data.nanopore import nanopore_parameters
@@ -321,19 +302,26 @@ class JobSpec:
     def from_json(cls, payload: dict) -> "JobSpec":
         """Rebuild a spec from :meth:`to_json` output.
 
+        The retired backend fields (:data:`RETIRED_FIELDS`) of older
+        journals are dropped: every value they could hold gave the same
+        bytes, so dropping them cannot change a result.
+
         Raises:
             JobError: for payloads with unknown fields (a newer journal
                 read by older code) — failing loudly beats silently
                 dropping robustness configuration.
         """
-        known = set(cls.__dataclass_fields__)
-        unknown = set(payload) - known
+        data = {
+            key: value
+            for key, value in payload.items()
+            if key not in RETIRED_FIELDS
+        }
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise JobError(
                 f"job spec has unknown fields {sorted(unknown)} "
                 "(journal written by a newer version?)"
             )
-        data = dict(payload)
         if "algorithms" in data:
             data["algorithms"] = tuple(data["algorithms"])
         return cls(**data)

@@ -157,10 +157,9 @@ def mean_reconstruction_edit_distance(
 
     A softer companion to :func:`per_strand_accuracy` (which only counts
     perfect strands): it quantifies *how far* imperfect reconstructions
-    land from their references.  Distances run on the backend-dispatched
-    alignment kernel (bit-parallel by default), so scoring a large
-    evaluation sweep costs a fraction of the reference DP.  0.0 for empty
-    input.
+    land from their references.  Distances run on the bit-parallel
+    alignment kernel, so scoring a large evaluation sweep costs a
+    fraction of the reference DP.  0.0 for empty input.
     """
     if len(references) != len(estimates):
         raise ValueError(

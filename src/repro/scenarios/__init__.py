@@ -2,8 +2,8 @@
 
 This package turns hand-written experiment modules into data.  A TOML
 (or in-code) :class:`SweepSpec` names a scenario matrix — channel ×
-coverage × reconstructor × fault severity × backends × shard/worker
-layout — :func:`run_sweep` executes every cell through the crash-safe
+coverage × reconstructor × fault severity × shard/worker layout —
+:func:`run_sweep` executes every cell through the crash-safe
 job engine with per-cell durable journals and stamped provenance
 records, and :class:`SweepStore` queries the results.  ``dnasim sweep``
 exposes run/status/resume/list on the command line; the report

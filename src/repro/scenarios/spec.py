@@ -1,9 +1,8 @@
 """The declarative scenario DSL: sweep specs and their expansion.
 
 A :class:`SweepSpec` names a scenario *matrix*: the cross product of
-eight axes — channel preset × mean coverage × reconstructor ×
-fault severity × align backend × channel backend × shard layout ×
-worker layout — plus the spec-level scale knobs every cell shares
+six axes — channel preset × mean coverage × reconstructor ×
+fault severity × shard layout × worker layout — plus the spec-level scale knobs every cell shares
 (clusters, strand length, seed, profiling copies).  Expansion is a pure
 function: the same spec always yields the same
 :class:`ScenarioCell` tuple, in the same execution order, with the same
@@ -31,8 +30,6 @@ from dataclasses import dataclass, field
 from difflib import get_close_matches
 from pathlib import Path
 
-from repro.align.kernels import BACKENDS
-from repro.core.channel_backend import CHANNEL_BACKENDS
 from repro.data.nanopore import (
     PAPER_MEAN_COVERAGE,
     NanoporeParameters,
@@ -53,11 +50,15 @@ AXES = (
     "coverage",
     "algorithm",
     "severity",
-    "align_backend",
-    "channel_backend",
     "shards",
     "workers",
 )
+
+#: Axes earlier versions accepted.  Naming one is a ``[config]`` error
+#: rather than a did-you-mean hint: the alignment and channel paths are
+#: chosen from the input shape, and every former value gave the same
+#: bytes.
+RETIRED_AXES = ("align_backend", "channel_backend")
 
 #: Single-value defaults for axes a spec leaves out: a spec that only
 #: names ``coverage`` still expands to a well-formed matrix.
@@ -66,8 +67,6 @@ AXIS_DEFAULTS: dict[str, tuple] = {
     "coverage": (PAPER_MEAN_COVERAGE,),
     "algorithm": ("majority",),
     "severity": ("none",),
-    "align_backend": ("auto",),
-    "channel_backend": ("auto",),
     "shards": (1,),
     "workers": (1,),
 }
@@ -173,8 +172,6 @@ class ScenarioCell:
     coverage: float
     algorithm: str
     severity: str
-    align_backend: str
-    channel_backend: str
     shards: int
     workers: int
     seed: int
@@ -218,12 +215,7 @@ class ScenarioCell:
         return nanopore_parameters(dict(self.channel_parameters))
 
     def job_spec(self, **overrides) -> JobSpec:
-        """The durable :class:`repro.jobs.JobSpec` that runs this cell.
-
-        Backends are pinned verbatim — including ``"auto"``, which is a
-        deterministic choice of the best available implementation, not
-        a deferred read of ``REPRO_*_BACKEND``.
-        """
+        """The durable :class:`repro.jobs.JobSpec` that runs this cell."""
         settings = {
             "job_id": self.cell_id,
             "n_clusters": self.n_clusters,
@@ -235,8 +227,6 @@ class ScenarioCell:
             "algorithms": (self.algorithm,),
             "max_copies": self.max_copies,
             "fault_severity": self.severity,
-            "align_backend": self.align_backend,
-            "channel_backend": self.channel_backend,
             "channel_parameters": dict(self.channel_parameters) or None,
         }
         settings.update(overrides)
@@ -488,6 +478,14 @@ def _validate(
     if not isinstance(axes, dict):
         raise _error(src, f"axes must be a table, got {type(axes).__name__}", "axes")
     for axis in axes:
+        if axis in RETIRED_AXES:
+            raise _error(
+                src,
+                f"axis {axis!r} was removed: the alignment and channel "
+                "paths are chosen from the input shape; delete it",
+                "axes",
+                axis,
+            )
         if axis not in AXES:
             raise _error(
                 src,
@@ -618,27 +616,6 @@ def _axis_value(axis, value, channels: dict, src: _Source | None):
                 f"unknown severity {value!r}"
                 f"{_suggest(value, SEVERITY_LEVELS)} "
                 f"(choose from {sorted(SEVERITY_LEVELS)})",
-                "axes",
-                axis,
-            )
-        return value
-    if axis == "align_backend":
-        if value not in BACKENDS:
-            raise _error(
-                src,
-                f"unknown align backend {value!r}"
-                f"{_suggest(value, BACKENDS)} (choose from {list(BACKENDS)})",
-                "axes",
-                axis,
-            )
-        return value
-    if axis == "channel_backend":
-        if value not in CHANNEL_BACKENDS:
-            raise _error(
-                src,
-                f"unknown channel backend {value!r}"
-                f"{_suggest(value, CHANNEL_BACKENDS)} "
-                f"(choose from {list(CHANNEL_BACKENDS)})",
                 "axes",
                 axis,
             )

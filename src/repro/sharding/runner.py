@@ -26,13 +26,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
-from repro.align.kernels import BACKENDS, set_align_backend
-from repro.align.kernels import align_backend as _ambient_align
 from repro.analysis.error_stats import ErrorStatistics
 from repro.core.alphabet import random_strand
 from repro.core.channel import Channel
-from repro.core.channel_backend import CHANNEL_BACKENDS, set_channel_backend
-from repro.core.channel_backend import channel_backend as _ambient_channel
 from repro.core.errors import ErrorModel
 from repro.core.strand import Cluster, StrandPool
 from repro.exceptions import ConfigError
@@ -63,12 +59,6 @@ RECONSTRUCTORS: dict[str, type[Reconstructor]] = {
 class ShardConfig:
     """Everything a shard worker needs, picklable once per run.
 
-    ``backend``/``channel_backend`` are concrete names resolved at plan
-    time; every shard worker installs both as process-local overrides
-    before doing any work, so a worker never consults the ambient
-    ``REPRO_ALIGN_BACKEND``/``REPRO_CHANNEL_BACKEND`` environment — the
-    plan, not the host a shard lands on, decides the backends.
-
     ``fault_severity`` applies a seeded
     :class:`repro.robustness.FaultInjector` to each cluster's reads,
     keyed by ``derive_seed(fault_seed_base, cluster_index)`` so faults
@@ -82,8 +72,6 @@ class ShardConfig:
     strand_length: int
     max_copies: int | None
     algorithms: tuple[str, ...]
-    backend: str
-    channel_backend: str = "auto"
     fault_severity: str = "none"
     fault_seed_base: int = 0
 
@@ -180,8 +168,6 @@ def run_shard(
     shard's clusters die with it, which is the whole memory story.
     """
     shard_index, chunk = item
-    set_align_backend(config.backend)
-    set_channel_backend(config.channel_backend)
     inject_faults = config.fault_severity != "none"
     with span(
         "fullscale.shard", shard=shard_index, clusters=len(chunk)
@@ -238,8 +224,6 @@ def plan_fullscale(
     max_copies: int | None = 4,
     parameters: object = None,
     fault_severity: str = "none",
-    align_backend: str | None = None,
-    channel_backend: str | None = None,
 ) -> FullScalePlan:
     """Build the deterministic shard decomposition of a full-scale run.
 
@@ -250,14 +234,11 @@ def plan_fullscale(
     merging with :func:`merge_shard_results` reproduces
     :func:`run_fullscale` bit for bit.
 
-    ``align_backend``/``channel_backend`` pin the backends into the plan;
-    ``None`` captures the ambient (override/env/auto) resolution here,
-    once, so shard workers never re-read the environment themselves.
     ``fault_severity`` turns on per-cluster-seeded fault injection in
     the shards (see :class:`ShardConfig`).
 
     Raises:
-        ConfigError: unknown algorithm, backend, or severity names.
+        ConfigError: unknown algorithm or severity names.
     """
     # Imported lazily: repro.data.nanopore imports this package's plan
     # module, so a module-level import here would be circular.
@@ -279,16 +260,6 @@ def plan_fullscale(
             f"unknown fault_severity {fault_severity!r}; choose from "
             f"{sorted(SEVERITY_LEVELS)}"
         )
-    if align_backend is not None and align_backend not in BACKENDS:
-        raise ConfigError(
-            f"unknown align backend {align_backend!r}; choose from "
-            f"{list(BACKENDS)}"
-        )
-    if channel_backend is not None and channel_backend not in CHANNEL_BACKENDS:
-        raise ConfigError(
-            f"unknown channel backend {channel_backend!r}; choose from "
-            f"{list(CHANNEL_BACKENDS)}"
-        )
     if strand_length is None:
         strand_length = PAPER_STRAND_LENGTH
     if mean_coverage is None:
@@ -309,14 +280,6 @@ def plan_fullscale(
         strand_length=strand_length,
         max_copies=max_copies,
         algorithms=tuple(algorithms),
-        backend=(
-            align_backend if align_backend is not None else _ambient_align()
-        ),
-        channel_backend=(
-            channel_backend
-            if channel_backend is not None
-            else _ambient_channel()
-        ),
         fault_severity=fault_severity,
         fault_seed_base=derive_seed(seed, -3),
     )
@@ -386,8 +349,6 @@ def run_fullscale(
     parameters: object = None,
     keep_statistics: bool = False,
     fault_severity: str = "none",
-    align_backend: str | None = None,
-    channel_backend: str | None = None,
 ) -> FullScaleResult:
     """Run the whole pipeline at (up to) paper scale in bounded memory.
 
@@ -420,11 +381,9 @@ def run_fullscale(
             histograms the caller usually only needs summarised).
         fault_severity: named fault-injection severity applied per
             cluster inside the shards (``"none"`` disables).
-        align_backend / channel_backend: pin the backends for this run;
-            ``None`` captures the ambient resolution at plan time.
 
     Raises:
-        ConfigError: unknown algorithm, backend, or severity names.
+        ConfigError: unknown algorithm or severity names.
     """
     fullscale_plan = plan_fullscale(
         n_clusters=n_clusters,
@@ -436,8 +395,6 @@ def run_fullscale(
         max_copies=max_copies,
         parameters=parameters,
         fault_severity=fault_severity,
-        align_backend=align_backend,
-        channel_backend=channel_backend,
     )
     effective_workers = resolve_workers(workers)
     with span(

@@ -1,13 +1,15 @@
-"""Differential oracles for the alignment fast paths.
+"""Differential oracles for every fast path.
 
 Each :class:`Oracle` entry names a reference implementation, the fast
 path that must reproduce it exactly, and a seeded input generator.  The
-entries share one corpus that covers the inputs where a fast path is
-most likely to diverge: 64-bit word-boundary lengths, the paper's
-110-nt strands at its IDS rates, equal and empty strings, ``N``,
-lowercase and non-ASCII alphabets, and tie-heavy homopolymer and
+alignment entries share one corpus that covers the inputs where a fast
+path is most likely to diverge: 64-bit word-boundary lengths, the
+paper's 110-nt strands at its IDS rates, equal and empty strings, ``N``,
+lowercase and non-ASCII alphabets, degenerate bands, one-vs-many batch
+sizes around the sweep threshold, and tie-heavy homopolymer and
 periodic pairs (many co-optimal alignments, so every tie-break is
-exercised).
+exercised).  The ``channel`` entry runs the transmit loop against the
+vectorised sweep over the models of ``tests/test_channel_backend.py``.
 """
 
 from __future__ import annotations
@@ -18,9 +20,14 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.align import gestalt
-from repro.align.edit_distance import edit_distance, edit_distance_matrix
+from repro.align import gestalt, kernels
+from repro.align.edit_distance import (
+    edit_distance,
+    edit_distance_banded,
+    edit_distance_matrix,
+)
 from repro.align.gestalt import matching_blocks
+from repro.align.kernels import CompiledPattern, edit_distances_one_to_many
 from repro.align.operations import (
     EditOp,
     OpKind,
@@ -29,12 +36,17 @@ from repro.align.operations import (
 )
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
+from tests.test_channel_backend import channel_inputs, fast_run, reference_run
 
 #: Seeds the shared corpus is generated from.
 CORPUS_SEEDS = (0, 1)
 
 #: Seeds of the ``random.Random`` tie-breakers each traceback runs with.
 TIE_BREAK_SEEDS = (0, 1, 2)
+
+#: One-vs-many batch sizes: a single read, and either side of the
+#: default sweep threshold (``kernels._BATCH_MIN_READS`` is 48).
+BATCH_SIZES = (1, 47, 48, 49)
 
 
 def matrix_backtrace(
@@ -171,14 +183,93 @@ def shared_corpus(seed: int) -> list[tuple[str, str]]:
     return pairs
 
 
+def bands_for(first: str, second: str) -> tuple[int, ...]:
+    """The degenerate bands 0 and 1, a narrow band, and one at least as
+    wide as either string (never exceeded)."""
+    return (0, 1, 3, max(len(first), len(second)))
+
+
+def reference_distances(first: str, second: str) -> list[int]:
+    """The seed's DP distance, once per fast entry point."""
+    distance = kernels._python_distance(first, second)
+    return [distance, distance]
+
+
+def fast_distances(first: str, second: str) -> list[int]:
+    return [edit_distance(first, second), CompiledPattern(first).distance(second)]
+
+
+def reference_banded(first: str, second: str) -> list[list[int]]:
+    """The seed's banded DP behind the length-difference lower bound,
+    once per fast entry point."""
+    bounds = [
+        band + 1
+        if abs(len(first) - len(second)) > band
+        else kernels._python_banded(first, second, band)
+        for band in bands_for(first, second)
+    ]
+    return [bounds, bounds]
+
+
+def fast_banded(first: str, second: str) -> list[list[int]]:
+    pattern = CompiledPattern(first)
+    bands = bands_for(first, second)
+    return [
+        [edit_distance_banded(first, second, band) for band in bands],
+        [pattern.banded_distance(second, band) for band in bands],
+    ]
+
+
+def batch_corpus(seed: int) -> list[tuple[str, list[str]]]:
+    """One-vs-many inputs: each corpus strand against batches of every
+    :data:`BATCH_SIZES` size, cut from the corpus's partner strands (all
+    lengths and alphabets, with the pattern itself and ``""`` first)."""
+    pairs = shared_corpus(seed)
+    partners = [second for _, second in pairs]
+    # One pattern per distinct (length, alphabet) shape.
+    shapes = {}
+    for first, _ in pairs:
+        shapes.setdefault((len(first), frozenset(first)), first)
+    batches = []
+    for offset, pattern in enumerate(shapes.values()):
+        for size in BATCH_SIZES:
+            cycle = [pattern, ""] + partners[offset:] + partners[:offset]
+            batches.append((pattern, (cycle * (size // len(cycle) + 1))[:size]))
+    return batches
+
+
+def _one_to_many_bands(pattern: str, reads: list[str]) -> tuple[int, ...]:
+    return (0, 1, 3, max(len(pattern), *(len(read) for read in reads)))
+
+
+def pairwise_loop(pattern: str, reads: list[str]) -> list[list[int]]:
+    """One pairwise call per read, exact and under each band."""
+    results = [[edit_distance(pattern, read) for read in reads]]
+    for band in _one_to_many_bands(pattern, reads):
+        results.append([edit_distance_banded(pattern, read, band) for read in reads])
+    return results
+
+
+def one_to_many(pattern: str, reads: list[str]) -> list[list[int]]:
+    """:func:`edit_distances_one_to_many` with ``_BATCH_MIN_READS`` at 1,
+    so the batched sweep runs at every batch size."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "_BATCH_MIN_READS", 1)
+        results = [edit_distances_one_to_many(pattern, reads)]
+        for band in _one_to_many_bands(pattern, reads):
+            results.append(edit_distances_one_to_many(pattern, reads, band=band))
+    return results
+
+
 @dataclass(frozen=True)
 class Oracle:
-    """One fast path and the reference it must reproduce exactly."""
+    """One fast path and the reference it must reproduce exactly on
+    every argument tuple its generator yields."""
 
     name: str
-    reference: Callable[[str, str], object]
-    fast: Callable[[str, str], object]
-    inputs: Callable[[int], list[tuple[str, str]]]
+    reference: Callable[..., object]
+    fast: Callable[..., object]
+    inputs: Callable[[int], list[tuple]]
 
 
 ORACLES = (
@@ -190,9 +281,33 @@ ORACLES = (
     ),
     Oracle(
         name="matching_blocks",
-        reference=lambda first, second: gestalt._decompose(first, second, "python"),
-        fast=lambda first, second: gestalt._decompose(first, second, "numpy"),
+        reference=gestalt.reference_blocks,
+        fast=gestalt._decompose,
         inputs=shared_corpus,
+    ),
+    Oracle(
+        name="edit_distance",
+        reference=reference_distances,
+        fast=fast_distances,
+        inputs=shared_corpus,
+    ),
+    Oracle(
+        name="banded_distance",
+        reference=reference_banded,
+        fast=fast_banded,
+        inputs=shared_corpus,
+    ),
+    Oracle(
+        name="one_to_many",
+        reference=pairwise_loop,
+        fast=one_to_many,
+        inputs=batch_corpus,
+    ),
+    Oracle(
+        name="channel",
+        reference=reference_run,
+        fast=fast_run,
+        inputs=channel_inputs,
     ),
 )
 
@@ -200,12 +315,8 @@ ORACLES = (
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)
 @pytest.mark.parametrize("oracle", ORACLES, ids=lambda oracle: oracle.name)
 def test_fast_path_matches_reference(oracle: Oracle, seed: int):
-    for first, second in oracle.inputs(seed):
-        assert oracle.fast(first, second) == oracle.reference(first, second), (
-            oracle.name,
-            first,
-            second,
-        )
+    for args in oracle.inputs(seed):
+        assert oracle.fast(*args) == oracle.reference(*args), (oracle.name, args)
 
 
 def test_corpus_covers_its_regions():
@@ -219,6 +330,10 @@ def test_corpus_covers_its_regions():
     )
     assert any("N" in first for first, _ in pairs)
     assert any(first.islower() for first, _ in pairs)
+    batches = batch_corpus(0)
+    assert {len(reads) for _, reads in batches} == set(BATCH_SIZES)
+    assert {63, 64, 65, 127, 128, 129} <= {len(pattern) for pattern, _ in batches}
+    assert all(pattern in reads and "" in reads for pattern, reads in batches if len(reads) > 1)
 
 
 def test_non_ascii_pair_above_matrix_threshold():

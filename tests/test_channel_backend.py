@@ -1,32 +1,37 @@
-"""Cross-backend equivalence for the vectorised channel sweep (ISSUE 8).
+"""The vectorised channel sweep against the reference transmit loop.
 
-In the style of ``TestBatchedBackendEquivalence``: the ``vectorised``
-backend must be byte-identical to the ``python`` reference loop — same
-pools, same copies, and the same final ``random.Random`` state (the
-draw-order contract) — across every model stage (bursts, second-order
-errors, long deletions, spatial weights, homopolymer scaling), both RNG
-modes (serial stream and ``per_cluster_seeds``), and degenerate inputs
-(empty references, coverage 0, all-homopolymer strands, burst-heavy
-models).  Dispatch (env var / override / auto threshold) is covered at
-the end.
+The sweep must be byte-identical to the loop — same pools, same copies,
+and the same final ``random.Random`` state (the draw-order contract) —
+across every model stage (bursts, second-order errors, long deletions,
+spatial weights, homopolymer scaling), both RNG modes (serial stream and
+``per_cluster_seeds``), and degenerate inputs (empty references,
+coverage 0, all-homopolymer strands, burst-heavy models).
+
+The per-model comparison of ``transmit``, ``transmit_many`` and
+``transmit_pool`` is the ``channel`` entry of the oracle registry in
+``tests/test_alignment_oracle.py``, built from :func:`reference_run` and
+:func:`fast_run` below.  This file keeps the per-model
+``transmit_many`` / ``transmit_pool`` checks beside it, and adds the
+stream-level and simulator-level equivalences, path selection, and the
+canary for the MT19937 state transplant the sweep rests on.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
+from repro.core import channel_backend
 from repro.core.alphabet import homopolymer_mask, random_strand
 from repro.core.channel import Channel
 from repro.core.channel_backend import (
     AUTO_MIN_DRAWS,
-    CHANNEL_BACKENDS,
-    channel_backend,
+    UniformBulkSource,
     homopolymer_mask_fast,
     rng_supports_bulk,
-    set_channel_backend,
 )
 from repro.core.coverage import ConstantCoverage, NegativeBinomialCoverage
 from repro.core.errors import ErrorModel
@@ -38,15 +43,8 @@ from repro.data.nanopore import (
     iter_nanopore_clusters,
     make_nanopore_dataset,
 )
-from repro.exceptions import ConfigError
 
 MAIN_SEED = 20260808
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    set_channel_backend(None)
 
 
 def _ground(**overrides) -> ErrorModel:
@@ -65,6 +63,15 @@ MODELS = {
     "no_homopolymer_scaling": _ground(homopolymer_factor=1.0),
 }
 
+#: The bulk entry points the oracle compares.
+METHODS = ("transmit", "transmit_many", "transmit_pool")
+
+
+class LoopRandom(random.Random):
+    """The same Mersenne-Twister stream as ``random.Random``, but a
+    subclass, so :func:`rng_supports_bulk` is False and the channel runs
+    the reference loop for every call."""
+
 
 def _flatten(pool: StrandPool) -> list[tuple[str, list[str]]]:
     return [(cluster.reference, list(cluster.copies)) for cluster in pool]
@@ -78,60 +85,88 @@ def _references(rng: random.Random) -> list[str]:
     return strands
 
 
+def _run(model_name: str, method: str, seed: int, rng: random.Random):
+    """One channel entry point over the reference strands: its outputs
+    and the RNG state it leaves behind."""
+    channel = Channel(MODELS[model_name], rng)
+    references = _references(random.Random(seed + 1))
+    if method == "transmit":
+        outputs = [channel.transmit(reference) for reference in references]
+    elif method == "transmit_many":
+        outputs = [channel.transmit_many(reference, 25) for reference in references]
+    else:
+        outputs = _flatten(
+            channel.transmit_pool(references, NegativeBinomialCoverage(8.0, 2.0))
+        )
+    return outputs, rng.getstate()
+
+
+def reference_run(model_name: str, method: str, seed: int):
+    """The reference loop, reached through a ``random.Random`` subclass."""
+    return _run(model_name, method, seed, LoopRandom(seed))
+
+
+def fast_run(model_name: str, method: str, seed: int):
+    """The vectorised sweep, forced for every call by lowering
+    ``AUTO_MIN_DRAWS`` to 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_backend, "AUTO_MIN_DRAWS", 0)
+        return _run(model_name, method, seed, random.Random(seed))
+
+
+def channel_inputs(seed: int) -> list[tuple[str, str, int]]:
+    """Every (model, entry point) pair at one corpus seed."""
+    return [
+        (model_name, method, MAIN_SEED + seed)
+        for model_name in sorted(MODELS)
+        for method in METHODS
+    ]
+
+
+@pytest.fixture
+def force_path(monkeypatch):
+    """Pin the channel to one path for every call: ``"python"`` (the
+    reference loop) or ``"vectorised"`` (the sweep)."""
+
+    def force(path: str) -> None:
+        threshold = sys.maxsize if path == "python" else 0
+        monkeypatch.setattr(channel_backend, "AUTO_MIN_DRAWS", threshold)
+
+    return force
+
+
 class TestBackendEquivalence:
-    """Pools and final RNG states must match bit for bit."""
+    """Pools and final RNG states must match bit for bit between the
+    reference loop and the sweep."""
 
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     def test_transmit_pool_identical(self, model_name):
-        model = MODELS[model_name]
-        coverage = NegativeBinomialCoverage(8.0, 2.0)
-        pools, states = {}, {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
-            rng = random.Random(MAIN_SEED)
-            channel = Channel(model, rng)
-            references = _references(random.Random(MAIN_SEED + 1))
-            pools[backend] = _flatten(
-                channel.transmit_pool(references, coverage)
-            )
-            states[backend] = rng.getstate()
-        assert pools["vectorised"] == pools["python"], model_name
-        assert states["vectorised"] == states["python"], model_name
+        reference = reference_run(model_name, "transmit_pool", MAIN_SEED)
+        assert fast_run(model_name, "transmit_pool", MAIN_SEED) == reference
 
     @pytest.mark.parametrize("model_name", sorted(MODELS))
     def test_transmit_many_identical(self, model_name):
-        model = MODELS[model_name]
-        outputs, states = {}, {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
-            rng = random.Random(MAIN_SEED + 2)
-            channel = Channel(model, rng)
-            copies: list[list[str]] = []
-            for reference in _references(random.Random(MAIN_SEED + 3)):
-                copies.append(channel.transmit_many(reference, 25))
-            outputs[backend] = copies
-            states[backend] = rng.getstate()
-        assert outputs["vectorised"] == outputs["python"], model_name
-        assert states["vectorised"] == states["python"], model_name
+        reference = reference_run(model_name, "transmit_many", MAIN_SEED + 2)
+        assert fast_run(model_name, "transmit_many", MAIN_SEED + 2) == reference
 
-    def test_degenerate_coverage_and_reference(self):
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+    def test_degenerate_coverage_and_reference(self, force_path):
+        for path in ("python", "vectorised"):
+            force_path(path)
             rng = random.Random(MAIN_SEED)
             channel = Channel(ground_truth_model(), rng)
             assert channel.transmit_many("ACGT" * 30, 0) == []
             assert channel.transmit_many("", 7) == [""] * 7
             assert channel.transmit("") == ""
-            # Degenerate calls consume no randomness on either backend.
+            # Degenerate calls consume no randomness on either path.
             assert rng.getstate() == random.Random(MAIN_SEED).getstate()
 
-    def test_interleaved_transmits_share_the_stream(self):
+    def test_interleaved_transmits_share_the_stream(self, force_path):
         """Mixing transmit/transmit_many/raw rng draws stays in lockstep:
         the bulk source must leave the Python RNG exactly where the
         serial loop would have."""
         results, states = {}, {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+        for path in ("python", "vectorised"):
+            force_path(path)
             rng = random.Random(MAIN_SEED + 4)
             channel = Channel(ground_truth_model(), rng)
             trace = []
@@ -139,8 +174,8 @@ class TestBackendEquivalence:
                 trace.append(channel.transmit_many("ACGT" * 30, 9))
                 trace.append(rng.random())  # raw draw between bulk calls
                 trace.append(channel.transmit(random_strand(110, rng)))
-            results[backend] = trace
-            states[backend] = rng.getstate()
+            results[path] = trace
+            states[path] = rng.getstate()
         assert results["vectorised"] == results["python"]
         assert states["vectorised"] == states["python"]
 
@@ -154,42 +189,42 @@ class TestSimulatorEquivalence:
         return ErrorProfile.from_pool(pool)
 
     @pytest.mark.parametrize("stage", list(SimulatorStage))
-    def test_serial_stream_identical_across_stages(self, profile, stage):
+    def test_serial_stream_identical_across_stages(self, profile, stage, force_path):
         references = [
             random_strand(110, random.Random(MAIN_SEED + 5)) for _ in range(12)
         ]
         pools = {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+        for path in ("python", "vectorised"):
+            force_path(path)
             simulator = Simulator.fitted(
                 profile, stage=stage, coverage=ConstantCoverage(6), seed=17
             )
-            pools[backend] = _flatten(simulator.simulate(references))
+            pools[path] = _flatten(simulator.simulate(references))
         assert pools["vectorised"] == pools["python"], stage
 
-    def test_per_cluster_seeds_identical(self):
+    def test_per_cluster_seeds_identical(self, force_path):
         references = [
             random_strand(110, random.Random(MAIN_SEED + 6)) for _ in range(10)
         ]
         pools = {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
+        for path in ("python", "vectorised"):
+            force_path(path)
             simulator = Simulator(
                 ground_truth_model(),
                 coverage=ConstantCoverage(5),
                 seed=23,
                 per_cluster_seeds=True,
             )
-            pools[backend] = _flatten(
+            pools[path] = _flatten(
                 simulator.simulate(references, workers=1)
             )
         assert pools["vectorised"] == pools["python"]
 
-    def test_streamed_nanopore_identical(self):
+    def test_streamed_nanopore_identical(self, force_path):
         clusters = {}
-        for backend in ("python", "vectorised"):
-            set_channel_backend(backend)
-            clusters[backend] = [
+        for path in ("python", "vectorised"):
+            force_path(path)
+            clusters[path] = [
                 (cluster.reference, list(cluster.copies))
                 for cluster in iter_nanopore_clusters(
                     n_clusters=20, seed=MAIN_SEED, shards=3, workers=1
@@ -216,55 +251,40 @@ class TestFastMask:
 
 
 class TestDispatch:
-    """Selection order: override, then env var, then auto."""
+    """The channel picks its path from the call's shape alone."""
 
     def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHANNEL_BACKEND", raising=False)
-        assert channel_backend() == "auto"
-
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "vectorised")
-        assert channel_backend() == "vectorised"
-
-    def test_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "python")
-        set_channel_backend("vectorised")
-        assert channel_backend() == "vectorised"
-        set_channel_backend(None)
-        assert channel_backend() == "python"
-
-    def test_unknown_override_raises_config_error(self):
-        with pytest.raises(ConfigError):
-            set_channel_backend("cuda")
-
-    def test_unknown_env_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "simd")
-        with pytest.raises(ConfigError):
-            channel_backend()
-
-    def test_backend_names_are_stable(self):
-        assert CHANNEL_BACKENDS == ("auto", "python", "vectorised")
+        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "bogus")
+        assert channel_backend.channel_backend() == "auto"
 
     def test_auto_threshold(self):
         channel = Channel(ground_truth_model(), random.Random(0))
-        set_channel_backend("auto")
-        assert channel._resolve_backend(AUTO_MIN_DRAWS) == "vectorised"
-        assert channel._resolve_backend(AUTO_MIN_DRAWS - 1) == "python"
-        set_channel_backend("python")
-        assert channel._resolve_backend(10**9) == "python"
+        assert channel._use_sweep(AUTO_MIN_DRAWS)
+        assert not channel._use_sweep(AUTO_MIN_DRAWS - 1)
 
     def test_subclassed_rng_degrades_to_python(self):
-        class LoggedRandom(random.Random):
-            pass
-
-        assert not rng_supports_bulk(LoggedRandom(0))
-        channel = Channel(ground_truth_model(), LoggedRandom(0))
-        set_channel_backend("vectorised")
-        # Forced vectorised still degrades (bit-identical either way).
-        assert channel._resolve_backend(10**9) == "python"
+        assert not rng_supports_bulk(LoopRandom(0))
+        channel = Channel(ground_truth_model(), LoopRandom(0))
+        assert not channel._use_sweep(10**9)
         reference = "ACGT" * 30
-        copies = channel.transmit_many(reference, 20)
-        set_channel_backend("python")
-        assert copies == Channel(
-            ground_truth_model(), LoggedRandom(0)
+        assert channel.transmit_many(reference, 20) == Channel(
+            ground_truth_model(), random.Random(0)
         ).transmit_many(reference, 20)
+
+
+class TestStateTransplantCanary:
+    """The sweep assumes CPython's ``random.Random`` and NumPy's MT19937
+    share the Mersenne-Twister state layout and the 53-bit double
+    construction.  If either library changes that, this fails first."""
+
+    def test_bulk_doubles_match_cpython_stream(self):
+        draws = 10_000
+        bulk_rng = random.Random(MAIN_SEED)
+        # No size hint: full 8192-draw chunks, so close() must replay a
+        # partly consumed second chunk.
+        source = UniformBulkSource(bulk_rng)
+        bulk = [source.random() for _ in range(draws)]
+        source.close()
+        serial_rng = random.Random(MAIN_SEED)
+        assert bulk == [serial_rng.random() for _ in range(draws)]
+        assert bulk_rng.getstate() == serial_rng.getstate()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections import Counter
 from collections.abc import Callable, Sequence
 
@@ -32,7 +33,7 @@ import pytest
 from repro.analysis.error_stats import ErrorStatistics
 from repro.core.alphabet import TRANSITION, random_strand
 from repro.core.channel import Channel
-from repro.core.channel_backend import set_channel_backend
+from repro.core import channel_backend
 from repro.core.coverage import (
     ConstantCoverage,
     ErasureCoverage,
@@ -141,18 +142,23 @@ def measure_channel(
     return statistics
 
 
-@pytest.fixture(scope="module", params=("python", "vectorised"))
+#: ``AUTO_MIN_DRAWS`` per channel path: the reference loop for every
+#: call, or the vectorised sweep for every call.
+PATH_THRESHOLDS = {"python": sys.maxsize, "vectorised": 0}
+
+
+@pytest.fixture(scope="module", params=sorted(PATH_THRESHOLDS))
 def measured(request) -> ErrorStatistics:
     """Statistics of the calibrated channel (900 transmissions, ~99k
     base opportunities — every aggregate below has expected counts well
-    into chi-square territory), measured under each channel backend:
-    the vectorised sweep must pass the paper's statistical suite with
-    the same seeds (it is bit-identical, so the statistics are too)."""
-    set_channel_backend(request.param)
-    try:
+    into chi-square territory), measured on each channel path: the
+    vectorised sweep must pass the paper's statistical suite with the
+    same seeds (it is bit-identical, so the statistics are too)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            channel_backend, "AUTO_MIN_DRAWS", PATH_THRESHOLDS[request.param]
+        )
         return measure_channel()
-    finally:
-        set_channel_backend(None)
 
 
 @pytest.fixture(scope="module")

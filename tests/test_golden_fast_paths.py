@@ -1,0 +1,53 @@
+"""The pinned goldens with every call forced onto the fast paths.
+
+The alignment kernels and the channel pick their path from the input
+shape: one-vs-many batches of at least ``kernels._BATCH_MIN_READS``
+reads run the batched uint64 sweep, and channel calls worth at least
+``channel_backend.AUTO_MIN_DRAWS`` draws run the vectorised sweep.  Here
+both thresholds drop to their minimum, so every batch and every channel
+call takes the fast path, and the committed golden sweep and the
+``table_2_1`` golden must still come out byte for byte.
+
+Neither golden workload makes one-vs-many distance calls, so the
+batched sweep's share of this check is vacuous; its end-to-end identity
+is covered by ``TestClusteringIdentity`` in ``tests/test_kernels.py``
+and by the ``one_to_many`` oracle.  Sweep cells run in forked job
+workers, which inherit the lowered thresholds.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.align import kernels
+from repro.core import channel, channel_backend
+from repro.experiments import table_2_1
+from repro.scenarios import load_sweep_spec, run_sweep
+from tests.test_golden_experiments import _load, _run_experiment, private_cache  # noqa: F401
+from tests.test_golden_sweep import SPEC_PATH, _assert_matches_golden
+
+
+@pytest.fixture
+def fast_paths_everywhere(monkeypatch):
+    """Lower both thresholds; returns a count of in-process channel sweeps."""
+    monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
+    monkeypatch.setattr(channel_backend, "AUTO_MIN_DRAWS", 0)
+    calls = {"channel": 0}
+    transmit_batch = channel.transmit_batch
+
+    def counted(*args):
+        calls["channel"] += 1
+        return transmit_batch(*args)
+
+    monkeypatch.setattr(channel, "transmit_batch", counted)
+    return calls
+
+
+def test_goldens_unchanged_on_fast_paths(
+    fast_paths_everywhere, private_cache, tmp_path
+):
+    outcome = run_sweep(load_sweep_spec(SPEC_PATH), tmp_path / "sweep")
+    assert outcome.exit_code == 0
+    _assert_matches_golden(tmp_path / "sweep")
+    assert _run_experiment(table_2_1) == _load("table_2_1")
+    assert fast_paths_everywhere["channel"] > 0

@@ -26,7 +26,6 @@ from repro.jobs import (
     EXIT_CODES,
     JobEngine,
     JobJournal,
-    JobQueue,
     JobResult,
     JobSpec,
     JobState,
@@ -127,8 +126,8 @@ class TestJobSpec:
             {"max_quarantined_shards": -1},
             {"shard_delay_s": -1.0},
             {"fault_severity": "apocalyptic"},
-            {"align_backend": "bogus-kernel"},
-            {"channel_backend": "bogus-kernel"},
+            {"job_id": "."},
+            {"job_id": ""},
             {"channel_parameters": {"substition_rate": 0.1}},  # typo'd field
         ],
     )
@@ -140,8 +139,6 @@ class TestJobSpec:
         spec = _spec(
             "scenario",
             fault_severity="mild",
-            align_backend="python",
-            channel_backend="python",
             channel_parameters={"substitution_rate": 0.04},
         )
         rebuilt = JobSpec.from_json(json.loads(json.dumps(spec.to_json())))
@@ -150,20 +147,21 @@ class TestJobSpec:
 
     def test_pre_scenario_payloads_still_load(self):
         """Journals written before the scenario fields existed resume
-        with the no-fault, ambient-backend defaults."""
+        with the no-fault defaults."""
         payload = _spec("legacy").to_json()
-        for field in (
-            "fault_severity",
-            "align_backend",
-            "channel_backend",
-            "channel_parameters",
-        ):
+        for field in ("fault_severity", "channel_parameters"):
             payload.pop(field, None)
         spec = JobSpec.from_json(payload)
         assert spec.fault_severity == "none"
-        assert spec.align_backend is None
-        assert spec.channel_backend is None
         assert spec.channel_parameters is None
+
+    def test_retired_backend_fields_are_dropped(self):
+        """Journals that pinned the retired alignment/channel backends
+        load as the same spec without them: every backend value gave
+        identical bytes, so dropping the field cannot change a result."""
+        payload = json.loads(json.dumps(_spec("pinned").to_json()))
+        stored = {**payload, "align_backend": "python", "channel_backend": "auto"}
+        assert JobSpec.from_json(stored) == JobSpec.from_json(payload)
 
     def test_experiment_workload_accepted(self):
         spec = _spec("exp", workload="experiment:table_1_1")
@@ -540,62 +538,6 @@ class TestSigtermCheckpointsAndCancels:
         resumed = resume_job(tmp_path, "sigterm")
         assert resumed.state is JobState.SUCCEEDED
         assert resumed.result == golden_summary
-
-
-class TestJobQueue:
-    def test_submit_wait_status_round_trip(self, tmp_path, golden_summary):
-        with JobQueue(root=tmp_path, max_workers=2) as queue:
-            job_id = queue.submit(_spec("queued"))
-            result = queue.wait(job_id, timeout=120)
-            assert result.state is JobState.SUCCEEDED
-            assert result.result == golden_summary
-            status = queue.status(job_id)
-            assert status["state"] == "succeeded"
-            assert status["result"]["complete"] is True
-            assert queue.states() == {"queued": JobState.SUCCEEDED}
-
-    def test_cancel_stops_running_job(self, tmp_path):
-        with JobQueue(root=tmp_path, max_workers=1) as queue:
-            job_id = queue.submit(
-                _spec("slow", n_clusters=SHARDS, workers=1, shard_delay_s=30.0)
-            )
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if JobJournal.open(tmp_path, job_id).state() is JobState.RUNNING:
-                    break
-                time.sleep(0.05)
-            queue.cancel(job_id)
-            result = queue.wait(job_id, timeout=60)
-            assert result.state is JobState.CANCELLED
-
-    def test_queue_survives_process_boundary(self, tmp_path, golden_summary):
-        """Round-trip job state across 'process restarts': one queue
-        submits and dies; a fresh queue (fresh process, in spirit) sees
-        the journal and can resume/report it."""
-        with JobQueue(root=tmp_path, max_workers=1) as queue:
-            queue.submit(_spec("durable"))
-            queue.wait("durable", timeout=120)
-        reborn = JobQueue(root=tmp_path, max_workers=1)
-        try:
-            assert reborn.status("durable")["state"] == "succeeded"
-            reborn.resume("durable")
-            assert reborn.wait("durable", timeout=60).result == golden_summary
-        finally:
-            reborn.shutdown()
-
-    def test_wait_for_unknown_job_rejected(self, tmp_path):
-        with JobQueue(root=tmp_path) as queue:
-            with pytest.raises(JobError, match="not scheduled"):
-                queue.wait("never-submitted")
-
-    def test_list_jobs(self, tmp_path):
-        with JobQueue(root=tmp_path, max_workers=2) as queue:
-            queue.submit(_spec("a"))
-            queue.submit(_spec("b"))
-            queue.wait("a", timeout=120)
-            queue.wait("b", timeout=120)
-            listed = {entry["job_id"]: entry["state"] for entry in queue.list_jobs()}
-            assert listed == {"a": "succeeded", "b": "succeeded"}
 
 
 class TestExperimentWorkload:

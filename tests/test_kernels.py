@@ -1,47 +1,31 @@
-"""Equivalence and dispatch tests for the alignment kernel layer.
+"""Equivalence, dispatch and fast-exit tests for the alignment kernel layer.
 
-The contract under test: **every** backend of :mod:`repro.align.kernels`
-returns bit-identical results to the pure-Python reference DPs — exact
-distances, banded lower bounds, gestalt matching blocks, and clustering
-assignments — over a seeded randomized corpus that covers empty strings,
-equal strings, band 0, IDS-noised length-110 pairs, and 64-bit
-word-boundary lengths.
+The kernels pick their path from the input shape, and every path must
+give what the pure-Python reference DPs give: exact distances, banded
+lower bounds, gestalt matching blocks and clustering assignments.  Here
+each path is pinned in turn (see :data:`PATHS`) over a seeded corpus of
+~500 pairs; the shared-corpus oracle registry of
+``tests/test_alignment_oracle.py`` checks the same contract over its
+edge alphabets and batch sizes.  This file also covers the one-vs-many
+batch threshold, q-gram signatures, the fast exits, block memoisation,
+and the retired backend selection.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
 from repro.align import gestalt, kernels
 from repro.align.edit_distance import edit_distance, edit_distance_banded
 from repro.align.gestalt import clear_block_cache, matching_blocks
-from repro.align.kernels import (
-    CompiledPattern,
-    edit_distances_one_to_many,
-    set_align_backend,
-)
+from repro.align.kernels import CompiledPattern, edit_distances_one_to_many
 from repro.align.operations import OpKind, apply_operations, edit_operations
 from repro.cli import main
 from repro.cluster.greedy import GreedyClusterer
-from repro.cluster.qgram_index import QGramIndex
-from repro.exceptions import ConfigError
-
-#: The concrete backends (auto is an alias resolving to bitparallel for
-#: pairwise calls and batched for large one-vs-many batches).  Pairwise
-#: calls under ``batched`` fall through to the scalar bit-parallel
-#: kernel, so including it here exercises that fall-through too.
-CONCRETE_BACKENDS = ("python", "numpy", "bitparallel", "batched")
-
-BANDS = (0, 1, 3, 25)
-
-
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    """Every test leaves the process on the default (auto) backend."""
-    yield
-    set_align_backend(None)
+from repro.cluster.qgram_index import QGramIndex, reference_min_hashes
 
 
 def _strand(rng: random.Random, length: int) -> str:
@@ -62,6 +46,54 @@ def _ids_noised(rng: random.Random, reference: str, rate: float = 0.06) -> str:
         if draw < rate:
             out.append(rng.choice("ACGT"))  # insertion
     return "".join(out)
+
+
+def _reference_distance(pattern: CompiledPattern, other: str) -> int:
+    return kernels._python_distance(pattern.text, other)
+
+
+def _reference_banded(pattern: CompiledPattern, other: str, band: int) -> int:
+    if abs(len(pattern.text) - len(other)) > band:
+        return band + 1
+    return kernels._python_banded(pattern.text, other, band)
+
+
+def patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
+    """Route every distance through the seed's DPs and turn the batched
+    sweep off, so a run computes what the reference kernels would."""
+    patch.setattr(kernels, "_BATCH_MIN_READS", sys.maxsize)
+    patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
+    patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
+    patch.setattr(CompiledPattern, "distance", _reference_distance)
+    patch.setattr(CompiledPattern, "banded_distance", _reference_banded)
+
+
+#: The distance paths a test can pin.  ``python`` patches the reference
+#: DPs in; ``bitparallel`` keeps every batch on the pairwise Myers
+#: kernel; ``batched`` runs the uint64 sweep for every non-empty batch
+#: (pairwise calls still take the bit-parallel kernel); ``auto`` leaves
+#: the shape-based choice alone.
+PATHS = ("python", "bitparallel", "batched")
+
+BANDS = (0, 1, 3, 25)
+
+
+@pytest.fixture
+def use_path(monkeypatch):
+    """Pin the alignment kernels to one of :data:`PATHS` (or ``auto``)
+    for the rest of the test."""
+
+    def use(path: str) -> None:
+        if path == "python":
+            patch_reference_kernels(monkeypatch)
+        elif path == "bitparallel":
+            monkeypatch.setattr(kernels, "_BATCH_MIN_READS", sys.maxsize)
+        elif path == "batched":
+            monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
+        else:
+            assert path == "auto", path
+
+    return use
 
 
 def _pair_corpus() -> list[tuple[str, str]]:
@@ -120,31 +152,35 @@ class TestDistanceEquivalence:
         assert any(first == second and first for first, second in PAIRS)
         assert any(len(first) > 64 for first, _ in PAIRS)
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS + ("auto",))
-    def test_edit_distance_matches_reference(self, backend, reference_distances):
-        set_align_backend(backend)
+    @pytest.mark.parametrize("path", PATHS + ("auto",))
+    def test_edit_distance_matches_reference(
+        self, path, use_path, reference_distances
+    ):
+        use_path(path)
         for (first, second), expected in zip(PAIRS, reference_distances):
             assert edit_distance(first, second) == expected, (first, second)
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_banded_matches_reference_bound(self, backend, reference_distances):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_banded_matches_reference_bound(
+        self, path, use_path, reference_distances
+    ):
         """Banded result is exactly min(true distance, band + 1): the true
         distance when within the band, the lower bound band + 1 the moment
         the band is provably exceeded."""
-        set_align_backend(backend)
+        use_path(path)
         for (first, second), exact in zip(PAIRS, reference_distances):
             for band in BANDS:
                 assert edit_distance_banded(first, second, band) == min(
                     exact, band + 1
                 ), (first, second, band)
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_one_to_many_matches_pairwise(self, backend):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_one_to_many_matches_pairwise(self, path, use_path):
         rng = random.Random(7)
         reference = _strand(rng, 110)
         reads = [_ids_noised(rng, reference) for _ in range(15)]
         reads += ["", reference, _strand(rng, 40)]
-        set_align_backend(backend)
+        use_path(path)
         assert edit_distances_one_to_many(reference, reads) == [
             edit_distance(reference, read) for read in reads
         ]
@@ -152,9 +188,9 @@ class TestDistanceEquivalence:
             edit_distance_banded(reference, read, 10) for read in reads
         ]
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_compiled_pattern_matches_functions(self, backend):
-        set_align_backend(backend)
+    @pytest.mark.parametrize("path", PATHS)
+    def test_compiled_pattern_matches_functions(self, path, use_path):
+        use_path(path)
         rng = random.Random(11)
         pattern = CompiledPattern(_strand(rng, 80))
         for _ in range(25):
@@ -167,20 +203,34 @@ class TestDistanceEquivalence:
 
 
 class TestGestaltEquivalence:
-    @pytest.mark.parametrize("backend", ("numpy", "bitparallel", "auto"))
-    def test_matching_blocks_match_python_reference(self, backend):
-        set_align_backend("python")
-        expected = [matching_blocks(first, second) for first, second in PAIRS[:200]]
-        set_align_backend(backend)
-        for (first, second), blocks in zip(PAIRS[:200], expected):
-            assert matching_blocks(first, second) == blocks, (first, second)
+    """Matching blocks against the reference per-region LCS recursion.
+
+    ``numpy`` runs the :class:`~repro.align.kernels.RunTable`
+    decomposition directly; ``auto`` and ``bitparallel`` go through the
+    memoised public entry point, the latter with the distance kernels
+    pinned to show they do not leak into the blocks."""
+
+    @pytest.mark.parametrize("path", ("numpy", "bitparallel", "auto"))
+    def test_matching_blocks_match_python_reference(self, path, use_path):
+        expected = [
+            list(gestalt.reference_blocks(first, second))
+            for first, second in PAIRS[:200]
+        ]
+        clear_block_cache()
+        if path == "numpy":
+            blocks = [list(gestalt._decompose(*pair)) for pair in PAIRS[:200]]
+        else:
+            use_path(path)
+            blocks = [matching_blocks(*pair) for pair in PAIRS[:200]]
+        for pair, got, want in zip(PAIRS[:200], blocks, expected):
+            assert got == want, pair
 
     def test_long_pair_blocks_match(self):
         first, second = PAIRS[-1]
-        set_align_backend("python")
-        expected = matching_blocks(first, second)
-        set_align_backend("numpy")
-        assert matching_blocks(first, second) == expected
+        clear_block_cache()
+        assert matching_blocks(first, second) == list(
+            gestalt.reference_blocks(first, second)
+        )
 
 
 class TestClusteringIdentity:
@@ -196,30 +246,34 @@ class TestClusteringIdentity:
         rng.shuffle(reads)
         return reads
 
-    def test_assignments_identical_across_backends(self, reads):
-        results = {}
-        for backend in CONCRETE_BACKENDS:
-            set_align_backend(backend)
-            results[backend] = GreedyClusterer().cluster(reads)
-        baseline = results["python"]
-        for backend, result in results.items():
-            assert result.assignments == baseline.assignments, backend
-            assert result.representatives == baseline.representatives, backend
-            assert result.comparisons == baseline.comparisons, backend
+    def test_assignments_identical_across_backends(self, reads, monkeypatch):
+        """Greedy clustering assigns every read identically with the
+        reference DPs patched in, with the default paths, and with the
+        batched sweep forced for every candidate set."""
+        default = GreedyClusterer().cluster(reads)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "_BATCH_MIN_READS", 1)
+            swept = GreedyClusterer().cluster(reads)
+        with monkeypatch.context() as patch:
+            patch_reference_kernels(patch)
+            baseline = GreedyClusterer().cluster(reads)
+        for result in (default, swept):
+            assert result.assignments == baseline.assignments
+            assert result.representatives == baseline.representatives
+            assert result.comparisons == baseline.comparisons
 
     def test_qgram_signatures_identical_across_backends(self):
         rng = random.Random(13)
         index = QGramIndex(q=8, bands=8)
-        for sequence in ["", "ACG", _strand(rng, 7), _strand(rng, 8), _strand(rng, 110)]:
-            set_align_backend("python")
-            expected = index.signature(sequence)
-            for backend in ("numpy", "bitparallel", "batched", "auto"):
-                set_align_backend(backend)
-                assert index.signature(sequence) == expected, (sequence, backend)
+        for sequence in ["ACG", _strand(rng, 7), _strand(rng, 8), _strand(rng, 110)]:
+            assert index.signature(sequence) == reference_min_hashes(
+                sequence, 8, 8
+            ), sequence
 
     def test_pool_signatures_match_per_read(self):
         """The pool-wide batched FNV-1a sweep is bit-identical to the
-        per-read signature path, across backends and edge lengths."""
+        per-read signature path and to the reference min-hashes, across
+        edge lengths and alphabets."""
         rng = random.Random(29)
         pool = [
             "",
@@ -235,15 +289,17 @@ class TestClusteringIdentity:
             _strand(rng, 500),
         ] + [_strand(rng, rng.randint(0, 120)) for _ in range(60)]
         index = QGramIndex(q=8, bands=8)
-        set_align_backend("python")
-        expected = [index.signature(sequence) for sequence in pool]
-        for backend in ("python", "numpy", "bitparallel", "batched", "auto"):
-            set_align_backend(backend)
-            assert index.signatures(pool) == expected, backend
+        expected = [
+            reference_min_hashes(sequence, 8, 8) if sequence else index.signature("")
+            for sequence in pool
+        ]
+        assert [index.signature(sequence) for sequence in pool] == expected
+        assert index.signatures(pool) == expected
 
 
 class TestBatchedBackendEquivalence:
-    """Fuzz the batched uint64 sweep against the reference DP (ISSUE 7).
+    """Fuzz the batched uint64 sweep against the reference DP, and the
+    one-vs-many dispatch around it.
 
     Lengths straddle the word boundary and the paper's strand length;
     alphabets include N, lowercase, and astral-plane unicode; bands
@@ -280,9 +336,9 @@ class TestBatchedBackendEquivalence:
         ]
         return reads
 
-    def test_batched_matches_reference_dp(self):
+    def test_batched_matches_reference_dp(self, use_path):
         rng = random.Random(20260808)
-        set_align_backend("batched")
+        use_path("batched")
         for length in self.LENGTHS:
             for alphabet in self.ALPHABETS:
                 reference = "".join(
@@ -299,31 +355,30 @@ class TestBatchedBackendEquivalence:
                         min(distance, band + 1) for distance in expected
                     ], (length, alphabet, band)
 
-    def test_one_to_many_empty_batch(self):
-        set_align_backend("batched")
+    def test_one_to_many_empty_batch(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 0)
         assert edit_distances_one_to_many("ACGT", []) == []
         assert edit_distances_one_to_many("ACGT", [], band=3) == []
 
     def test_auto_threshold_dispatch(self):
-        """``auto`` sweeps batches of >= _BATCH_MIN_READS reads; the
-        explicit ``batched`` backend sweeps any non-empty batch."""
-        assert kernels._batch_selected("batched", 1)
-        assert kernels._batch_selected("auto", kernels._BATCH_MIN_READS)
-        assert not kernels._batch_selected("auto", kernels._BATCH_MIN_READS - 1)
-        assert not kernels._batch_selected("bitparallel", 10_000)
+        """Batches of at least _BATCH_MIN_READS reads run the sweep."""
+        assert kernels._batch_selected(kernels._BATCH_MIN_READS)
+        assert not kernels._batch_selected(kernels._BATCH_MIN_READS - 1)
 
     def test_auto_large_batch_matches_reference(self):
         rng = random.Random(31)
         reference = _strand(rng, 110)
         reads = [_ids_noised(rng, reference) for _ in range(kernels._BATCH_MIN_READS + 5)]
         expected = [kernels._python_distance(reference, read) for read in reads]
-        set_align_backend("auto")
         assert edit_distances_one_to_many(reference, reads) == expected
         assert edit_distances_one_to_many(reference, reads, band=25) == [
             min(distance, 26) for distance in expected
         ]
 
     def test_greedy_identity_under_env_backend(self, monkeypatch):
+        """With the retired ``REPRO_ALIGN_BACKEND=batched`` in the
+        environment (ignored) and the sweep forced for every candidate
+        set, greedy clustering matches the reference kernels."""
         rng = random.Random(37)
         references = [_strand(rng, 110) for _ in range(12)]
         reads = [
@@ -332,11 +387,12 @@ class TestBatchedBackendEquivalence:
             for _ in range(5)
         ]
         rng.shuffle(reads)
-        set_align_backend("python")
-        baseline = GreedyClusterer().cluster(reads)
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "batched")
-        set_align_backend(None)
-        assert kernels.align_backend() == "batched"
+        with monkeypatch.context() as patch:
+            patch_reference_kernels(patch)
+            baseline = GreedyClusterer().cluster(reads)
+        monkeypatch.setenv("REPRO_ALIGN_BACKEND", "batched")
+        monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
+        assert kernels.align_backend() == "auto"
         result = GreedyClusterer().cluster(reads)
         assert result.assignments == baseline.assignments
         assert result.representatives == baseline.representatives
@@ -394,16 +450,27 @@ class TestMeanReconstructionDistance:
         with pytest.raises(ValueError, match="1 references but 2"):
             mean_reconstruction_edit_distance(["A"], ["A", "C"])
 
-    @pytest.mark.parametrize("backend", CONCRETE_BACKENDS)
-    def test_identical_across_backends(self, backend):
+    def test_matches_reference_dp(self):
         from repro.metrics import mean_reconstruction_edit_distance
 
         rng = random.Random(17)
         references = [_strand(rng, 110) for _ in range(10)]
         estimates = [_ids_noised(rng, reference) for reference in references]
-        set_align_backend("python")
+        expected = sum(
+            kernels._python_distance(reference, estimate)
+            for reference, estimate in zip(references, estimates)
+        ) / len(references)
+        assert mean_reconstruction_edit_distance(references, estimates) == expected
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_identical_across_backends(self, path, use_path):
+        from repro.metrics import mean_reconstruction_edit_distance
+
+        rng = random.Random(17)
+        references = [_strand(rng, 110) for _ in range(10)]
+        estimates = [_ids_noised(rng, reference) for reference in references]
         expected = mean_reconstruction_edit_distance(references, estimates)
-        set_align_backend(backend)
+        use_path(path)
         assert mean_reconstruction_edit_distance(references, estimates) == expected
 
 
@@ -426,22 +493,6 @@ class TestBlockMemoisation:
         assert second == first
         assert second is not first  # fresh list, safe to mutate
 
-    def test_backend_switch_does_not_serve_stale_entries(self, monkeypatch):
-        clear_block_cache()
-        set_align_backend("python")
-        matching_blocks("WIKIMEDIA", "WIKIMANIA")
-        calls = {"n": 0}
-        real = gestalt._decompose
-
-        def counting(*args):
-            calls["n"] += 1
-            return real(*args)
-
-        monkeypatch.setattr(gestalt, "_decompose", counting)
-        set_align_backend("numpy")
-        matching_blocks("WIKIMEDIA", "WIKIMANIA")
-        assert calls["n"] > 0  # recomputed under the new backend key
-
     def test_clear_block_cache_forces_recompute(self, monkeypatch):
         matching_blocks("ACGTACGT", "ACGGACGT")
         clear_block_cache()
@@ -458,40 +509,19 @@ class TestBlockMemoisation:
 
 
 class TestBackendConfiguration:
-    def test_unknown_backend_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown align backend"):
-            set_align_backend("fortran")
+    """There is no backend selection: the kernels pick their path from
+    the input shape, and the retired ``REPRO_ALIGN_BACKEND`` is ignored."""
 
-    def test_invalid_env_var_raises_config_error(self, monkeypatch):
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "not-a-backend")
-        set_align_backend(None)
-        with pytest.raises(ConfigError, match="not-a-backend"):
-            edit_distance("ACGT", "ACGA")
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "python")
-        set_align_backend(None)
-        assert kernels.align_backend() == "python"
-
-    def test_override_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(kernels.ALIGN_BACKEND_ENV, "python")
-        set_align_backend("numpy")
-        assert kernels.align_backend() == "numpy"
-
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv(kernels.ALIGN_BACKEND_ENV, raising=False)
-        set_align_backend(None)
+    def test_default_is_auto(self):
         assert kernels.align_backend() == "auto"
-        assert kernels.lcs_backend() == "numpy"
 
-    def test_cli_rejects_unknown_backend_with_one_line_error(self, capsys):
-        code = main(["--align-backend", "bogus", "experiment", "table_1_1"])
-        assert code == 2
-        error_output = capsys.readouterr().err.strip().splitlines()
-        assert len(error_output) == 1
-        assert error_output[0].startswith("dnasim: error: [config]")
-        assert "bogus" in error_output[0]
+    def test_env_var_is_ignored(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ALIGN_BACKEND", "not-a-backend")
+        assert kernels.align_backend() == "auto"
+        assert edit_distance("ACGT", "ACGA") == 1
 
-    def test_cli_accepts_valid_backend(self, capsys):
-        assert main(["--align-backend", "bitparallel", "experiment", "table_1_1"]) == 0
+    def test_cli_ignores_bogus_env_var(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_ALIGN_BACKEND", "bogus")
+        monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "bogus")
+        assert main(["experiment", "table_1_1"]) == 0
         assert "Nanopore" in capsys.readouterr().out

@@ -12,18 +12,20 @@ Three layers, matching the package:
   ``assert_stamped``; a perturbed spec is a loud mismatch against an
   existing sweep directory; a tampered cell record is detected and
   re-derived, never silently reused.
-* **Backend pinning** — cells carry their backends in the durable spec,
-  so a poisoned ``REPRO_*_BACKEND`` environment cannot change what a
-  pinned cell computes, and all align backends produce bit-identical
-  sweep results.
+* **Retired backends** — the alignment and channel paths are chosen
+  from the input shape, so a stale ``REPRO_*_BACKEND`` environment
+  cannot change what a cell computes, and a spec naming a retired
+  backend axis is a positioned ``[config]`` error.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
+from repro.core import channel_backend
 from repro.exceptions import ConfigError
 from repro.observability.bench import assert_stamped
 from repro.scenarios import (
@@ -40,6 +42,7 @@ from repro.scenarios import (
     run_sweep,
     sweep_status,
 )
+from tests.test_kernels import patch_reference_kernels
 
 # ----------------------------------------------------------------- #
 # Fixtures
@@ -98,7 +101,6 @@ class TestExpansion:
         cell = spec.expand()[0]
         assert cell.channel == AXIS_DEFAULTS["channel"][0]
         assert cell.severity == "none"
-        assert cell.align_backend == "auto"
         assert cell.shards == 1
 
     def test_expansion_is_deterministic(self):
@@ -223,8 +225,6 @@ class TestJobSpecMapping:
         assert job.shards == 2
         assert job.algorithms == (cell.algorithm,)
         assert job.fault_severity == "mild"
-        assert job.align_backend == "auto"
-        assert job.channel_backend == "auto"
         assert job.channel_parameters == dict(cell.channel_parameters)
 
     def test_paper_channel_pins_no_parameter_overrides(self):
@@ -253,8 +253,8 @@ class TestValidation:
         [
             ({"algorithm": ("mojority",)}, r"unknown algorithm 'mojority'; did you mean 'majority'\?"),
             ({"severity": ("mild-ish",)}, r"unknown severity 'mild-ish'; did you mean 'mild'\?"),
-            ({"align_backend": ("numppy",)}, r"unknown align backend 'numppy'; did you mean 'numpy'\?"),
-            ({"channel_backend": ("vector",)}, r"unknown channel backend 'vector'; did you mean 'vectorised'\?"),
+            ({"align_backend": ("auto",)}, r"axis 'align_backend' was removed"),
+            ({"channel_backend": ("auto",)}, r"axis 'channel_backend' was removed"),
             ({"channel": ("papre",)}, r"unknown channel 'papre'; did you mean 'paper'\?"),
             ({"coverage": (0,)}, r"coverage values must be > 0"),
             ({"coverage": (True,)}, r"coverage values must be numbers"),
@@ -333,6 +333,19 @@ class TestTomlErrors:
             ConfigError, match=rf"sweep\.toml:{line}: unknown algorithm 'mba'"
         ):
             parse_sweep_spec(text, source="sweep.toml")
+
+    def test_retired_backend_axis_points_at_its_line(self):
+        text = WIDE_TOML.replace(
+            "[axes]\n", '[axes]\nchannel_backend = ["vectorised"]\n'
+        )
+        line = 1 + text.splitlines().index('channel_backend = ["vectorised"]')
+        with pytest.raises(
+            ConfigError,
+            match=rf"sweep\.toml:{line}: axis 'channel_backend' was removed",
+        ) as exc_info:
+            parse_sweep_spec(text, source="sweep.toml")
+        assert exc_info.value.stage == "config"
+        assert len(str(exc_info.value).splitlines()) == 1
 
     def test_unknown_top_level_table(self):
         with pytest.raises(
@@ -481,52 +494,40 @@ class TestBackendPinning:
     def test_pinned_backends_ignore_poisoned_environment(
         self, tmp_path, monkeypatch
     ):
-        """A sweep-launched run never reads the ambient ``REPRO_*_BACKEND``
-        variables — backends travel in each cell's durable job spec."""
+        """A sweep never reads the retired ``REPRO_*_BACKEND`` variables:
+        bogus values neither fail the run nor change its result."""
+        spec = tiny_spec(axes={"coverage": (4.0,), "algorithm": ("bma",)})
+        clean = run_sweep(spec, tmp_path / "clean")
         monkeypatch.setenv("REPRO_ALIGN_BACKEND", "bogus-backend")
         monkeypatch.setenv("REPRO_CHANNEL_BACKEND", "also-bogus")
-        spec = tiny_spec(
-            axes={
-                "coverage": (4.0,),
-                "algorithm": ("bma",),
-                "align_backend": ("python",),
-                "channel_backend": ("python",),
-            }
-        )
         outcome = run_sweep(spec, tmp_path / "sweep")
         assert outcome.exit_code == 0
         assert outcome.succeeded == 1
+        assert (
+            outcome.cells[0].record["result"] == clean.cells[0].record["result"]
+        )
 
-    def test_align_backends_are_bit_identical(self, tmp_path):
-        results = {}
-        for backend in ("python", "numpy"):
-            spec = tiny_spec(
-                name=f"pin-{backend}",
-                axes={
-                    "coverage": (4.0,),
-                    "algorithm": ("bma",),
-                    "align_backend": (backend,),
-                },
-            )
-            outcome = run_sweep(spec, tmp_path / backend)
-            assert outcome.exit_code == 0
-            payload = dict(outcome.cells[0].record["result"])
-            results[backend] = json.loads(json.dumps(payload, sort_keys=True))
-        assert results["python"] == results["numpy"]
+    @staticmethod
+    def _result(spec, directory) -> dict:
+        outcome = run_sweep(spec, directory)
+        assert outcome.exit_code == 0
+        payload = dict(outcome.cells[0].record["result"])
+        return json.loads(json.dumps(payload, sort_keys=True))
 
-    def test_channel_backends_are_bit_identical(self, tmp_path):
+    def test_align_backends_are_bit_identical(self, tmp_path, monkeypatch):
+        """A cell computes the same result with the reference DPs patched
+        into the alignment kernels as on the default paths."""
+        spec = tiny_spec(axes={"coverage": (4.0,), "algorithm": ("bma",)})
+        default = self._result(spec, tmp_path / "auto")
+        patch_reference_kernels(monkeypatch)
+        assert self._result(spec, tmp_path / "python") == default
+
+    def test_channel_backends_are_bit_identical(self, tmp_path, monkeypatch):
+        """A cell computes the same result with every channel call on the
+        reference loop as with every call on the vectorised sweep."""
+        spec = tiny_spec(axes={"coverage": (4.0,), "algorithm": ("majority",)})
         results = {}
-        for backend in ("python", "vectorised"):
-            spec = tiny_spec(
-                name=f"chan-{backend}",
-                axes={
-                    "coverage": (4.0,),
-                    "algorithm": ("majority",),
-                    "channel_backend": (backend,),
-                },
-            )
-            outcome = run_sweep(spec, tmp_path / backend)
-            assert outcome.exit_code == 0
-            payload = dict(outcome.cells[0].record["result"])
-            results[backend] = json.loads(json.dumps(payload, sort_keys=True))
+        for path, threshold in (("python", sys.maxsize), ("vectorised", 0)):
+            monkeypatch.setattr(channel_backend, "AUTO_MIN_DRAWS", threshold)
+            results[path] = self._result(spec, tmp_path / path)
         assert results["python"] == results["vectorised"]
