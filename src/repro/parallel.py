@@ -215,19 +215,9 @@ def parallel_map(
         chunk_size: items per pool task; defaults to ~4 chunks per worker.
         force: bypass the serial fast path entirely.
     """
-    workers = resolve_workers(workers)
-    force = force or _force_parallel()
-    if not force:
-        if (
-            workers <= 1
-            or (os.cpu_count() or 1) == 1
-            or len(items) < 2
-            or len(items) < min_parallel_items()
-            or (chunk_size is not None and len(items) <= chunk_size)
-        ):
-            return [fn(item) for item in items]
-    elif workers <= 1:
-        workers = 2
+    workers = _pool_workers(len(items), workers, chunk_size, force)
+    if not workers:
+        return [fn(item) for item in items]
     if not items:
         return []
     if chunk_size is None:
@@ -249,6 +239,48 @@ def parallel_map(
         return results
     with ProcessPoolExecutor(max_workers=workers) as executor:
         return list(executor.map(fn, items, chunksize=chunk_size))
+
+
+def parallel_map_chunks(
+    fn: Callable[[list[Item]], list[Result]],
+    items: Sequence[Item],
+    workers: int | None = None,
+    chunk_size: int | None = None,
+    force: bool = False,
+) -> list[Result]:
+    """:func:`parallel_map` for a function that maps a *list* of items to
+    the list of their results (a batched kernel).
+
+    Where :func:`parallel_map` would loop serially, ``fn`` is called once
+    on every item; otherwise once per chunk of ``chunk_size`` items on
+    the pool.  The concatenated result is the same either way when
+    ``fn``'s result for an item does not depend on the other items.
+    """
+    pool_workers = _pool_workers(len(items), workers, chunk_size, force)
+    if not pool_workers:
+        return fn(list(items))
+    chunks = chunk_items(items, pool_workers, chunk_size)
+    per_chunk = parallel_map(fn, chunks, pool_workers, chunk_size=1, force=True)
+    return [result for part in per_chunk for result in part]
+
+
+def _pool_workers(
+    n_items: int, workers: int | None, chunk_size: int | None, force: bool
+) -> int:
+    """The pool size a map of ``n_items`` items runs on, or 0 when it
+    runs as a serial loop (the conditions :func:`parallel_map` lists)."""
+    workers = resolve_workers(workers)
+    if force or _force_parallel():
+        return max(workers, 2)
+    if (
+        workers <= 1
+        or (os.cpu_count() or 1) == 1
+        or n_items < 2
+        or n_items < min_parallel_items()
+        or (chunk_size is not None and n_items <= chunk_size)
+    ):
+        return 0
+    return workers
 
 
 def _observed_call(

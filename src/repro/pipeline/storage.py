@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -51,7 +52,7 @@ from repro.pipeline.encoding import Basic2BitCodec, Codec
 from repro.pipeline.primers import generate_primer_library
 from repro.pipeline.reed_solomon import ReedSolomon, ReedSolomonError
 from repro.pipeline.synthesis import StrandLayout, StrandParseError
-from repro.reconstruct.base import Reconstructor
+from repro.reconstruct.base import BLOCK_CLUSTERS, Reconstructor
 from repro.reconstruct.bma import BMALookahead
 from repro.robustness.faults import FaultInjector
 from repro.robustness.retry import (
@@ -69,6 +70,49 @@ class ArchiveError(RetrievalError):
     """Raised when a file cannot be recovered from the pool."""
 
 
+def _survey_strands(
+    items: list[tuple[int, str | None, int]],
+    draw_reads: Callable[[int, str, int], list[str]],
+    reconstructor: Reconstructor,
+    strand_length: int,
+) -> list[tuple[str | None, str | None, int]]:
+    """Sequence and reconstruct ``(position, strand, coverage)`` items.
+
+    Items go in blocks of
+    :data:`~repro.reconstruct.base.BLOCK_CLUSTERS`: ``draw_reads`` runs for
+    every strand of a block in item order, then one
+    :meth:`~repro.reconstruct.base.Reconstructor.reconstruct_many` call
+    reconstructs the block.  Reconstruction draws no randomness, so
+    every RNG stream sees the same draws as a strand-by-strand loop.
+    Returns ``(estimate, failure_reason, n_reads)`` per item; exactly one
+    of estimate/failure is set.
+    """
+    results: list[tuple[str | None, str | None, int]] = []
+    for start in range(0, len(items), BLOCK_CLUSTERS):
+        outcomes: list[tuple[list[str], str | None]] = []
+        for position, strand, n_copies in items[start : start + BLOCK_CLUSTERS]:
+            if strand is None:
+                outcomes.append(([], "strand lost before sequencing (decay)"))
+            elif n_copies == 0:
+                outcomes.append(([], "zero sequencing coverage drawn"))
+            else:
+                reads = draw_reads(position, strand, n_copies)
+                failure = None if reads else "cluster dropped by fault injection"
+                outcomes.append((reads, failure))
+        sequenced = [reads for reads, failure in outcomes if failure is None]
+        with span("reconstruct", algorithm=reconstructor.name, clusters=len(sequenced)):
+            counter("reconstruct.clusters", algorithm=reconstructor.name).inc(
+                len(sequenced)
+            )
+            estimates = iter(reconstructor.reconstruct_many(sequenced, strand_length))
+        for reads, failure in outcomes:
+            estimate = next(estimates) if failure is None else None
+            if failure is None and not estimate:
+                estimate, failure = None, "reconstruction produced no estimate"
+            results.append((estimate, failure, len(reads)))
+    return results
+
+
 def _survey_chunk(
     channel_model: ErrorModel | None,
     reconstructor: Reconstructor,
@@ -81,32 +125,18 @@ def _survey_chunk(
 
     Each strand's reads are drawn from ``random.Random(derive_seed(
     survey_seed, position))`` — a pure function of the item, so the
-    survey is identical at any shard and worker count.  Returns
-    ``(estimate, failure_reason, n_reads)`` per item; exactly one of
-    estimate/failure is set.
+    survey is identical at any shard and worker count.  Returns what
+    :func:`_survey_strands` returns.
     """
     channel = Channel(channel_model) if channel_model is not None else None
-    results: list[tuple[str | None, str | None, int]] = []
-    for position, strand, n_copies in chunk:
-        if strand is None:
-            results.append((None, "strand lost before sequencing (decay)", 0))
-            continue
-        if n_copies == 0:
-            results.append((None, "zero sequencing coverage drawn", 0))
-            continue
+
+    def draw_reads(position: int, strand: str, n_copies: int) -> list[str]:
         if channel is None:
-            reads = [strand] * n_copies
-        else:
-            channel.rng = random.Random(derive_seed(survey_seed, position))
-            reads = channel.transmit_many(strand, n_copies)
-        estimate = reconstructor.reconstruct(reads, strand_length)
-        if not estimate:
-            results.append(
-                (None, "reconstruction produced no estimate", len(reads))
-            )
-            continue
-        results.append((estimate, None, len(reads)))
-    return results
+            return [strand] * n_copies
+        channel.rng = random.Random(derive_seed(survey_seed, position))
+        return channel.transmit_many(strand, n_copies)
+
+    return _survey_strands(chunk, draw_reads, reconstructor, strand_length)
 
 
 @dataclass
@@ -278,59 +308,29 @@ class DNAArchive:
         (pseudo-clustered; the paper's evaluation setting, Section 3.1),
         reconstructed and parsed into per-index payloads.
 
-        Every strand index that yields no payload gets a failure reason,
-        so partial-recovery results can name *why* each strand is gone.
+        Reads come from the archive's serial RNG, strand by strand in
+        pool order; faults, if any, apply to each strand's reads as they
+        are drawn.
         """
-        payload_by_index: dict[int, bytes] = {}
-        failures: dict[int, str] = {}
-        n_reads = 0
-        n_clusters_used = 0
-        strand_length = stored.layout.strand_length()
-        parse_failures: dict[int, str] = {}
-        for position, (strand, n_copies) in enumerate(zip(strands, coverages)):
-            if strand is None:
-                failures[position] = "strand lost before sequencing (decay)"
-                continue
-            if n_copies == 0:
-                failures[position] = "zero sequencing coverage drawn"
-                continue
+
+        def draw_reads(position: int, strand: str, n_copies: int) -> list[str]:
             if channel_model is None:
                 reads = [strand] * n_copies
             else:
-                channel = Channel(channel_model, self.rng)
-                reads = channel.transmit_many(strand, n_copies)
+                reads = Channel(channel_model, self.rng).transmit_many(
+                    strand, n_copies
+                )
             if faults is not None:
                 reads = faults.inject_reads(reads)
-                if not reads:
-                    failures[position] = "cluster dropped by fault injection"
-                    continue
-            n_reads += len(reads)
-            n_clusters_used += 1
-            estimate = reconstructor.reconstruct(reads, strand_length)
-            if not estimate:
-                failures[position] = "reconstruction produced no estimate"
-                continue
-            try:
-                index, payload = stored.layout.parse(estimate)
-            except StrandParseError as error:
-                failures[position] = f"parse failed: {error}"
-                continue
-            if 0 <= index < stored.n_total_strands:
-                payload_by_index.setdefault(index, payload)
-            else:
-                failures[position] = f"parsed index {index} out of range"
-        # A strand whose own cluster failed may still have been recovered
-        # under its index via another cluster (chimeras, duplicates) —
-        # failure reasons apply only to indices that stayed missing.
-        # Conversely a cluster that parsed fine can land on a wrong index;
-        # mark indices that never materialised.
-        for index in range(stored.n_total_strands):
-            if index in payload_by_index:
-                failures.pop(index, None)
-            elif index not in failures:
-                parse_failures[index] = "no read parsed to this index"
-        failures.update(parse_failures)
-        return _Survey(payload_by_index, failures, n_reads, n_clusters_used)
+            return reads
+
+        outcomes = _survey_strands(
+            list(zip(range(len(strands)), strands, coverages)),
+            draw_reads,
+            reconstructor,
+            stored.layout.strand_length(),
+        )
+        return self._parse_survey(stored, outcomes)
 
     def _survey_sharded(
         self,
@@ -377,14 +377,25 @@ class DNAArchive:
             workers=workers,
             chunk_size=1,
         )
-        estimates = plan.scatter(per_shard)
+        return self._parse_survey(stored, plan.scatter(per_shard))
 
+    @staticmethod
+    def _parse_survey(
+        stored: StoredFile,
+        outcomes: list[tuple[str | None, str | None, int]],
+    ) -> _Survey:
+        """Parse per-position ``(estimate, failure, n_reads)`` outcomes
+        into per-index payloads.
+
+        Every strand index that yields no payload gets a failure reason,
+        so partial-recovery results can name *why* each strand is gone.
+        """
         payload_by_index: dict[int, bytes] = {}
         failures: dict[int, str] = {}
         n_reads = 0
         n_clusters_used = 0
         parse_failures: dict[int, str] = {}
-        for position, (estimate, failure, strand_reads) in enumerate(estimates):
+        for position, (estimate, failure, strand_reads) in enumerate(outcomes):
             n_reads += strand_reads
             if strand_reads:
                 n_clusters_used += 1
@@ -400,6 +411,11 @@ class DNAArchive:
                 payload_by_index.setdefault(index, payload)
             else:
                 failures[position] = f"parsed index {index} out of range"
+        # A strand whose own cluster failed may still have been recovered
+        # under its index via another cluster (chimeras, duplicates) —
+        # failure reasons apply only to indices that stayed missing.
+        # Conversely a cluster that parsed fine can land on a wrong index;
+        # mark indices that never materialised.
         for index in range(stored.n_total_strands):
             if index in payload_by_index:
                 failures.pop(index, None)

@@ -16,8 +16,14 @@ from functools import partial
 
 from repro.core.strand import Cluster, StrandPool
 from repro.observability import counter, span
-from repro.parallel import parallel_map
+from repro.parallel import parallel_map, parallel_map_chunks
 from repro.sharding.plan import ShardPlan, resolve_shards
+
+#: Clusters per batched reconstruction: the block a lockstep kernel
+#: holds at once (it bounds the kernel's buffers, DESIGN §16), and the
+#: strands an archive survey sequences before each
+#: :meth:`Reconstructor.reconstruct_many` call.
+BLOCK_CLUSTERS = 64
 
 
 class Reconstructor(ABC):
@@ -40,6 +46,15 @@ class Reconstructor(ABC):
         """Reconstruct from a :class:`Cluster` (ignores its reference)."""
         return self.reconstruct(cluster.copies, strand_length)
 
+    def reconstruct_many(
+        self, copies_lists: Sequence[Sequence[str]], strand_length: int
+    ) -> list[str]:
+        """Reconstruct several clusters, in order: exactly
+        ``[self.reconstruct(copies, strand_length) for copies in
+        copies_lists]``.  Algorithms with a batched kernel override this
+        (:class:`~repro.reconstruct.bma.BMALookahead`)."""
+        return [self.reconstruct(copies, strand_length) for copies in copies_lists]
+
     def reconstruct_pool(
         self,
         pool: StrandPool,
@@ -51,15 +66,16 @@ class Reconstructor(ABC):
         """Reconstruct every cluster of a pool, in order.
 
         Reconstruction is deterministic per cluster, so with
-        ``workers > 1`` clusters are distributed over a process pool and
-        the estimates merged back in pool order — bit-identical to the
-        serial pass.  With ``shards > 1`` the pool is partitioned by a
-        stable hash of each reference and each shard becomes one pool
-        task, with per-shard estimates scattered back to pool order
+        ``workers > 1`` chunks of clusters are distributed over a process
+        pool and the estimates merged back in pool order — bit-identical
+        to the serial pass.  With ``shards > 1`` the pool is partitioned
+        by a stable hash of each reference and each shard becomes one
+        pool task, with per-shard estimates scattered back to pool order
         (:meth:`ShardPlan.scatter <repro.sharding.ShardPlan.scatter>`) —
-        also bit-identical.  Defined here at the base-class level so
-        every algorithm (BMA, Divider BMA, Iterative, ...) inherits both
-        paths.
+        also bit-identical.  Every path hands whole chunks (the serial
+        path: the whole pool) to :meth:`reconstruct_many`.  Defined here
+        at the base-class level so every algorithm (BMA, Divider BMA,
+        Iterative, ...) inherits all three paths.
 
         Args:
             pool: the clusters to reconstruct.
@@ -78,28 +94,20 @@ class Reconstructor(ABC):
             shards=n_shards,
         ):
             counter("reconstruct.clusters", algorithm=self.name).inc(len(pool))
+            task = partial(_reconstruct_chunk, self, strand_length)
+            copies_lists = [cluster.copies for cluster in pool]
             if n_shards > 1:
                 plan = ShardPlan.by_id(pool.references, n_shards)
                 per_shard = parallel_map(
-                    partial(_reconstruct_chunk, self, strand_length),
-                    plan.split([cluster.copies for cluster in pool]),
+                    task,
+                    plan.split(copies_lists),
                     workers=workers,
                     chunk_size=1,
                 )
                 return plan.scatter(per_shard)
-            return parallel_map(
-                partial(_reconstruct_copies, self, strand_length),
-                [cluster.copies for cluster in pool],
-                workers=workers,
-                chunk_size=chunk_size,
+            return parallel_map_chunks(
+                task, copies_lists, workers=workers, chunk_size=chunk_size
             )
-
-
-def _reconstruct_copies(
-    reconstructor: "Reconstructor", strand_length: int, copies: list[str]
-) -> str:
-    """Worker task for the parallel pool pass: reconstruct one cluster."""
-    return reconstructor.reconstruct(copies, strand_length)
 
 
 def _reconstruct_chunk(
@@ -107,11 +115,8 @@ def _reconstruct_chunk(
     strand_length: int,
     copies_lists: list[list[str]],
 ) -> list[str]:
-    """Worker task for the sharded pool pass: reconstruct one shard."""
-    return [
-        reconstructor.reconstruct(copies, strand_length)
-        for copies in copies_lists
-    ]
+    """Worker task for the pool passes: reconstruct a chunk or a shard."""
+    return reconstructor.reconstruct_many(copies_lists, strand_length)
 
 
 def majority_symbol(symbols: Sequence[str]) -> str:

@@ -13,6 +13,12 @@ the backward estimate.  Alignment drift therefore propagates toward the
 *middle* of the strand, which is why post-reconstruction Hamming error
 curves for BMA are symmetric and A-shaped (Fig. 3.4c) — and why BMA keeps
 high fidelity at the terminal positions (Section 3.4.2).
+
+:func:`bma_forward_pass` is the per-cluster reference.
+:meth:`BMALookahead.reconstruct_many` runs the same rules for a block of
+clusters at once (:func:`_lockstep`): every copy of every cluster is one
+row of a rank buffer, and each output position is a fixed handful of
+NumPy operations over all rows.  Outputs are identical (DESIGN §16).
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 
-from repro.reconstruct.base import Reconstructor, majority_symbol
+import numpy as np
+
+from repro.reconstruct.base import BLOCK_CLUSTERS, Reconstructor, majority_symbol
 
 
 def _fallback_base(copies: Sequence[str]) -> str:
@@ -145,3 +153,133 @@ class BMALookahead(Reconstructor):
         backward = bma_forward_pass(reversed_copies, strand_length)[::-1]
         front_half = (strand_length + 1) // 2
         return forward[:front_half] + backward[front_half:]
+
+    def reconstruct_many(
+        self, copies_lists: Sequence[Sequence[str]], strand_length: int
+    ) -> list[str]:
+        """Reconstruct every cluster with the lockstep kernel, one block
+        of :data:`~repro.reconstruct.base.BLOCK_CLUSTERS` clusters at a
+        time; the estimates equal :meth:`reconstruct`'s."""
+        if strand_length < 1:
+            return super().reconstruct_many(copies_lists, strand_length)
+        estimates = [""] * len(copies_lists)
+        filled = [index for index, copies in enumerate(copies_lists) if copies]
+        for start in range(0, len(filled), BLOCK_CLUSTERS):
+            block = filled[start : start + BLOCK_CLUSTERS]
+            results = _lockstep(
+                [copies_lists[index] for index in block],
+                strand_length,
+                self.two_way,
+            )
+            for index, estimate in zip(block, results):
+                estimates[index] = estimate
+        return estimates
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of ``text``, one byte each when it is ASCII."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _plurality(votes: np.ndarray, n_passes: int) -> np.ndarray:
+    """Per pass, the smallest rank with the most votes (0 = no votes)."""
+    votes = votes.reshape(n_passes, -1)
+    votes[:, 0] = 0
+    return votes.argmax(axis=1)
+
+
+def _lockstep(
+    copies_lists: list[Sequence[str]], strand_length: int, two_way: bool
+) -> list[str]:
+    """:func:`bma_forward_pass` for every cluster of a block at once,
+    two-way merged when ``two_way`` (as :meth:`BMALookahead.reconstruct`).
+
+    Each pass (a cluster forward, or a cluster's reversed copies) owns
+    one row per copy in a rank buffer: rank 0 past a copy's end, else
+    1 + the symbol's place in the block's sorted alphabet, so the
+    first-maximum ``argmax`` of a vote count is :func:`majority_symbol`'s
+    smallest-symbol tie-break.  A row's pointer is a flat index into the
+    buffer.  Position ``t`` of an estimate depends only on positions
+    before it, so a two-way block runs only the ``ceil(L / 2)`` positions
+    its merge keeps from each direction.
+    """
+    n_clusters = len(copies_lists)
+    steps = (strand_length + 1) // 2 if two_way else strand_length
+    copies = [copy for cluster in copies_lists for copy in cluster]
+    lengths = np.fromiter(map(len, copies), dtype=np.int64, count=len(copies))
+    pass_of_row = np.repeat(
+        np.arange(n_clusters), [len(cluster) for cluster in copies_lists]
+    )
+    # Pointers move at most two symbols per position, so no read passes
+    # column 2 * steps: a longer copy keeps only the symbols its pass
+    # can reach (its true length still drives the deficit rule).
+    width = min(int(lengths.max(initial=0)) + 2, 2 * steps) + 1
+    points = [_code_points("".join(copy[:width] for copy in copies))]
+    if two_way:
+        # The reversed concatenation holds every reversed copy, the last
+        # copy first, so the backward rows run in reverse copy order.
+        points.append(
+            _code_points("".join(copy[-width:] for copy in copies)[::-1])
+        )
+        pass_of_row = np.concatenate([pass_of_row, pass_of_row[::-1] + n_clusters])
+        lengths = np.concatenate([lengths, lengths[::-1]])
+    top = max(int(part.max(initial=0)) for part in points)
+    present = np.zeros(top + 1, dtype=bool)
+    for part in points:
+        present[part] = True
+    alphabet = np.flatnonzero(present)
+    n_symbols = len(alphabet)
+    n_passes = n_clusters * (2 if two_way else 1)
+    dtype = np.min_scalar_type(n_symbols)
+    rank_of = np.zeros(len(present), dtype=dtype)
+    rank_of[alphabet] = np.arange(1, n_symbols + 1)
+    buffer = np.zeros((len(lengths), width), dtype=dtype)
+    stored = np.minimum(lengths, width)
+    for index, part in enumerate(points):
+        rows = slice(index * len(copies), (index + 1) * len(copies))
+        buffer[rows][np.arange(width) < stored[rows, None]] = rank_of[part]
+    flat = buffer.reshape(-1)
+    pointer = np.arange(len(lengths), dtype=np.int64) * width
+    end = pointer + lengths
+    vote_base = pass_of_row * (n_symbols + 1)
+    n_cells = n_passes * (n_symbols + 1)
+
+    estimate = np.empty((steps, n_passes), dtype=np.int64)
+    for position in range(steps):
+        current = flat[pointer]
+        following = flat[pointer + 1]
+        after = flat[pointer + 2]
+        votes = np.bincount(vote_base + current, minlength=n_cells)
+        estimate[position] = majority = _plurality(votes, n_passes)
+        majority = majority.astype(dtype)[pass_of_row]
+        agree = current == majority
+        votes = np.bincount(vote_base + following * agree, minlength=n_cells)
+        preview = _plurality(votes, n_passes).astype(dtype)[pass_of_row]
+        # The rules of bma_forward_pass, first match wins.  Rank 0 is
+        # both "past the end" and "no preview", and an exhausted row
+        # (current == 0) matches no majority of a pass that still votes.
+        insertion = (following == majority) & (
+            (preview == 0) | (after == 0) | (after == preview) | (after != following)
+        )
+        deletion = current == preview
+        substitution = (following == preview) & (following != 0)
+        surplus = end - pointer > strand_length - position - 1
+        stay = ~(agree | insertion) & (deletion | ~(substitution | surplus))
+        pointer += (current != 0) & ~stay
+        pointer += insertion & ~agree
+
+    if two_way:
+        back = estimate[: strand_length - steps, n_clusters:][::-1]
+        estimate = np.concatenate([estimate[:, :n_clusters], back])
+    estimate = estimate.T
+    chars = np.concatenate([[0], alphabet])[estimate]
+    exhausted = estimate == 0
+    for cluster in np.flatnonzero(exhausted.any(axis=1)):
+        chars[cluster, exhausted[cluster]] = ord(_fallback_base(copies_lists[cluster]))
+    text = chars.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")
+    return [
+        text[start : start + strand_length]
+        for start in range(0, len(text), strand_length)
+    ]

@@ -10,6 +10,8 @@ sizes around the sweep threshold, and tie-heavy homopolymer and
 periodic pairs (many co-optimal alignments, so every tie-break is
 exercised).  The ``channel`` entry runs the transmit loop against the
 vectorised sweep over the models of ``tests/test_channel_backend.py``.
+The ``bma_many`` entry runs the per-cluster BMA loop against the
+lockstep kernel over batches of clusters (:func:`bma_corpus`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from repro.align.operations import (
 )
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
+from repro.reconstruct.bma import BMALookahead
 from tests.test_channel_backend import channel_inputs, fast_run, reference_run
 
 #: Seeds the shared corpus is generated from.
@@ -261,6 +264,91 @@ def one_to_many(pattern: str, reads: list[str]) -> list[list[int]]:
     return results
 
 
+#: Design lengths of the BMA corpus: word boundaries and the paper's 110.
+BMA_LENGTHS = (0, 1, 63, 64, 65, 110, 128)
+
+#: Coverages of the BMA corpus's paper-rate IDS slice.
+BMA_COVERAGES = (1, 2, 10, 14)
+
+
+def bma_corpus(seed: int) -> list[tuple[bool, list[list[str]], int]]:
+    """``(two_way, clusters, strand_length)`` batches: paper-rate IDS
+    noise at several coverages, word-boundary lengths with copies
+    shorter and longer than L (some past 2L, which the kernel stores
+    cut), empty copies and clusters, ``N``, lowercase, non-ASCII,
+    ``"\\x00"`` and >255- and >65535-symbol alphabets, 2-vs-2 ties, and
+    mixed copy counts in one batch."""
+    rng = random.Random(seed)
+    channel = Channel(ground_truth_model(), random.Random(seed + 2000))
+    batches: list[tuple[list[list[str]], int]] = []
+    for coverage in BMA_COVERAGES:
+        references = [_strand(rng, 110) for _ in range(12)]
+        batches.append(
+            ([channel.transmit_many(ref, coverage) for ref in references], 110)
+        )
+    for length in BMA_LENGTHS:
+        clusters = []
+        for _ in range(6):
+            reference = _strand(rng, length)
+            clusters.append(
+                [
+                    _mutate(rng, reference, "ACGT", 1 + length // 10)
+                    for _ in range(rng.randint(1, 6))
+                ]
+                + [reference[: length // 2], reference * 3]
+            )
+        clusters += [["", reference], [""] * 3, [], [reference, ""]]
+        batches.append((clusters, length))
+    for alphabet in ("ACGTN", "acgt", "αβγδé\ud800", "\x00AC"):
+        clusters = []
+        for _ in range(5):
+            reference = _strand(rng, 40, alphabet)
+            clusters.append(
+                [_mutate(rng, reference, alphabet, 4) for _ in range(rng.randint(1, 5))]
+            )
+        batches.append((clusters, 40))
+    wide = [chr(0x100 + index) for index in range(300)]
+    batches.append(
+        ([[_strand(rng, 30, wide) for _ in range(4)] for _ in range(6)], 30)
+    )
+    widest = iter(chr(0x4E00 + index) for index in range(72_000))
+    batches.append(
+        (
+            [
+                ["".join(next(widest) for _ in range(200)) for _ in range(18)]
+                for _ in range(20)
+            ],
+            200,
+        )
+    )
+    ties = [["ACGT", "ACGT", "TGCA", "TGCA"], ["AC", "CA"], ["A", "C", "G", "T"]]
+    ties += [["AAAA", "AAAA", "CCCC", "CCCC", "AAC"], ["ACG" * 5] * 2 + ["CAG" * 5] * 2]
+    batches.append((ties, 12))
+    return [
+        (two_way, clusters, length)
+        for clusters, length in batches
+        for two_way in (True, False)
+    ]
+
+
+def bma_loop(two_way: bool, clusters: list[list[str]], length: int) -> list[list[str]]:
+    """The per-cluster reference, once per fast-path call shape."""
+    reconstructor = BMALookahead(two_way)
+    estimates = [reconstructor.reconstruct(copies, length) for copies in clusters]
+    return [estimates, estimates]
+
+
+def bma_many(two_way: bool, clusters: list[list[str]], length: int) -> list[list[str]]:
+    """The lockstep ``reconstruct_many``, on the whole batch and on one
+    singleton batch per cluster (a cluster's estimate must not depend on
+    its batch-mates)."""
+    reconstructor = BMALookahead(two_way)
+    return [
+        reconstructor.reconstruct_many(clusters, length),
+        [reconstructor.reconstruct_many([copies], length)[0] for copies in clusters],
+    ]
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One fast path and the reference it must reproduce exactly on
@@ -309,6 +397,12 @@ ORACLES = (
         fast=fast_run,
         inputs=channel_inputs,
     ),
+    Oracle(
+        name="bma_many",
+        reference=bma_loop,
+        fast=bma_many,
+        inputs=bma_corpus,
+    ),
 )
 
 
@@ -334,6 +428,25 @@ def test_corpus_covers_its_regions():
     assert {len(reads) for _, reads in batches} == set(BATCH_SIZES)
     assert {63, 64, 65, 127, 128, 129} <= {len(pattern) for pattern, _ in batches}
     assert all(pattern in reads and "" in reads for pattern, reads in batches if len(reads) > 1)
+    bma_batches = bma_corpus(0)
+    assert set(BMA_LENGTHS) <= {length for _, _, length in bma_batches}
+    clusters = [copies for _, batch, _ in bma_batches for copies in batch]
+    assert [] in clusters and ["", "", ""] in clusters
+    assert any(
+        len(copy) > 2 * length
+        for _, batch, length in bma_batches
+        for copies in batch
+        for copy in copies
+    )
+    symbols = [
+        {char for copies in batch for copy in copies for char in copy}
+        for _, batch, _ in bma_batches
+    ]
+    assert any(len(alphabet) > 65535 for alphabet in symbols)
+    assert any(len(alphabet) > 255 and len(alphabet) < 65536 for alphabet in symbols)
+    assert any("\x00" in alphabet for alphabet in symbols)
+    copy_counts = [{len(copies) for copies in batch} for _, batch, _ in bma_batches]
+    assert any(len(counts) > 3 for counts in copy_counts)
 
 
 def test_non_ascii_pair_above_matrix_threshold():

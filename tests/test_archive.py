@@ -11,7 +11,11 @@ from repro.data.nanopore import ground_truth_model
 from repro.pipeline.decay import DecayParameters, StorageDecay
 from repro.pipeline.encoding import RotationCodec
 from repro.pipeline.storage import ArchiveError, DNAArchive
+from repro.reconstruct import bma
+from repro.reconstruct.base import Reconstructor
+from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.iterative import IterativeReconstruction
+from repro.robustness import FaultInjector, RetryPolicy
 
 
 @pytest.fixture
@@ -116,3 +120,95 @@ class TestReadPath:
         assert len(archive.all_strands()) == (
             first.n_total_strands + second.n_total_strands
         )
+
+
+class TestBatchedSurvey:
+    """The survey reconstructs a block of strands per ``reconstruct_many``
+    call; with that call patched back to the base-class per-cluster loop
+    every read-back must come out the same: bytes, read counts, RS
+    tallies and per-strand failure reasons."""
+
+    #: 100 data strands in five rate-1/2 groups: four survey blocks.
+    PAYLOAD = bytes(random.Random(5).randrange(256) for _ in range(1600))
+
+    def _both_paths(self, read_back):
+        """``read_back(archive)`` on the batched path and on the loop,
+        each on a fresh archive with the same seed."""
+        kernel_calls = []
+        lockstep = bma._lockstep
+
+        def counted(*args):
+            kernel_calls.append(len(args[0]))
+            return lockstep(*args)
+
+        results = []
+        for batched in (True, False):
+            archive = DNAArchive(seed=3, rs_group_data=20, rs_group_parity=20)
+            archive.write("f", self.PAYLOAD)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(bma, "_lockstep", counted)
+                if not batched:
+                    patch.setattr(
+                        BMALookahead, "reconstruct_many", Reconstructor.reconstruct_many
+                    )
+                results.append(read_back(archive))
+        assert kernel_calls and max(kernel_calls) > 1
+        return results
+
+    @staticmethod
+    def _read(archive, **kwargs):
+        try:
+            report = archive.read("f", ground_truth_model(), coverage=10, **kwargs)
+        except ArchiveError as error:
+            return str(error)
+        return (
+            report.data,
+            report.n_reads,
+            report.n_clusters_used,
+            report.n_erasures,
+            report.n_corrected_errors,
+        )
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"shards": 1},
+            {"shards": 3, "workers": 1},
+            {"shards": 1, "faults": "mild"},
+        ],
+        ids=["serial", "sharded", "faults"],
+    )
+    def test_read_matches_per_cluster_loop(self, options):
+        def read_back(archive):
+            kwargs = dict(options)
+            if "faults" in kwargs:
+                kwargs["faults"] = FaultInjector(kwargs["faults"], seed=1)
+            return self._read(archive, **kwargs)
+
+        batched, looped = self._both_paths(read_back)
+        assert batched == looped
+        assert not isinstance(batched, str)
+
+    def test_retrieve_with_retries_matches_per_cluster_loop(self):
+        def read_back(archive):
+            result = archive.retrieve(
+                "f",
+                ground_truth_model(),
+                coverage=2,
+                faults=FaultInjector("mild", seed=2),
+                retry=RetryPolicy(max_attempts=2, coverage_growth=1.5),
+            )
+            return (
+                result.data,
+                result.complete,
+                result.n_reads,
+                result.n_erasures,
+                result.n_corrected_errors,
+                result.strand_failures,
+                list(result.strand_failures),
+                result.attempts,
+            )
+
+        batched, looped = self._both_paths(read_back)
+        assert batched == looped
+        assert batched[5] and len(batched[7]) == 2

@@ -5,8 +5,11 @@ shape: one-vs-many batches of at least ``kernels._BATCH_MIN_READS``
 reads run the batched uint64 sweep, and channel calls worth at least
 ``channel_backend.AUTO_MIN_DRAWS`` draws run the vectorised sweep.  Here
 both thresholds drop to their minimum, so every batch and every channel
-call takes the fast path, and the committed golden sweep and the
-``table_2_1`` golden must still come out byte for byte.
+call takes the fast path.  Every BMA call made through
+``reconstruct_pool`` or an archive survey already runs the lockstep
+kernel (``BMALookahead.reconstruct_many``); the fixture counts its
+blocks.  The committed golden sweep and the ``table_2_1`` golden must
+still come out byte for byte.
 
 Neither golden workload makes one-vs-many distance calls, so the
 batched sweep's share of this check is vacuous; its end-to-end identity
@@ -22,6 +25,7 @@ import pytest
 from repro.align import kernels
 from repro.core import channel, channel_backend
 from repro.experiments import table_2_1
+from repro.reconstruct import bma
 from repro.scenarios import load_sweep_spec, run_sweep
 from tests.test_golden_experiments import _load, _run_experiment, private_cache  # noqa: F401
 from tests.test_golden_sweep import SPEC_PATH, _assert_matches_golden
@@ -29,17 +33,24 @@ from tests.test_golden_sweep import SPEC_PATH, _assert_matches_golden
 
 @pytest.fixture
 def fast_paths_everywhere(monkeypatch):
-    """Lower both thresholds; returns a count of in-process channel sweeps."""
+    """Lower both thresholds; returns counts of in-process channel sweeps
+    and lockstep BMA blocks."""
     monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
     monkeypatch.setattr(channel_backend, "AUTO_MIN_DRAWS", 0)
-    calls = {"channel": 0}
+    calls = {"channel": 0, "bma": 0}
     transmit_batch = channel.transmit_batch
+    lockstep = bma._lockstep
 
-    def counted(*args):
+    def counted_channel(*args):
         calls["channel"] += 1
         return transmit_batch(*args)
 
-    monkeypatch.setattr(channel, "transmit_batch", counted)
+    def counted_bma(*args):
+        calls["bma"] += 1
+        return lockstep(*args)
+
+    monkeypatch.setattr(channel, "transmit_batch", counted_channel)
+    monkeypatch.setattr(bma, "_lockstep", counted_bma)
     return calls
 
 
@@ -51,3 +62,4 @@ def test_goldens_unchanged_on_fast_paths(
     _assert_matches_golden(tmp_path / "sweep")
     assert _run_experiment(table_2_1) == _load("table_2_1")
     assert fast_paths_everywhere["channel"] > 0
+    assert fast_paths_everywhere["bma"] > 0
