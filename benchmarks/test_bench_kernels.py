@@ -4,27 +4,25 @@ Times each kernel (exact edit distance, banded edit distance, the
 one-vs-many batch kernel, and gestalt matching blocks) at the paper's
 strand length (110) plus 220 and 1000, once as the ``python`` reference
 function and once per fast path that serves the shape (``bitparallel``
-for pairwise distances and small batches, ``batched`` for the uint64
-sweep, ``runtable`` for gestalt); the edit-operation traceback (one
+for pairwise distances and one-vs-many batches, ``runtable`` for
+gestalt); the edit-operation traceback (one
 implementation, so one number per length); and the greedy-clustering
 end-to-end wall-clock with the reference DPs patched in (``python``)
 versus the code-chosen kernels (``bitparallel``).  The JSON lands at the
 repo root so the kernel perf trajectory is recorded PR over PR.
 
-Three floors are asserted (they are the PRs' acceptance criteria):
+Two floors are asserted, with the values the dashboard's
+``TRAJECTORY_METRICS`` charts:
 
 * bit-parallel exact distance >= 5x the pure-Python DP at length 110;
 * clustering end-to-end >= 2x with the code-chosen kernels vs the
-  reference DPs, with bit-identical assignments;
-* the batched one-vs-many sweep >= 10x scalar bit-parallel on a
-  4096-read batch of length-110 strands, bit-identical distances.
+  reference DPs, with bit-identical assignments.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import sys
 import time
 from pathlib import Path
 
@@ -43,6 +41,7 @@ from repro.cluster.greedy import GreedyClusterer
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
 from repro.observability.bench import assert_stamped, stamp_record
+from repro.report.dashboard import committed_floor
 from repro.report.history import append_record
 
 #: Where the kernel-timing record lands (the repo root).
@@ -55,15 +54,9 @@ BAND = 25
 #: Pairs timed per (kernel, path, length) cell; long strands use fewer.
 PAIRS_PER_CELL = {110: 40, 220: 20, 1000: 4}
 
-#: Acceptance floors (ISSUE 3; batched floor from ISSUE 7).
-MIN_KERNEL_SPEEDUP = 5.0
-MIN_CLUSTER_SPEEDUP = 2.0
-MIN_BATCHED_SPEEDUP = 10.0
-
-#: One-vs-many batch size for the batched-sweep floor: wide enough
-#: that NumPy per-op dispatch overhead is amortised across lanes (the
-#: sweep's per-pair cost keeps dropping up to ~4k lanes).
-BATCH_READS = 4096
+#: Acceptance floors, as the dashboard charts them.
+MIN_KERNEL_SPEEDUP = committed_floor("kernels", "edit distance 110 speedup")
+MIN_CLUSTER_SPEEDUP = committed_floor("kernels", "clustering speedup")
 
 #: Clustering corpus shape: references x noisy copies each.
 CLUSTER_REFERENCES = 40
@@ -81,21 +74,12 @@ def _reference_banded(pattern: CompiledPattern, other: str, band: int) -> int:
 
 
 def _patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
-    """Route every distance through the seed's DPs and turn the batched
-    sweep off: the clustering baseline the floor compares against."""
-    patch.setattr(kernels, "_BATCH_MIN_READS", sys.maxsize)
+    """Route every distance through the seed's DPs: the clustering
+    baseline the floor compares against."""
     patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
     patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
     patch.setattr(CompiledPattern, "distance", _reference_distance)
     patch.setattr(CompiledPattern, "banded_distance", _reference_banded)
-
-
-def _one_to_many_swept(reference: str, reads: list[str]) -> list[int]:
-    """:func:`edit_distances_one_to_many` with the batched sweep forced
-    at any batch size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_BATCH_MIN_READS", 1)
-        return edit_distances_one_to_many(reference, reads)
 
 
 def _per_read_ns(function, reference: str, reads: list[str]) -> float:
@@ -154,7 +138,6 @@ def test_bench_kernels_record():
                 "bitparallel": _per_read_ns(
                     edit_distances_one_to_many, reference, reads
                 ),
-                "batched": _per_read_ns(_one_to_many_swept, reference, reads),
             },
             "matching_blocks": {
                 "python": _time_per_pair(reference_blocks, pairs, repeats=2),
@@ -194,34 +177,6 @@ def test_bench_kernels_record():
     assert results["bitparallel"].assignments == results["python"].assignments
     clustering["speedup"] = clustering["python"] / clustering["bitparallel"]
 
-    # Batched one-vs-many floor: a paper-length reference against a
-    # 4096-read batch, scalar bit-parallel vs the uint64 batched sweep.
-    batch_rng = random.Random(101)
-    batch_channel = Channel(ground_truth_model(), random.Random(102))
-    batch_reference = "".join(batch_rng.choice("ACGT") for _ in range(110))
-    batch_reads = [
-        batch_channel.transmit(batch_reference) for _ in range(BATCH_READS)
-    ]
-    pattern = CompiledPattern(batch_reference)
-    scalar_distances = [pattern.distance(read) for read in batch_reads]
-    start = time.perf_counter()
-    [pattern.distance(read) for read in batch_reads]
-    scalar_s = time.perf_counter() - start
-    batched_distances = edit_distances_one_to_many(batch_reference, batch_reads)
-    batched_s = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        edit_distances_one_to_many(batch_reference, batch_reads)
-        batched_s = min(batched_s, time.perf_counter() - start)
-    assert batched_distances == scalar_distances
-    batched_record = {
-        "reads": BATCH_READS,
-        "strand_length": 110,
-        "bitparallel_ns_per_pair": scalar_s / BATCH_READS * 1e9,
-        "batched_ns_per_pair": batched_s / BATCH_READS * 1e9,
-        "speedup": scalar_s / batched_s,
-    }
-
     length_110 = kernels_record["110"]["edit_distance"]
     kernel_speedup = length_110["python"] / length_110["bitparallel"]
     record = stamp_record(
@@ -236,7 +191,6 @@ def test_bench_kernels_record():
                 "bitparallel_s": clustering["bitparallel"],
                 "speedup": clustering["speedup"],
             },
-            "batched_one_to_many": batched_record,
             "edit_distance_110_speedup": kernel_speedup,
         }
     )
@@ -253,9 +207,4 @@ def test_bench_kernels_record():
         f"clustering end-to-end is only {clustering['speedup']:.2f}x "
         f"under bitparallel (floor {MIN_CLUSTER_SPEEDUP}x; timings "
         f"recorded in {BENCH_JSON.name})"
-    )
-    assert batched_record["speedup"] >= MIN_BATCHED_SPEEDUP, (
-        f"batched one-vs-many sweep is only {batched_record['speedup']:.1f}x "
-        f"scalar bit-parallel on {BATCH_READS} length-110 reads (floor "
-        f"{MIN_BATCHED_SPEEDUP}x; timings recorded in {BENCH_JSON.name})"
     )

@@ -21,6 +21,7 @@ from repro.align.gestalt import matching_blocks
 from repro.align.operations import edit_operations
 from repro.observability import counter, span
 from repro.observability.bench import assert_stamped, stamp_record
+from repro.report.dashboard import committed_floor
 from repro.report.history import append_record
 from repro.core.channel import Channel
 from repro.core.errors import ErrorModel
@@ -42,8 +43,8 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_throughput.json"
 BENCH_WORKERS = 4
 
 #: Wall-clock speedup the reconstruct stage must reach with 4 workers on
-#: multi-core hardware.
-MIN_RECONSTRUCT_SPEEDUP = 1.5
+#: multi-core hardware (the floor the dashboard charts).
+MIN_RECONSTRUCT_SPEEDUP = committed_floor("throughput", "reconstruct speedup")
 
 
 @pytest.fixture(scope="module")

@@ -19,13 +19,8 @@ There is one code-chosen path per input shape:
   is simply an m-bit int — the 64-bit word blocking happens inside
   CPython's limb arithmetic and patterns longer than 64 characters need
   no extra code.
-* one-vs-many batches of at least :data:`_BATCH_MIN_READS` reads run as
-  a single vectorised sweep: the pattern's match masks are packed into
-  NumPy uint64 words once per :class:`CompiledPattern`, every read of a
-  batch becomes one lane of a padded 2-D code matrix, and Myers' block
-  recurrence advances all lanes together (one set of word-wide array
-  operations per text position, with the banded Ukkonen early exit
-  preserved lane-wise).  Smaller batches loop the pairwise kernel.
+* one-vs-many batches (:class:`CompiledPattern`) reuse one pattern's
+  masks and loop the pairwise kernel over the reads.
 * the gestalt recursion's longest-common-substring queries are answered
   from one :class:`RunTable` per string pair.
 
@@ -234,10 +229,19 @@ def _bitparallel_banded(first: str, second: str, band: int) -> int:
 # ------------------------------------------------------------------ #
 
 
+def code_points(text: str) -> np.ndarray:
+    """The string as a uint32 array of its code points, for every NumPy
+    path that works on characters.  Any ``str`` is accepted, lone
+    surrogates included (``surrogatepass``): each character maps to its
+    ``ord``, exactly as the pure-Python references see it."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
 @lru_cache(maxsize=64)
 def _string_codes(text: str) -> np.ndarray:
-    """The string as an array of Unicode code points (any alphabet)."""
-    return np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    """:func:`code_points`, cached for the strings a run table or DP
+    matrix meets repeatedly."""
+    return code_points(text)
 
 
 class RunTable:
@@ -312,221 +316,6 @@ class RunTable:
 
 
 # ------------------------------------------------------------------ #
-# Batched uint64-word Myers sweep (one-vs-many)
-# ------------------------------------------------------------------ #
-
-_WORD_BITS = 64
-_WORD_MASK = (1 << _WORD_BITS) - 1
-_ALL_ONES = np.uint64(_WORD_MASK)
-_ONE = np.uint64(1)
-_TOP_BIT_SHIFT = np.uint64(_WORD_BITS - 1)
-
-#: One-vs-many calls below this batch size stay on the scalar
-#: bit-parallel kernel: every vectorised step costs ~µs of fixed
-#: NumPy dispatch overhead regardless of lane count, which dominates
-#: until the batch is a few dozen reads wide.
-_BATCH_MIN_READS = 48
-
-#: How often (in text positions) the banded sweep polls whether every
-#: lane is finished or provably over the band.  The per-lane bound is
-#: updated every step; only the cross-lane ``all()`` poll is amortised.
-_BAND_POLL_EVERY = 16
-
-
-class _PackedPattern:
-    """One pattern's match masks packed into NumPy uint64 words.
-
-    The scalar kernel keeps the masks as arbitrary-width Python ints;
-    the batched sweep needs them as a ``(distinct_chars + 1, words)``
-    uint64 table (row 0 is the all-zero mask for characters absent from
-    the pattern) so a whole batch's ``Eq`` words come from one fancy
-    index per text position.
-    """
-
-    __slots__ = ("length", "word_count", "score_shift", "codes", "peq_words")
-
-    def __init__(self, pattern: str) -> None:
-        self.length = len(pattern)
-        self.word_count = max(1, -(-self.length // _WORD_BITS))
-        # Bit position of the pattern's last row inside the last word —
-        # where the scalar kernel's ``high_bit`` lives.
-        self.score_shift = np.uint64((self.length - 1) % _WORD_BITS if self.length else 0)
-        if self.length:
-            self.codes = np.unique(
-                np.frombuffer(pattern.encode("utf-32-le"), dtype=np.uint32)
-            )
-        else:
-            self.codes = np.empty(0, dtype=np.uint32)
-        table = np.zeros((len(self.codes) + 1, self.word_count), dtype=np.uint64)
-        row_of = {int(code): row for row, code in enumerate(self.codes, start=1)}
-        for char, mask in pattern_masks(pattern).items():
-            row = row_of[ord(char)]
-            for word in range(self.word_count):
-                table[row, word] = (mask >> (word * _WORD_BITS)) & _WORD_MASK
-        self.peq_words = [
-            np.ascontiguousarray(table[:, word]) for word in range(self.word_count)
-        ]
-
-
-def _batched_distances(
-    packed: _PackedPattern, reads: Sequence[str], band: int | None
-) -> list[int]:
-    """Distances from one packed pattern to every read, in one sweep.
-
-    Bit-identical to the scalar kernels on every input: exact distances
-    without ``band``, ``min(true_distance, band + 1)`` with it (the same
-    contract the scalar banded kernel honours via its early exit).
-    """
-    if not reads:
-        return []
-    if band is not None:
-        # The length-difference lower bound removes hopeless lanes before
-        # they can stretch the padded matrix (one long contaminant read
-        # would otherwise add steps for the whole batch).
-        cap = band + 1
-        eligible = [
-            position
-            for position, read in enumerate(reads)
-            if abs(len(read) - packed.length) <= band
-        ]
-        if len(eligible) < len(reads):
-            results = [cap] * len(reads)
-            if eligible:
-                swept = _batched_sweep(
-                    packed, [reads[position] for position in eligible], band
-                )
-                for position, distance in zip(eligible, swept):
-                    results[position] = distance
-            return results
-    return _batched_sweep(packed, reads, band)
-
-
-def _batched_sweep(
-    packed: _PackedPattern, reads: Sequence[str], band: int | None
-) -> list[int]:
-    lanes = len(reads)
-    pattern_length = packed.length
-    lengths = np.fromiter((len(read) for read in reads), dtype=np.int64, count=lanes)
-    if pattern_length == 0:
-        distances = lengths.copy()
-        if band is not None:
-            np.minimum(distances, band + 1, out=distances)
-        return [int(value) for value in distances]
-    max_length = int(lengths.max())
-    if max_length == 0:
-        value = pattern_length if band is None else min(pattern_length, band + 1)
-        return [value] * lanes
-    # Pad every read into one code matrix, then translate code points to
-    # rows of the packed Peq table (0 for characters the pattern lacks).
-    flat = np.frombuffer("".join(reads).encode("utf-32-le"), dtype=np.uint32)
-    code_matrix = np.zeros((lanes, max_length), dtype=np.uint32)
-    live = np.arange(max_length) < lengths[:, None]
-    code_matrix[live] = flat
-    distinct = len(packed.codes)
-    row_index = np.searchsorted(packed.codes, code_matrix)
-    np.minimum(row_index, distinct - 1, out=row_index)
-    rows = np.where(packed.codes[row_index] == code_matrix, row_index + 1, 0)
-    rows[~live] = 0
-    rows_by_step = np.ascontiguousarray(rows.T)
-    # One (steps, lanes) Eq plane per pattern word, gathered up front so
-    # the inner loop never pays a fancy index.
-    eq_planes = [word[rows_by_step] for word in packed.peq_words]
-    active_by_step = live.T.astype(np.uint64)
-    word_count = packed.word_count
-    vp = [np.full(lanes, _ALL_ONES, dtype=np.uint64) for _ in range(word_count)]
-    mv = [np.zeros(lanes, dtype=np.uint64) for _ in range(word_count)]
-    score = np.full(lanes, pattern_length, dtype=np.uint64)
-    if band is not None:
-        cap = np.uint64(band + 1)
-        # Per-step threshold: score > band + remaining proves the final
-        # distance exceeds the band (each remaining character lowers the
-        # bottom-row score by at most one) — and for finished lanes the
-        # remaining term is 0, so the same test is the final clamp.
-        thresholds = (
-            band
-            + np.maximum(lengths[None, :] - np.arange(1, max_length + 1)[:, None], 0)
-        ).astype(np.uint64)
-        exceeded = np.zeros(lanes, dtype=bool)
-        over = np.empty(lanes, dtype=bool)
-    # Scratch buffers reused across every step (the sweep is dispatch-
-    # overhead-bound, so allocations are hoisted out of the loop).
-    xv = np.empty(lanes, dtype=np.uint64)
-    eq_carry = np.empty(lanes, dtype=np.uint64)
-    xh = np.empty(lanes, dtype=np.uint64)
-    ph = np.empty(lanes, dtype=np.uint64)
-    mh = np.empty(lanes, dtype=np.uint64)
-    bit = np.empty(lanes, dtype=np.uint64)
-    hin_p = np.empty(lanes, dtype=np.uint64)
-    hin_n = np.empty(lanes, dtype=np.uint64)
-    hout_p = np.empty(lanes, dtype=np.uint64)
-    hout_n = np.empty(lanes, dtype=np.uint64)
-    last_word = word_count - 1
-    score_shift = packed.score_shift
-    for step in range(max_length):
-        active = active_by_step[step]
-        for word in range(word_count):
-            eq = eq_planes[word][step]
-            pv_word = vp[word]
-            mv_word = mv[word]
-            np.bitwise_or(eq, mv_word, out=xv)
-            if word == 0:
-                # Block 0's horizontal input is the DP boundary: the top
-                # row increases by one per text character (hin = +1).
-                eq_in = eq
-            else:
-                np.bitwise_or(eq, hin_n, out=eq_carry)
-                eq_in = eq_carry
-            np.bitwise_and(eq_in, pv_word, out=xh)
-            np.add(xh, pv_word, out=xh)
-            np.bitwise_xor(xh, pv_word, out=xh)
-            np.bitwise_or(xh, eq_in, out=xh)
-            np.bitwise_or(xh, pv_word, out=ph)
-            np.invert(ph, out=ph)
-            np.bitwise_or(ph, mv_word, out=ph)
-            np.bitwise_and(pv_word, xh, out=mh)
-            if word == last_word:
-                # The pattern's bottom row lives at ``score_shift`` of
-                # this word; read it before the shift, exactly like the
-                # scalar kernel's pre-shift ``high_bit`` test.  Frozen
-                # (already consumed) lanes are masked out.
-                np.right_shift(ph, score_shift, out=bit)
-                np.bitwise_and(bit, active, out=bit)
-                np.add(score, bit, out=score)
-                np.right_shift(mh, score_shift, out=bit)
-                np.bitwise_and(bit, active, out=bit)
-                np.subtract(score, bit, out=score)
-            else:
-                np.right_shift(ph, _TOP_BIT_SHIFT, out=hout_p)
-                np.right_shift(mh, _TOP_BIT_SHIFT, out=hout_n)
-            np.left_shift(ph, _ONE, out=ph)
-            np.left_shift(mh, _ONE, out=mh)
-            if word == 0:
-                np.bitwise_or(ph, _ONE, out=ph)
-            else:
-                np.bitwise_or(ph, hin_p, out=ph)
-                np.bitwise_or(mh, hin_n, out=mh)
-            np.bitwise_or(xv, ph, out=pv_word)
-            np.invert(pv_word, out=pv_word)
-            np.bitwise_or(pv_word, mh, out=pv_word)
-            np.bitwise_and(ph, xv, out=mv[word])
-            if word != last_word:
-                hin_p, hout_p = hout_p, hin_p
-                hin_n, hout_n = hout_n, hin_n
-        if band is not None:
-            np.greater(score, thresholds[step], out=over)
-            np.logical_or(exceeded, over, out=exceeded)
-            if (step % _BAND_POLL_EVERY) == _BAND_POLL_EVERY - 1 and bool(
-                np.all(exceeded | (lengths <= step + 1))
-            ):
-                break
-    results = score.astype(np.int64)
-    if band is not None:
-        np.minimum(results, np.int64(cap), out=results)
-        results[exceeded] = int(cap)
-    return [int(value) for value in results]
-
-
-# ------------------------------------------------------------------ #
 # Dispatch layer
 # ------------------------------------------------------------------ #
 
@@ -559,12 +348,6 @@ def banded_distance_kernel(first: str, second: str, band: int) -> int:
     return _bitparallel_banded(first, second, band)
 
 
-def _batch_selected(batch_size: int) -> bool:
-    """Whether a one-vs-many call of ``batch_size`` reads should run the
-    vectorised sweep."""
-    return batch_size >= _BATCH_MIN_READS
-
-
 def longest_common_substring(
     first: str,
     second: str,
@@ -589,28 +372,19 @@ class CompiledPattern:
     Precomputes the Myers pattern-match bitmasks once, so a one-vs-many
     sweep — a cluster representative against every candidate read, a
     reconstruction candidate against every copy in its cluster — pays the
-    O(m) mask build a single time instead of once per pair.  For batches
-    of at least :data:`_BATCH_MIN_READS` reads the masks are additionally
-    packed into uint64 words and the whole batch runs as one vectorised
-    sweep; results are identical either way.
+    O(m) mask build a single time instead of once per pair.
     """
 
-    __slots__ = ("text", "_masks", "_packed")
+    __slots__ = ("text", "_masks")
 
     def __init__(self, text: str) -> None:
         self.text = text
         self._masks: dict[str, int] | None = None
-        self._packed: _PackedPattern | None = None
 
     def _pattern(self) -> dict[str, int]:
         if self._masks is None:
             self._masks = pattern_masks(self.text)
         return self._masks
-
-    def _packed_pattern(self) -> _PackedPattern:
-        if self._packed is None:
-            self._packed = _PackedPattern(self.text)
-        return self._packed
 
     def distance(self, other: str) -> int:
         """Levenshtein distance to ``other`` (with the empty/equal fast
@@ -636,25 +410,12 @@ class CompiledPattern:
         return _myers_distance(self._pattern(), len(self.text), other, band)
 
     def distances(self, others: Sequence[str]) -> list[int]:
-        """Levenshtein distance to each of ``others``.
-
-        Runs as one vectorised uint64 sweep for batches of at least
-        :data:`_BATCH_MIN_READS` reads; otherwise loops the pairwise
-        kernel.  Bit-identical either way.
-        """
-        if _batch_selected(len(others)):
-            if _obs_state.registry is not None:
-                _count_kernel_call("batch")
-            return _batched_distances(self._packed_pattern(), others, None)
+        """Levenshtein distance to each of ``others``."""
         return [self.distance(other) for other in others]
 
     def banded_distances(self, others: Sequence[str], band: int) -> list[int]:
         """Banded distance to each of ``others`` (exact when ``<= band``,
-        else ``band + 1``), batched like :meth:`distances`."""
-        if _batch_selected(len(others)):
-            if _obs_state.registry is not None:
-                _count_kernel_call("batch")
-            return _batched_distances(self._packed_pattern(), others, band)
+        else ``band + 1``)."""
         return [self.banded_distance(other, band) for other in others]
 
 
@@ -666,8 +427,7 @@ def edit_distances_one_to_many(
     The exact shape of :meth:`repro.core.profile.ErrorProfile.from_pool`
     and of reconstruction-quality scoring (one candidate, many copies):
     the reference's pattern-match bitmasks are computed once and reused
-    across every read, and large batches run as a single vectorised
-    uint64 sweep.  With ``band`` given, each distance is banded
+    across every read.  With ``band`` given, each distance is banded
     (``band + 1`` meaning "more than band apart").
 
     Bit-identical to ``[edit_distance(reference, read) for read in reads]``.

@@ -181,10 +181,9 @@ class GreedyClusterer:
             )
             # Compile the read once: its pattern masks are reused across
             # every candidate representative (the sweep's hot path).  The
-            # candidates go through one banded one-vs-many call so large
-            # candidate sets run as one batched sweep; iteration order and
-            # the strict < first-minimum tie-break match the prior
-            # one-at-a-time loop exactly.
+            # candidates go through one banded one-vs-many call; iteration
+            # order and the strict < first-minimum tie-break match the
+            # prior one-at-a-time loop exactly.
             pattern = CompiledPattern(read)
             if candidate_clusters:
                 comparisons += len(candidate_clusters)
@@ -237,12 +236,13 @@ class GreedyClusterer:
         comparisons = 0
         for cluster_index, representative in enumerate(representatives):
             pattern = CompiledPattern(representative)
-            # Distances to every candidate are precomputed in one batched
-            # banded call; the union-find walk below then consumes them in
-            # the original order.  A candidate already unioned with this
-            # cluster wastes one precomputed distance, but ``comparisons``
-            # still counts exactly the pairs the serial loop would have
-            # compared, and the union decisions are unchanged.
+            # Distances to every candidate are precomputed in one
+            # one-vs-many banded call; the union-find walk below then
+            # consumes them in the original order.  A candidate already
+            # unioned with this cluster wastes one precomputed distance,
+            # but ``comparisons`` still counts exactly the pairs the
+            # serial loop would have compared, and the union decisions
+            # are unchanged.
             candidates = list(
                 representative_index.candidates(
                     representative, signature=rep_signatures[cluster_index]

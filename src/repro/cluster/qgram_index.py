@@ -19,6 +19,8 @@ from collections.abc import Iterator, Sequence
 
 import numpy as np
 
+from repro.align.kernels import code_points
+
 #: FNV-1a 32-bit parameters (shared by the scalar and vectorised paths).
 _FNV_OFFSET = 2166136261
 _FNV_PRIME = 16777619
@@ -93,9 +95,7 @@ def _batched_min_hashes(
             long_positions.append(position)
             long_sequences.append(sequence)
     if long_sequences:
-        flat = np.frombuffer(
-            "".join(long_sequences).encode("utf-32-le"), dtype=np.uint32
-        )
+        flat = code_points("".join(long_sequences))
         lengths = np.fromiter(
             (len(sequence) for sequence in long_sequences),
             dtype=np.int64,
@@ -137,7 +137,7 @@ def _vectorised_min_hashes(sequence: str, q: int, bands: int) -> list[int]:
     for every band (uint32 multiplication wraps exactly like the scalar
     path's ``& 0xFFFFFFFF``).
     """
-    codes = np.frombuffer(sequence.encode("utf-32-le"), dtype=np.uint32)
+    codes = code_points(sequence)
     if len(codes) < q:
         windows = codes.reshape(1, -1)
     else:

@@ -10,7 +10,7 @@ module provides the one primitive those stages share:
   results are merged **in input order**, so any stage whose per-item work
   is deterministic produces bit-identical output at any worker count;
   inputs too small to amortise the pool (fewer than
-  ``REPRO_PARALLEL_MIN_ITEMS`` items, one worker, one CPU, or a single
+  :data:`MIN_PARALLEL_ITEMS` items, one worker, one CPU, or a single
   chunk) run as a plain serial loop with identical results;
 * worker-count resolution — the ``REPRO_WORKERS`` environment variable
   (``0`` means "all cores") overridden per-process by the CLI's
@@ -56,17 +56,14 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: one-CPU runners).
 FORCE_ENV = "REPRO_FORCE_PARALLEL"
 
-#: Environment variable naming the minimum item count worth dispatching
-#: to the pool.  Below it, pool startup plus pickling costs more than the
-#: work itself — the ``BENCH_throughput`` sub-1× "speedups" were exactly
-#: this overhead measured on inputs too small to parallelise.
-MIN_ITEMS_ENV = "REPRO_PARALLEL_MIN_ITEMS"
-
-#: Default for :data:`MIN_ITEMS_ENV`.  Kept small: the sharded stages
-#: routinely dispatch one item per shard (4 shards is a common test
-#: configuration), and those items are coarse enough to amortise the
-#: pool even at this count.
-DEFAULT_MIN_ITEMS = 4
+#: The minimum item count worth dispatching to the pool.  Below it, pool
+#: startup plus pickling costs more than the work itself — the
+#: ``BENCH_throughput`` sub-1× "speedups" were exactly this overhead
+#: measured on inputs too small to parallelise.  Kept small: the sharded
+#: stages routinely dispatch one item per shard (4 shards is a common
+#: test configuration), and those items are coarse enough to amortise
+#: the pool even at this count.
+MIN_PARALLEL_ITEMS = 4
 
 #: Process-wide override installed by the CLI's ``--workers`` flag.
 _default_workers_override: int | None = None
@@ -74,9 +71,6 @@ _default_workers_override: int | None = None
 #: Chunks per worker when no chunk size is given: small enough to
 #: balance uneven per-cluster cost, large enough to amortise pickling.
 _CHUNKS_PER_WORKER = 4
-
-#: Malformed ``REPRO_PARALLEL_MIN_ITEMS`` values already warned about.
-_warned_min_items_values: set[str] = set()
 
 
 def set_default_workers(workers: int | None) -> None:
@@ -133,33 +127,6 @@ def _force_parallel() -> bool:
     return os.environ.get(FORCE_ENV, "").lower() in {"1", "true", "yes", "on"}
 
 
-def min_parallel_items() -> int:
-    """Minimum item count worth dispatching to the process pool.
-
-    Read from ``REPRO_PARALLEL_MIN_ITEMS`` (default
-    :data:`DEFAULT_MIN_ITEMS`); malformed or negative values warn once
-    and fall back to the default.
-    """
-    raw = os.environ.get(MIN_ITEMS_ENV)
-    if raw is None:
-        return DEFAULT_MIN_ITEMS
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        if raw not in _warned_min_items_values:
-            _warned_min_items_values.add(raw)
-            _logger.warning(
-                "invalid_min_items_env",
-                variable=MIN_ITEMS_ENV,
-                value=raw,
-                fallback=DEFAULT_MIN_ITEMS,
-            )
-        return DEFAULT_MIN_ITEMS
-    return value
-
-
 def default_chunk_size(n_items: int, workers: int) -> int:
     """Chunk size splitting ``n_items`` into ~4 chunks per worker."""
     if n_items <= 0:
@@ -199,10 +166,9 @@ def parallel_map(
     Falls back to a plain serial loop — bit-identical results, zero pool
     or pickling overhead — whenever dispatching cannot pay for itself:
     the resolved worker count is <= 1, the machine has a single CPU, the
-    input is smaller than :func:`min_parallel_items` (tunable via
-    ``REPRO_PARALLEL_MIN_ITEMS``), or an explicit ``chunk_size`` covers
-    the whole input in one chunk (a one-task pool is a serial loop plus
-    process startup).  Pass ``force=True`` (or set
+    input is smaller than :data:`MIN_PARALLEL_ITEMS`, or an explicit
+    ``chunk_size`` covers the whole input in one chunk (a one-task pool
+    is a serial loop plus process startup).  Pass ``force=True`` (or set
     ``REPRO_FORCE_PARALLEL=1``) to use the pool regardless — the test
     suite does this to exercise pickling on single-core runners.
 
@@ -275,8 +241,7 @@ def _pool_workers(
     if (
         workers <= 1
         or (os.cpu_count() or 1) == 1
-        or n_items < 2
-        or n_items < min_parallel_items()
+        or n_items < MIN_PARALLEL_ITEMS
         or (chunk_size is not None and n_items <= chunk_size)
     ):
         return 0

@@ -28,6 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.align.kernels import code_points
 from repro.reconstruct.base import BLOCK_CLUSTERS, Reconstructor, majority_symbol
 
 
@@ -180,7 +181,7 @@ def _code_points(text: str) -> np.ndarray:
     """The code points of ``text``, one byte each when it is ASCII."""
     if text.isascii():
         return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return code_points(text)
 
 
 def _plurality(votes: np.ndarray, n_passes: int) -> np.ndarray:

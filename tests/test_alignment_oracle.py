@@ -5,13 +5,16 @@ path that must reproduce it exactly, and a seeded input generator.  The
 alignment entries share one corpus that covers the inputs where a fast
 path is most likely to diverge: 64-bit word-boundary lengths, the
 paper's 110-nt strands at its IDS rates, equal and empty strings, ``N``,
-lowercase and non-ASCII alphabets, degenerate bands, one-vs-many batch
-sizes around the sweep threshold, and tie-heavy homopolymer and
-periodic pairs (many co-optimal alignments, so every tie-break is
-exercised).  The ``channel`` entry runs the transmit loop against the
-vectorised sweep over the models of ``tests/test_channel_backend.py``.
-The ``bma_many`` entry runs the per-cluster BMA loop against the
-lockstep kernel over batches of clusters (:func:`bma_corpus`).
+lowercase, non-ASCII and lone-surrogate alphabets, degenerate bands,
+one-vs-many batch sizes as clustering and consensus scoring make them,
+and tie-heavy homopolymer and periodic pairs (many co-optimal
+alignments, so every tie-break is exercised).  The ``channel`` entry
+runs the transmit loop against the vectorised sweep over the models of
+``tests/test_channel_backend.py``.  The ``bma_many`` entry runs the
+per-cluster BMA loop against the lockstep kernel over batches of
+clusters (:func:`bma_corpus`).  The ``qgram_signatures`` entry runs the
+per-gram min-hash loop against the per-read and pool-wide vectorised
+signatures (:func:`qgram_corpus`).
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ from repro.align.operations import (
     apply_operations,
     edit_operations,
 )
+from repro.cluster.qgram_index import (
+    EMPTY_SIGNATURE,
+    QGramIndex,
+    reference_min_hashes,
+)
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
 from repro.reconstruct.bma import BMALookahead
@@ -47,9 +55,10 @@ CORPUS_SEEDS = (0, 1)
 #: Seeds of the ``random.Random`` tie-breakers each traceback runs with.
 TIE_BREAK_SEEDS = (0, 1, 2)
 
-#: One-vs-many batch sizes: a single read, and either side of the
-#: default sweep threshold (``kernels._BATCH_MIN_READS`` is 48).
-BATCH_SIZES = (1, 47, 48, 49)
+#: One-vs-many batch sizes: empty, a single read, the largest greedy
+#: candidate set on the e2e read-out (26), and the largest cluster of a
+#: paper-coverage read-out (93 copies).
+BATCH_SIZES = (0, 1, 26, 93)
 
 
 def matrix_backtrace(
@@ -168,13 +177,14 @@ def shared_corpus(seed: int) -> list[tuple[str, str]]:
     for _ in range(24):
         reference = _strand(rng, 110)
         pairs.append((reference, channel.transmit(reference)))
-    # N, lowercase and non-ASCII alphabets, below and above the
-    # 1024-cell matrix threshold.
-    for alphabet in ("ACGTN", "acgt", "ACGTé", "αβγδ"):
+    # N, lowercase, non-ASCII and lone-surrogate alphabets, below and
+    # above the 1024-cell matrix threshold.
+    for alphabet in ("ACGTN", "acgt", "ACGTé", "αβγδ", "ACG\ud800"):
         for length in (20, 90):
             strand = _strand(rng, length, alphabet)
             pairs.append((strand, _mutate(rng, strand, alphabet, 6)))
     pairs.append((("ACGTN" * 8 + "é") * 2, ("ACGTN" * 8 + "é") * 2 + "ACGT"))
+    pairs.append(("ACGTAC\ud800GTACGT", "ACGTACGTTCGT"))
     # Tie-heavy inputs: homopolymers and periodic repeats.
     for length in (5, 40, 110):
         pairs.append(("A" * length, "A" * (length + 3)))
@@ -242,7 +252,7 @@ def batch_corpus(seed: int) -> list[tuple[str, list[str]]]:
 
 
 def _one_to_many_bands(pattern: str, reads: list[str]) -> tuple[int, ...]:
-    return (0, 1, 3, max(len(pattern), *(len(read) for read in reads)))
+    return (0, 1, 3, max([len(pattern)] + [len(read) for read in reads]))
 
 
 def pairwise_loop(pattern: str, reads: list[str]) -> list[list[int]]:
@@ -254,14 +264,55 @@ def pairwise_loop(pattern: str, reads: list[str]) -> list[list[int]]:
 
 
 def one_to_many(pattern: str, reads: list[str]) -> list[list[int]]:
-    """:func:`edit_distances_one_to_many` with ``_BATCH_MIN_READS`` at 1,
-    so the batched sweep runs at every batch size."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(kernels, "_BATCH_MIN_READS", 1)
-        results = [edit_distances_one_to_many(pattern, reads)]
-        for band in _one_to_many_bands(pattern, reads):
-            results.append(edit_distances_one_to_many(pattern, reads, band=band))
+    """:func:`edit_distances_one_to_many`, exact and under each band."""
+    results = [edit_distances_one_to_many(pattern, reads)]
+    for band in _one_to_many_bands(pattern, reads):
+        results.append(edit_distances_one_to_many(pattern, reads, band=band))
     return results
+
+
+#: ``(q, bands)`` of the q-gram entry: the clusterer's default and the
+#: index's own default.
+QGRAM_SHAPES = ((8, 8), (11, 4))
+
+
+def qgram_corpus(seed: int) -> list[tuple[int, int, list[str]]]:
+    """``(q, bands, pool)`` inputs: lengths 0, 1, q - 1, q, q + 1, the
+    word boundaries, 110, 111 and 500 in ``ACGT``, ``N``, lowercase,
+    non-ASCII and lone-surrogate alphabets, random lengths up to 120,
+    and paper-rate IDS reads from the ground-truth channel."""
+    rng = random.Random(seed)
+    channel = Channel(ground_truth_model(), random.Random(seed + 3000))
+    inputs = []
+    for q, bands in QGRAM_SHAPES:
+        pool = ["", "A", "ACG", "ACGTN", "acgtacgtac", "Aé世\U0001F600BACGT"]
+        for alphabet in ("ACGT", "ACGTN", "acgt", "Aé世\U0001F600T", "ACG\ud800"):
+            for length in (1, q - 1, q, q + 1, 63, 64, 65, 110, 111, 128, 500):
+                pool.append(_strand(rng, length, alphabet))
+        pool += [_strand(rng, rng.randint(0, 120)) for _ in range(60)]
+        for _ in range(4):
+            pool += channel.transmit_many(_strand(rng, 110), 10)
+        inputs.append((q, bands, pool))
+    return inputs
+
+
+def reference_signatures(q: int, bands: int, pool: list[str]) -> list[list[list[int]]]:
+    """The seed's per-gram min-hashes (:data:`EMPTY_SIGNATURE` for
+    ``""``), once per fast entry point."""
+    signatures = [
+        reference_min_hashes(sequence, q, bands)
+        if sequence
+        else [EMPTY_SIGNATURE] * bands
+        for sequence in pool
+    ]
+    return [signatures, signatures]
+
+
+def fast_signatures(q: int, bands: int, pool: list[str]) -> list[list[list[int]]]:
+    """Per-read :meth:`QGramIndex.signature` and the pool-wide
+    :meth:`QGramIndex.signatures` sweep over the whole pool."""
+    index = QGramIndex(q=q, bands=bands)
+    return [[index.signature(sequence) for sequence in pool], index.signatures(pool)]
 
 
 #: Design lengths of the BMA corpus: word boundaries and the paper's 110.
@@ -392,6 +443,12 @@ ORACLES = (
         inputs=batch_corpus,
     ),
     Oracle(
+        name="qgram_signatures",
+        reference=reference_signatures,
+        fast=fast_signatures,
+        inputs=qgram_corpus,
+    ),
+    Oracle(
         name="channel",
         reference=reference_run,
         fast=fast_run,
@@ -424,10 +481,19 @@ def test_corpus_covers_its_regions():
     )
     assert any("N" in first for first, _ in pairs)
     assert any(first.islower() for first, _ in pairs)
+    assert any("\ud800" in first for first, _ in pairs)
     batches = batch_corpus(0)
     assert {len(reads) for _, reads in batches} == set(BATCH_SIZES)
     assert {63, 64, 65, 127, 128, 129} <= {len(pattern) for pattern, _ in batches}
     assert all(pattern in reads and "" in reads for pattern, reads in batches if len(reads) > 1)
+    assert any(
+        len(reads) >= 48 and any("\ud800" in read for read in reads)
+        for _, reads in batches
+    )
+    for q, _, pool in qgram_corpus(0):
+        assert {0, 1, q - 1, q, q + 1, 63, 64, 65, 110, 128} <= set(map(len, pool))
+        for symbol in ("N", "a", "é", "\U0001F600", "\ud800"):
+            assert any(symbol in sequence for sequence in pool), symbol
     bma_batches = bma_corpus(0)
     assert set(BMA_LENGTHS) <= {length for _, _, length in bma_batches}
     clusters = [copies for _, batch, _ in bma_batches for copies in batch]

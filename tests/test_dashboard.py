@@ -13,7 +13,9 @@ from repro.cli import main
 from repro.observability.bench import BENCH_SCHEMA_VERSION, stamp_record
 from repro.report.dashboard import (
     SECTION_IDS,
+    TRAJECTORY_METRICS,
     build_dashboard_html,
+    committed_floor,
     collect_run_inputs,
     flame_rollup,
     format_shard_timeline,
@@ -394,6 +396,18 @@ class TestDashboard:
         document = build_dashboard_html(None, repo_root)
         assert "REGRESSION" in document
         assert "floor violation" in document
+
+    def test_committed_floor_reads_the_charted_table(self):
+        for bench, metrics in TRAJECTORY_METRICS.items():
+            for label, _path, _op, floor in metrics:
+                if floor is None:
+                    with pytest.raises(KeyError):
+                        committed_floor(bench, label)
+                else:
+                    assert committed_floor(bench, label) == floor
+        assert committed_floor("kernels", "clustering speedup") == 2.0
+        with pytest.raises(KeyError):
+            committed_floor("kernels", "batched one-to-many speedup")
 
     def test_serial_throughput_floor_not_flagged(self, tmp_path):
         # workers == 1 records a 1.0x speedup by construction; the

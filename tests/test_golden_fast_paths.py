@@ -1,28 +1,20 @@
 """The pinned goldens with every call forced onto the fast paths.
 
-The alignment kernels and the channel pick their path from the input
-shape: one-vs-many batches of at least ``kernels._BATCH_MIN_READS``
-reads run the batched uint64 sweep, and channel calls worth at least
+The channel picks its path from the input shape: calls worth at least
 ``channel_backend.AUTO_MIN_DRAWS`` draws run the vectorised sweep.  Here
-both thresholds drop to their minimum, so every batch and every channel
-call takes the fast path.  Every BMA call made through
-``reconstruct_pool`` or an archive survey already runs the lockstep
-kernel (``BMALookahead.reconstruct_many``); the fixture counts its
-blocks.  The committed golden sweep and the ``table_2_1`` golden must
-still come out byte for byte.
-
-Neither golden workload makes one-vs-many distance calls, so the
-batched sweep's share of this check is vacuous; its end-to-end identity
-is covered by ``TestClusteringIdentity`` in ``tests/test_kernels.py``
-and by the ``one_to_many`` oracle.  Sweep cells run in forked job
-workers, which inherit the lowered thresholds.
+that threshold drops to its minimum, so every channel call takes the
+fast path.  Every BMA call made through ``reconstruct_pool`` or an
+archive survey already runs the lockstep kernel
+(``BMALookahead.reconstruct_many``); the fixture counts its blocks.  The
+committed golden sweep and the ``table_2_1`` golden must still come out
+byte for byte.  Sweep cells run in forked job workers, which inherit the
+lowered threshold.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.align import kernels
 from repro.core import channel, channel_backend
 from repro.experiments import table_2_1
 from repro.reconstruct import bma
@@ -33,9 +25,8 @@ from tests.test_golden_sweep import SPEC_PATH, _assert_matches_golden
 
 @pytest.fixture
 def fast_paths_everywhere(monkeypatch):
-    """Lower both thresholds; returns counts of in-process channel sweeps
-    and lockstep BMA blocks."""
-    monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
+    """Lower the channel threshold; returns counts of in-process channel
+    sweeps and lockstep BMA blocks."""
     monkeypatch.setattr(channel_backend, "AUTO_MIN_DRAWS", 0)
     calls = {"channel": 0, "bma": 0}
     transmit_batch = channel.transmit_batch

@@ -1,20 +1,19 @@
-"""Equivalence, dispatch and fast-exit tests for the alignment kernel layer.
+"""Equivalence and fast-exit tests for the alignment kernel layer.
 
 The kernels pick their path from the input shape, and every path must
 give what the pure-Python reference DPs give: exact distances, banded
 lower bounds, gestalt matching blocks and clustering assignments.  Here
-each path is pinned in turn (see :data:`PATHS`) over a seeded corpus of
-~500 pairs; the shared-corpus oracle registry of
-``tests/test_alignment_oracle.py`` checks the same contract over its
-edge alphabets and batch sizes.  This file also covers the one-vs-many
-batch threshold, q-gram signatures, the fast exits, block memoisation,
-and the retired backend selection.
+the code-chosen kernels and the reference DPs (see :data:`PATHS`) run
+over a seeded corpus of ~500 pairs; the shared-corpus oracle registry of
+``tests/test_alignment_oracle.py`` checks the same contract, and the
+q-gram signatures, over its edge alphabets and batch sizes.  This file
+also covers one-vs-many batches, the fast exits, block memoisation, and
+the retired backend selection.
 """
 
 from __future__ import annotations
 
 import random
-import sys
 
 import pytest
 
@@ -25,7 +24,6 @@ from repro.align.kernels import CompiledPattern, edit_distances_one_to_many
 from repro.align.operations import OpKind, apply_operations, edit_operations
 from repro.cli import main
 from repro.cluster.greedy import GreedyClusterer
-from repro.cluster.qgram_index import QGramIndex, reference_min_hashes
 
 
 def _strand(rng: random.Random, length: int) -> str:
@@ -59,9 +57,8 @@ def _reference_banded(pattern: CompiledPattern, other: str, band: int) -> int:
 
 
 def patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
-    """Route every distance through the seed's DPs and turn the batched
-    sweep off, so a run computes what the reference kernels would."""
-    patch.setattr(kernels, "_BATCH_MIN_READS", sys.maxsize)
+    """Route every distance through the seed's DPs, so a run computes
+    what the reference kernels would."""
     patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
     patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
     patch.setattr(CompiledPattern, "distance", _reference_distance)
@@ -69,11 +66,10 @@ def patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
 
 
 #: The distance paths a test can pin.  ``python`` patches the reference
-#: DPs in; ``bitparallel`` keeps every batch on the pairwise Myers
-#: kernel; ``batched`` runs the uint64 sweep for every non-empty batch
-#: (pairwise calls still take the bit-parallel kernel); ``auto`` leaves
-#: the shape-based choice alone.
-PATHS = ("python", "bitparallel", "batched")
+#: DPs in; ``bitparallel`` (like ``auto``) leaves the code-chosen
+#: kernels, which run every distance, pairwise or one-vs-many, on the
+#: pairwise Myers kernel.
+PATHS = ("python", "bitparallel")
 
 BANDS = (0, 1, 3, 25)
 
@@ -86,12 +82,8 @@ def use_path(monkeypatch):
     def use(path: str) -> None:
         if path == "python":
             patch_reference_kernels(monkeypatch)
-        elif path == "bitparallel":
-            monkeypatch.setattr(kernels, "_BATCH_MIN_READS", sys.maxsize)
-        elif path == "batched":
-            monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
         else:
-            assert path == "auto", path
+            assert path in ("bitparallel", "auto"), path
 
     return use
 
@@ -207,8 +199,7 @@ class TestGestaltEquivalence:
 
     ``numpy`` runs the :class:`~repro.align.kernels.RunTable`
     decomposition directly; ``auto`` and ``bitparallel`` go through the
-    memoised public entry point, the latter with the distance kernels
-    pinned to show they do not leak into the blocks."""
+    memoised public entry point."""
 
     @pytest.mark.parametrize("path", ("numpy", "bitparallel", "auto"))
     def test_matching_blocks_match_python_reference(self, path, use_path):
@@ -248,58 +239,19 @@ class TestClusteringIdentity:
 
     def test_assignments_identical_across_backends(self, reads, monkeypatch):
         """Greedy clustering assigns every read identically with the
-        reference DPs patched in, with the default paths, and with the
-        batched sweep forced for every candidate set."""
+        reference DPs patched in and with the default paths."""
         default = GreedyClusterer().cluster(reads)
-        with monkeypatch.context() as patch:
-            patch.setattr(kernels, "_BATCH_MIN_READS", 1)
-            swept = GreedyClusterer().cluster(reads)
         with monkeypatch.context() as patch:
             patch_reference_kernels(patch)
             baseline = GreedyClusterer().cluster(reads)
-        for result in (default, swept):
-            assert result.assignments == baseline.assignments
-            assert result.representatives == baseline.representatives
-            assert result.comparisons == baseline.comparisons
-
-    def test_qgram_signatures_identical_across_backends(self):
-        rng = random.Random(13)
-        index = QGramIndex(q=8, bands=8)
-        for sequence in ["ACG", _strand(rng, 7), _strand(rng, 8), _strand(rng, 110)]:
-            assert index.signature(sequence) == reference_min_hashes(
-                sequence, 8, 8
-            ), sequence
-
-    def test_pool_signatures_match_per_read(self):
-        """The pool-wide batched FNV-1a sweep is bit-identical to the
-        per-read signature path and to the reference min-hashes, across
-        edge lengths and alphabets."""
-        rng = random.Random(29)
-        pool = [
-            "",
-            "A",
-            "ACGTN",
-            _strand(rng, 7),
-            _strand(rng, 8),
-            _strand(rng, 9),
-            "acgtacgtac",
-            "Aé世\U0001F600BACGT",
-            _strand(rng, 110),
-            _strand(rng, 111),
-            _strand(rng, 500),
-        ] + [_strand(rng, rng.randint(0, 120)) for _ in range(60)]
-        index = QGramIndex(q=8, bands=8)
-        expected = [
-            reference_min_hashes(sequence, 8, 8) if sequence else index.signature("")
-            for sequence in pool
-        ]
-        assert [index.signature(sequence) for sequence in pool] == expected
-        assert index.signatures(pool) == expected
+        assert default.assignments == baseline.assignments
+        assert default.representatives == baseline.representatives
+        assert default.comparisons == baseline.comparisons
 
 
 class TestBatchedBackendEquivalence:
-    """Fuzz the batched uint64 sweep against the reference DP, and the
-    one-vs-many dispatch around it.
+    """Fuzz the one-vs-many batch calls (``CompiledPattern.distances`` /
+    ``banded_distances``) against the reference DP.
 
     Lengths straddle the word boundary and the paper's strand length;
     alphabets include N, lowercase, and astral-plane unicode; bands
@@ -336,9 +288,8 @@ class TestBatchedBackendEquivalence:
         ]
         return reads
 
-    def test_batched_matches_reference_dp(self, use_path):
+    def test_batched_matches_reference_dp(self):
         rng = random.Random(20260808)
-        use_path("batched")
         for length in self.LENGTHS:
             for alphabet in self.ALPHABETS:
                 reference = "".join(
@@ -355,20 +306,16 @@ class TestBatchedBackendEquivalence:
                         min(distance, band + 1) for distance in expected
                     ], (length, alphabet, band)
 
-    def test_one_to_many_empty_batch(self, monkeypatch):
-        monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 0)
+    def test_one_to_many_empty_batch(self):
         assert edit_distances_one_to_many("ACGT", []) == []
         assert edit_distances_one_to_many("ACGT", [], band=3) == []
-
-    def test_auto_threshold_dispatch(self):
-        """Batches of at least _BATCH_MIN_READS reads run the sweep."""
-        assert kernels._batch_selected(kernels._BATCH_MIN_READS)
-        assert not kernels._batch_selected(kernels._BATCH_MIN_READS - 1)
 
     def test_auto_large_batch_matches_reference(self):
         rng = random.Random(31)
         reference = _strand(rng, 110)
-        reads = [_ids_noised(rng, reference) for _ in range(kernels._BATCH_MIN_READS + 5)]
+        # 93 copies: the largest cluster one-vs-many call measured on the
+        # paper-coverage read-out.
+        reads = [_ids_noised(rng, reference) for _ in range(93)]
         expected = [kernels._python_distance(reference, read) for read in reads]
         assert edit_distances_one_to_many(reference, reads) == expected
         assert edit_distances_one_to_many(reference, reads, band=25) == [
@@ -377,8 +324,8 @@ class TestBatchedBackendEquivalence:
 
     def test_greedy_identity_under_env_backend(self, monkeypatch):
         """With the retired ``REPRO_ALIGN_BACKEND=batched`` in the
-        environment (ignored) and the sweep forced for every candidate
-        set, greedy clustering matches the reference kernels."""
+        environment (ignored), greedy clustering matches the reference
+        kernels."""
         rng = random.Random(37)
         references = [_strand(rng, 110) for _ in range(12)]
         reads = [
@@ -391,7 +338,6 @@ class TestBatchedBackendEquivalence:
             patch_reference_kernels(patch)
             baseline = GreedyClusterer().cluster(reads)
         monkeypatch.setenv("REPRO_ALIGN_BACKEND", "batched")
-        monkeypatch.setattr(kernels, "_BATCH_MIN_READS", 1)
         assert kernels.align_backend() == "auto"
         result = GreedyClusterer().cluster(reads)
         assert result.assignments == baseline.assignments

@@ -88,15 +88,15 @@ class TestParallelMap:
 
 class TestSerialFastPath:
     """The auto-serial dispatch fixes: small inputs, single chunks, and
-    the ``REPRO_PARALLEL_MIN_ITEMS`` threshold all skip the pool while
-    staying bit-identical to the pool's output."""
+    the ``MIN_PARALLEL_ITEMS`` threshold all skip the pool while staying
+    bit-identical to the pool's output."""
 
     def test_below_min_items_runs_serial(self, monkeypatch):
         def explode(*_args, **_kwargs):  # pragma: no cover - fails the test
             raise AssertionError("the pool must not start for tiny inputs")
 
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", explode)
-        items = list(range(parallel.DEFAULT_MIN_ITEMS - 1))
+        items = list(range(parallel.MIN_PARALLEL_ITEMS - 1))
         assert parallel_map(_square, items, workers=4) == [
             value * value for value in items
         ]
@@ -111,26 +111,16 @@ class TestSerialFastPath:
             value * value for value in items
         ]
 
-    def test_min_items_env_raises_threshold(self, monkeypatch):
+    def test_raised_min_items_keeps_serial(self, monkeypatch):
         def explode(*_args, **_kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("inputs below the env threshold stay serial")
+            raise AssertionError("inputs below the threshold stay serial")
 
-        monkeypatch.setenv(parallel.MIN_ITEMS_ENV, "50")
+        monkeypatch.setattr(parallel, "MIN_PARALLEL_ITEMS", 50)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", explode)
         items = list(range(49))
         assert parallel_map(_square, items, workers=4) == [
             value * value for value in items
         ]
-
-    def test_min_items_env_zero_disables_threshold(self, monkeypatch):
-        monkeypatch.setenv(parallel.MIN_ITEMS_ENV, "0")
-        assert parallel.min_parallel_items() == 0
-
-    def test_min_items_env_garbage_falls_back(self, monkeypatch):
-        monkeypatch.setenv(parallel.MIN_ITEMS_ENV, "lots")
-        assert parallel.min_parallel_items() == parallel.DEFAULT_MIN_ITEMS
-        monkeypatch.setenv(parallel.MIN_ITEMS_ENV, "-3")
-        assert parallel.min_parallel_items() == parallel.DEFAULT_MIN_ITEMS
 
     def test_force_bypasses_all_fast_paths(self, force_pool):
         items = [1, 2]
