@@ -18,13 +18,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.align.kernels import CompiledPattern
 from repro.cluster.qgram_index import QGramIndex
 from repro.observability import counter, span
-from repro.parallel import parallel_map
-from repro.sharding.plan import ShardPlan, resolve_shards
 
 
 @dataclass
@@ -89,26 +86,14 @@ class GreedyClusterer:
         threshold — the sweep alone fragments a true cluster whenever an
         early read misses the index's candidate buckets.
 
-        With ``shards > 1`` the reads are partitioned by a stable hash of
-        their content, each shard is swept independently (on the process
-        pool when ``workers > 1``), and the per-shard clusters are joined
-        by running the representative merge pass across all shards.
-        Deterministic at a given shard count, and memory-bounded by one
-        shard's index — but unlike the other sharded stages this is an
-        **approximation**: the sweep order differs from the serial one,
-        so cluster boundaries can differ in edge cases near the distance
-        threshold (true copies of one strand still hash anywhere but sit
-        within the threshold of each other, so the merge pass reunites
-        them).  ``shards <= 1`` is exactly the serial algorithm.
+        The sweep is order-sensitive and global, so it always runs
+        serially over the whole read-out: ``shards`` and ``workers`` are
+        accepted for call-site compatibility with the other pipeline
+        stages and ignored, and neither they nor ``REPRO_SHARDS`` change
+        the result.
         """
-        n_shards = resolve_shards(shards)
-        with span(
-            "cluster.greedy", reads=len(reads), shards=n_shards
-        ) as current_span:
-            if n_shards > 1:
-                result = self._cluster_sharded(reads, n_shards, workers)
-            else:
-                result = self._cluster(reads)
+        with span("cluster.greedy", reads=len(reads)) as current_span:
+            result = self._cluster(reads)
             counter("cluster.assignments").inc(len(result.assignments))
             counter("cluster.comparisons").inc(result.comparisons)
             if current_span is not None:
@@ -116,47 +101,6 @@ class GreedyClusterer:
                     clusters=result.n_clusters, comparisons=result.comparisons
                 )
             return result
-
-    def _cluster_sharded(
-        self, reads: Sequence[str], n_shards: int, workers: int | None
-    ) -> GreedyClusteringResult:
-        """Shard-parallel sweep plus a cross-shard representative merge."""
-        plan = ShardPlan.by_id(reads, n_shards)
-        shard_results = parallel_map(
-            partial(_cluster_shard, self.distance_threshold, self.q, self.bands),
-            plan.split(list(reads)),
-            workers=workers,
-            chunk_size=1,
-        )
-        # Re-number each shard's local cluster ids into one global space,
-        # then scatter assignments back to original read order.
-        offsets: list[int] = []
-        representatives: list[str] = []
-        for result in shard_results:
-            offsets.append(len(representatives))
-            representatives.extend(result.representatives)
-        per_shard_assignments = [
-            [assignment + offset for assignment in result.assignments]
-            for result, offset in zip(shard_results, offsets)
-        ]
-        assignments = plan.scatter(per_shard_assignments)
-        # The same union pass the serial algorithm runs after its sweep,
-        # now doubling as the cross-shard join: fragments of one true
-        # cluster that landed in different shards have representatives
-        # within the threshold and get united here.
-        merged_assignments, merged_representatives, merge_comparisons = (
-            self._merge_fragments(assignments, representatives)
-        )
-        members: list[list[int]] = [[] for _ in merged_representatives]
-        for read_position, cluster_index in enumerate(merged_assignments):
-            members[cluster_index].append(read_position)
-        return GreedyClusteringResult(
-            assignments=merged_assignments,
-            representatives=merged_representatives,
-            comparisons=sum(result.comparisons for result in shard_results)
-            + merge_comparisons,
-            members=members,
-        )
 
     def _cluster(self, reads: Sequence[str]) -> GreedyClusteringResult:
         index = QGramIndex(q=self.q, bands=self.bands)
@@ -289,13 +233,3 @@ class GreedyClusterer:
             [reads[read_index] for read_index in cluster]
             for cluster in result.members
         ]
-
-
-def _cluster_shard(
-    distance_threshold: int, q: int, bands: int, reads: list[str]
-) -> GreedyClusteringResult:
-    """Worker task for sharded clustering: sweep one shard's reads."""
-    clusterer = GreedyClusterer(
-        distance_threshold=distance_threshold, q=q, bands=bands
-    )
-    return clusterer._cluster(reads)

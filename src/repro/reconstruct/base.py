@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from functools import partial
 
 from repro.core.strand import Cluster, StrandPool
@@ -117,6 +117,23 @@ def _reconstruct_chunk(
 ) -> list[str]:
     """Worker task for the pool passes: reconstruct a chunk or a shard."""
     return reconstructor.reconstruct_many(copies_lists, strand_length)
+
+
+def reconstruct_in_blocks(
+    kernel: Callable[[list[Sequence[str]]], list[str]],
+    copies_lists: Sequence[Sequence[str]],
+) -> list[str]:
+    """The estimates of a lockstep ``kernel`` run on every block of
+    :data:`BLOCK_CLUSTERS` non-empty clusters, in cluster order; an empty
+    cluster's estimate is ``""``."""
+    estimates = [""] * len(copies_lists)
+    filled = [index for index, copies in enumerate(copies_lists) if copies]
+    for start in range(0, len(filled), BLOCK_CLUSTERS):
+        block = filled[start : start + BLOCK_CLUSTERS]
+        results = kernel([copies_lists[index] for index in block])
+        for index, estimate in zip(block, results):
+            estimates[index] = estimate
+    return estimates
 
 
 def majority_symbol(symbols: Sequence[str]) -> str:

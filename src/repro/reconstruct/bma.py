@@ -29,7 +29,11 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.align.kernels import code_points
-from repro.reconstruct.base import BLOCK_CLUSTERS, Reconstructor, majority_symbol
+from repro.reconstruct.base import (
+    Reconstructor,
+    majority_symbol,
+    reconstruct_in_blocks,
+)
 
 
 def _fallback_base(copies: Sequence[str]) -> str:
@@ -163,18 +167,10 @@ class BMALookahead(Reconstructor):
         time; the estimates equal :meth:`reconstruct`'s."""
         if strand_length < 1:
             return super().reconstruct_many(copies_lists, strand_length)
-        estimates = [""] * len(copies_lists)
-        filled = [index for index, copies in enumerate(copies_lists) if copies]
-        for start in range(0, len(filled), BLOCK_CLUSTERS):
-            block = filled[start : start + BLOCK_CLUSTERS]
-            results = _lockstep(
-                [copies_lists[index] for index in block],
-                strand_length,
-                self.two_way,
-            )
-            for index, estimate in zip(block, results):
-                estimates[index] = estimate
-        return estimates
+        return reconstruct_in_blocks(
+            lambda block: _lockstep(block, strand_length, self.two_way),
+            copies_lists,
+        )
 
 
 def _code_points(text: str) -> np.ndarray:

@@ -41,3 +41,25 @@ class DividerBMA(Reconstructor):
             majority_symbol([copy[position] for copy in exact_length])
             for position in range(strand_length)
         )
+
+    def reconstruct_many(
+        self, copies_lists: Sequence[Sequence[str]], strand_length: int
+    ) -> list[str]:
+        """Reconstruct every cluster, in order, as :meth:`reconstruct`
+        does, with every BMA fallback of the batch in one
+        :meth:`BMALookahead.reconstruct_many` call."""
+        estimates = [""] * len(copies_lists)
+        fallback: list[int] = []
+        for index, copies in enumerate(copies_lists):
+            if not copies:
+                continue
+            if any(len(copy) == strand_length for copy in copies):
+                estimates[index] = self.reconstruct(copies, strand_length)
+            else:
+                fallback.append(index)
+        results = self._fallback.reconstruct_many(
+            [copies_lists[index] for index in fallback], strand_length
+        )
+        for index, estimate in zip(fallback, results):
+            estimates[index] = estimate
+        return estimates

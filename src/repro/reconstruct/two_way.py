@@ -43,6 +43,13 @@ class TwoWayIterative(Reconstructor):
         forward = self._inner.reconstruct(copies, strand_length)
         reversed_copies = [copy[::-1] for copy in copies]
         backward = self._inner.reconstruct(reversed_copies, strand_length)[::-1]
+        return self._select(copies, forward, backward, strand_length)
+
+    def _select(
+        self, copies: Sequence[str], forward: str, backward: str, strand_length: int
+    ) -> str:
+        """The candidate (forward, backward, or their midpoint merge) with
+        the smallest total edit distance to the copies."""
         merged = self._merge(forward, backward, strand_length)
 
         candidates = [forward]
@@ -53,6 +60,29 @@ class TwoWayIterative(Reconstructor):
         if len(candidates) == 1:
             return forward
         return min(candidates, key=lambda candidate: self._score(candidate, copies))
+
+    def reconstruct_many(
+        self, copies_lists: Sequence[Sequence[str]], strand_length: int
+    ) -> list[str]:
+        """Reconstruct every cluster, in order, as :meth:`reconstruct`
+        does: the forward and the reversed copies of the whole batch go
+        through the inner :meth:`IterativeReconstruction.reconstruct_many`,
+        then each cluster's candidates are merged and scored.  A seeded
+        instance runs the per-cluster loop, whose draws alternate
+        directions cluster by cluster."""
+        if self._inner.rng is not None:
+            return super().reconstruct_many(copies_lists, strand_length)
+        forwards = self._inner.reconstruct_many(copies_lists, strand_length)
+        backwards = self._inner.reconstruct_many(
+            [[copy[::-1] for copy in copies] for copies in copies_lists],
+            strand_length,
+        )
+        return [
+            self._select(copies, forward, backward[::-1], strand_length)
+            if copies
+            else ""
+            for copies, forward, backward in zip(copies_lists, forwards, backwards)
+        ]
 
     @staticmethod
     def _merge(forward: str, backward: str, strand_length: int) -> str:

@@ -12,7 +12,9 @@ alignments, so every tie-break is exercised).  The ``channel`` entry
 runs the transmit loop against the vectorised sweep over the models of
 ``tests/test_channel_backend.py``.  The ``bma_many`` entry runs the
 per-cluster BMA loop against the lockstep kernel over batches of
-clusters (:func:`bma_corpus`).  The ``qgram_signatures`` entry runs the
+clusters (:func:`bma_corpus`), for ``BMALookahead`` and ``DividerBMA``.
+The ``iterative_many`` entry does the same for the lockstep Iterative
+(:func:`iterative_corpus`).  The ``qgram_signatures`` entry runs the
 per-gram min-hash loop against the per-read and pool-wide vectorised
 signatures (:func:`qgram_corpus`).
 """
@@ -46,7 +48,10 @@ from repro.cluster.qgram_index import (
 )
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
-from repro.reconstruct.bma import BMALookahead
+from repro.reconstruct.bma import BMALookahead, bma_forward_pass
+from repro.reconstruct.divider_bma import DividerBMA
+from repro.reconstruct.iterative import IterativeReconstruction
+from repro.reconstruct.two_way import TwoWayIterative
 from tests.test_channel_backend import channel_inputs, fast_run, reference_run
 
 #: Seeds the shared corpus is generated from.
@@ -382,22 +387,80 @@ def bma_corpus(seed: int) -> list[tuple[bool, list[list[str]], int]]:
     ]
 
 
+def _bma_reconstructors(two_way: bool) -> list:
+    """The lockstep BMA's callers: BMA itself and Divider BMA, whose
+    fallback is two-way BMA."""
+    return [BMALookahead(two_way)] + ([DividerBMA()] if two_way else [])
+
+
 def bma_loop(two_way: bool, clusters: list[list[str]], length: int) -> list[list[str]]:
     """The per-cluster reference, once per fast-path call shape."""
-    reconstructor = BMALookahead(two_way)
+    results = []
+    for reconstructor in _bma_reconstructors(two_way):
+        estimates = [reconstructor.reconstruct(copies, length) for copies in clusters]
+        results += [estimates, estimates]
+    return results
+
+
+def bma_many(two_way: bool, clusters: list[list[str]], length: int) -> list[list[str]]:
+    """The batched ``reconstruct_many``, on the whole batch and on one
+    singleton batch per cluster (a cluster's estimate must not depend on
+    its batch-mates)."""
+    results = []
+    for reconstructor in _bma_reconstructors(two_way):
+        results += [
+            reconstructor.reconstruct_many(clusters, length),
+            [reconstructor.reconstruct_many([copies], length)[0] for copies in clusters],
+        ]
+    return results
+
+
+#: The Iterative variants of the ``iterative_many`` entry: round caps 0,
+#: 1 and 3, two-way Iterative, and a seeded instance (which keeps the
+#: per-cluster loop).
+ITERATIVE_VARIANTS = {
+    "rounds=0": lambda: IterativeReconstruction(rounds=0),
+    "rounds=1": lambda: IterativeReconstruction(rounds=1),
+    "rounds=3": lambda: IterativeReconstruction(rounds=3),
+    "two-way": TwoWayIterative,
+    "seeded": lambda: IterativeReconstruction(seed=11),
+}
+
+#: ``_repair_length`` meets a 2-vs-2 insertion tie ({T: 2, G: 2} before
+#: position 0, T voted first) and closes its deficit with it.
+REPAIR_TIE_CLUSTER = ["TTGGTTGCGG", "GGTATGCGG", "GTTGCGG", "GTTGCGG"]
+
+#: A majority deletes every position of the initial estimate.
+EMPTIED_CLUSTER = ["ACGTCAGT", "", ""]
+
+
+def iterative_corpus(seed: int) -> list[tuple[str, list[list[str]], int]]:
+    """``(variant, clusters, strand_length)``: every batch of
+    :func:`bma_corpus` plus the repair-tie and emptied clusters, for
+    every :data:`ITERATIVE_VARIANTS` entry."""
+    batches = [(clusters, length) for two_way, clusters, length in bma_corpus(seed) if two_way]
+    batches.append(([REPAIR_TIE_CLUSTER, EMPTIED_CLUSTER, REPAIR_TIE_CLUSTER[::-1]], 8))
+    return [
+        (variant, clusters, length)
+        for clusters, length in batches
+        for variant in ITERATIVE_VARIANTS
+    ]
+
+
+def iterative_loop(variant: str, clusters: list[list[str]], length: int) -> list[list[str]]:
+    """The per-cluster ``reconstruct`` loop, once per fast-path call shape
+    (a seeded instance replays the same draws from its seed)."""
+    reconstructor = ITERATIVE_VARIANTS[variant]()
     estimates = [reconstructor.reconstruct(copies, length) for copies in clusters]
     return [estimates, estimates]
 
 
-def bma_many(two_way: bool, clusters: list[list[str]], length: int) -> list[list[str]]:
-    """The lockstep ``reconstruct_many``, on the whole batch and on one
-    singleton batch per cluster (a cluster's estimate must not depend on
-    its batch-mates)."""
-    reconstructor = BMALookahead(two_way)
-    return [
-        reconstructor.reconstruct_many(clusters, length),
-        [reconstructor.reconstruct_many([copies], length)[0] for copies in clusters],
-    ]
+def iterative_many(variant: str, clusters: list[list[str]], length: int) -> list[list[str]]:
+    """``reconstruct_many`` on the whole batch and on singleton batches."""
+    whole = ITERATIVE_VARIANTS[variant]().reconstruct_many(clusters, length)
+    reconstructor = ITERATIVE_VARIANTS[variant]()
+    singles = [reconstructor.reconstruct_many([copies], length)[0] for copies in clusters]
+    return [whole, singles]
 
 
 @dataclass(frozen=True)
@@ -460,6 +523,12 @@ ORACLES = (
         fast=bma_many,
         inputs=bma_corpus,
     ),
+    Oracle(
+        name="iterative_many",
+        reference=iterative_loop,
+        fast=iterative_many,
+        inputs=iterative_corpus,
+    ),
 )
 
 
@@ -513,6 +582,34 @@ def test_corpus_covers_its_regions():
     assert any("\x00" in alphabet for alphabet in symbols)
     copy_counts = [{len(copies) for copies in batch} for _, batch, _ in bma_batches]
     assert any(len(counts) > 3 for counts in copy_counts)
+    assert any(
+        not any(len(copy) == length for copy in copies) and copies
+        for _, batch, length in bma_batches
+        for copies in batch
+    )
+
+
+def test_iterative_corpus_meets_its_ties(monkeypatch):
+    """The extra ``iterative_many`` clusters reach the rules they are
+    there for: a 2-vs-2 sub-majority insertion tie that closes a length
+    deficit, and a round that deletes the whole estimate."""
+    ties = []
+    repair = IterativeReconstruction._repair_length
+
+    def spy(self, refined, strand_length, insert_votes, applied, position_map):
+        if len(refined) < strand_length:
+            for position, counts in enumerate(insert_votes):
+                top = counts.most_common(2)
+                if position not in applied and len(top) == 2 and top[0][1] == top[1][1] == 2:
+                    ties.append((position, top[0][0], top[1][0]))
+        return repair(self, refined, strand_length, insert_votes, applied, position_map)
+
+    monkeypatch.setattr(IterativeReconstruction, "_repair_length", spy)
+    IterativeReconstruction(rounds=1).reconstruct(REPAIR_TIE_CLUSTER, 8)
+    # The first-voted base wins the tie, not the smallest one.
+    assert ties == [(0, "T", "G")]
+    estimate = bma_forward_pass(EMPTIED_CLUSTER, 8)
+    assert estimate and IterativeReconstruction()._refine(estimate, EMPTIED_CLUSTER, 8) == ""
 
 
 def test_non_ascii_pair_above_matrix_threshold():

@@ -3,10 +3,9 @@
 The load-bearing invariant throughout is **shard-count invariance**: for
 every associatively-merged stage (generation, profiling, reconstruction,
 curves, accuracy), running sharded must produce results bit-identical to
-the serial path.  Greedy clustering is the documented exception (an
-approximation, asserted only for sanity), and the archive survey draws
-different same-distribution noise (asserted to recover the data, not to
-match serial bytes).
+the serial path.  Greedy clustering ignores the shard count (one global
+sweep), and the archive survey draws different same-distribution noise
+(asserted to recover the data, not to match serial bytes).
 """
 
 from __future__ import annotations
@@ -355,31 +354,29 @@ class TestSimulatorShards:
 # --------------------------------------------------------------------- #
 
 
-class TestShardedClustering:
-    def test_sharded_sweep_recovers_well_separated_clusters(self):
+class TestClusteringIgnoresShards:
+    def test_ambient_shard_count_never_changes_clustering(self, monkeypatch):
+        """Greedy clustering is one global serial sweep: ``REPRO_SHARDS``
+        (or a ``shards`` argument) must not change its output.  On this
+        read-out a shard-local sweep found 61 clusters, the serial one
+        65."""
         from repro.cluster.greedy import GreedyClusterer
+        from repro.cluster.pseudo import flatten_with_labels, shuffle_reads
+        from repro.data.nanopore import make_nanopore_dataset
 
-        rng = random.Random(77)
-        references = [
-            "".join(rng.choices("ACGT", k=80)) for _ in range(10)
-        ]
-        channel_pool = Simulator(
-            ErrorModel.uniform(0.03), ConstantCoverage(5), seed=5
-        ).simulate(references)
-        reads = [copy for cluster in channel_pool for copy in cluster.copies]
-        clusterer = GreedyClusterer()
-        serial = clusterer.cluster(reads)
-        sharded = clusterer.cluster(reads, shards=3)
-        # An approximation, but on well-separated data both modes must
-        # find one cluster per reference and agree on who groups with whom.
-        assert sharded.n_clusters == serial.n_clusters == len(references)
-        serial_groups = {
-            frozenset(members) for members in serial.members if members
-        }
-        sharded_groups = {
-            frozenset(members) for members in sharded.members if members
-        }
-        assert sharded_groups == serial_groups
+        pool = make_nanopore_dataset(60, seed=3)
+        reads = [
+            read.sequence
+            for read in shuffle_reads(flatten_with_labels(pool), random.Random(3))
+        ][:1200]
+        default = GreedyClusterer().cluster(reads)
+        monkeypatch.setenv("REPRO_SHARDS", "4")
+        ambient = GreedyClusterer().cluster(reads)
+        explicit = GreedyClusterer().cluster(reads, shards=4, workers=2)
+        for result in (ambient, explicit):
+            assert result.assignments == default.assignments
+            assert result.representatives == default.representatives
+            assert result.comparisons == default.comparisons
 
 
 # --------------------------------------------------------------------- #
