@@ -122,7 +122,7 @@ def test_bench_fullscale_streamed_memory_is_bounded(tmp_path):
         "streamed",
     )
     # The unsharded baseline: the same streaming writer, but a single
-    # shard — the whole dataset is materialised in one wave before a
+    # shard — the whole dataset is materialised as one result before a
     # byte is written, exactly the classic in-memory working set, while
     # drawing from the same per-cluster seed streams so the outputs are
     # comparable byte for byte.

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -37,7 +37,12 @@ from repro.core.errors import ErrorModel, SecondOrderError
 from repro.core.spatial import HistogramSpatial, SpatialDistribution, UniformSpatial
 from repro.core.strand import Cluster, StrandPool
 from repro.observability import counter, span
-from repro.parallel import chunk_items, parallel_map, resolve_workers
+from repro.parallel import (
+    chunk_items,
+    parallel_map,
+    parallel_stream,
+    resolve_workers,
+)
 from repro.sharding.plan import ShardPlan, batched, resolve_shards
 
 
@@ -214,31 +219,29 @@ class ErrorProfile:
         The streaming counterpart of :meth:`from_pool` for sources that
         must never be materialised whole — :func:`repro.data.io.iter_pool`
         over a paper-scale evyat file, or a generator of simulated
-        clusters.  Batches of ``batch_size`` clusters are tallied (on the
-        process pool when ``workers > 1``) and merged as they arrive, so
-        peak memory is one batch per worker.  Bit-identical to
-        :meth:`from_pool` over the materialised equivalent.
+        clusters.  Batches of ``batch_size`` clusters are tallied (on one
+        process pool when ``workers > 1``, at most ``workers`` batches in
+        flight) and merged in batch order as they arrive, so peak memory
+        is one batch per worker.  Bit-identical to :meth:`from_pool` over
+        the materialised equivalent.
         """
         effective_workers = resolve_workers(workers)
         statistics = ErrorStatistics()
         n_clusters = 0
+
+        def counted_batches() -> "Iterator[list[Cluster]]":
+            nonlocal n_clusters
+            for batch in batched(clusters, batch_size):
+                n_clusters += len(batch)
+                yield batch
+
         with span("profile_fit_stream", workers=effective_workers):
-            for wave in batched(
-                clusters, batch_size * max(1, effective_workers)
+            for part in parallel_stream(
+                partial(_tally_cluster_chunk, max_copies_per_cluster),
+                counted_batches(),
+                effective_workers,
             ):
-                n_clusters += len(wave)
-                chunks = [
-                    wave[start : start + batch_size]
-                    for start in range(0, len(wave), batch_size)
-                ]
-                partials = parallel_map(
-                    partial(_tally_cluster_chunk, max_copies_per_cluster),
-                    chunks,
-                    workers=effective_workers,
-                    chunk_size=1,
-                )
-                for part in partials:
-                    statistics.merge(part)
+                statistics.merge(part)
             counter("profile.clusters").inc(n_clusters)
         return cls(statistics)
 

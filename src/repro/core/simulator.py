@@ -24,6 +24,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator, Sequence
 from functools import partial
+from itertools import chain
 
 from repro.core.alphabet import random_strand
 from repro.core.channel import Channel
@@ -33,8 +34,14 @@ from repro.core.profile import ErrorProfile, SimulatorStage
 from repro.core.strand import Cluster, StrandPool
 from repro.exceptions import ConfigError
 from repro.observability import counter, span
-from repro.parallel import chunk_items, derive_seed, parallel_map, resolve_workers
-from repro.sharding.plan import ShardPlan, batched, resolve_shards
+from repro.parallel import (
+    chunk_items,
+    derive_seed,
+    parallel_map,
+    parallel_stream,
+    resolve_workers,
+)
+from repro.sharding.plan import ShardPlan, resolve_shards
 
 
 class Simulator:
@@ -160,19 +167,17 @@ class Simulator:
         per_shard = plan.split(
             list(zip(range(len(references)), references, coverages))
         )
-        effective_workers = resolve_workers(workers)
         with span(
             "simulate_stream", clusters=len(references), shards=plan.n_shards
         ):
             counter("simulate.clusters").inc(len(references))
-            for wave in batched(per_shard, max(1, effective_workers)):
-                for shard_clusters in parallel_map(
+            yield from chain.from_iterable(
+                parallel_stream(
                     partial(_transmit_chunk, self.model, self.seed),
-                    wave,
-                    workers=effective_workers,
-                    chunk_size=1,
-                ):
-                    yield from shard_clusters
+                    per_shard,
+                    workers,
+                )
+            )
 
     def _simulate_seeded(
         self,

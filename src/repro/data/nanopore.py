@@ -25,6 +25,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 from repro.core.alphabet import random_strand
 from repro.core.channel import Channel
@@ -42,8 +43,8 @@ from repro.core.errors import (
 )
 from repro.core.spatial import TerminalSkew, UniformSpatial
 from repro.core.strand import Cluster, StrandPool
-from repro.parallel import derive_seed, parallel_map, resolve_workers
-from repro.sharding.plan import ShardPlan, batched, resolve_shards
+from repro.parallel import derive_seed, parallel_stream
+from repro.sharding.plan import ShardPlan, resolve_shards
 
 #: Statistics of the real dataset, as reported in Section 3.2.
 PAPER_N_CLUSTERS = 10_000
@@ -247,9 +248,10 @@ def iter_nanopore_clusters(
     """Stream a Nanopore-like dataset shard by shard, in index order.
 
     The streaming counterpart of :func:`make_nanopore_dataset` for
-    paper-scale generation: at most ``workers`` shards of clusters are in
-    memory at once instead of the whole pool, so 10,000 clusters /
-    ~270k reads can be written straight to disk in bounded memory.
+    paper-scale generation: one process pool serves the whole stream, and
+    at most ``workers`` shards are in flight plus the one being consumed,
+    instead of the whole pool, so 10,000 clusters / ~270k reads can be
+    written straight to disk in bounded memory.
 
     Unlike the serial generator, randomness is derived **per cluster**
     from ``(seed, index)`` (references from a separate derived stream,
@@ -262,8 +264,8 @@ def iter_nanopore_clusters(
         shards: contiguous shards to split generation into (``None`` ->
             ``REPRO_SHARDS``/CLI default); the unit of both parallelism
             and peak memory.
-        workers: worker processes per shard wave (``None`` ->
-            ``REPRO_WORKERS``/CLI default).
+        workers: worker processes, and the number of shards in flight
+            (``None`` -> ``REPRO_WORKERS``/CLI default).
     """
     model = ground_truth_model(parameters)
     if constant_coverage is not None:
@@ -283,14 +285,10 @@ def iter_nanopore_clusters(
         reference_base,
         strand_length,
     )
-    # Waves of `workers` shards: enough in flight to keep the pool busy,
-    # few enough that peak memory stays bounded by a wave, not the pool.
-    effective_workers = resolve_workers(workers)
-    for wave in batched(per_shard, max(1, effective_workers)):
-        for shard_clusters in parallel_map(
-            generate, wave, workers=effective_workers, chunk_size=1
-        ):
-            yield from shard_clusters
+    # One pool for the whole stream with at most `workers` shards in
+    # flight: enough to keep the pool busy, few enough that peak memory
+    # stays bounded by the shards in flight, not the pool.
+    yield from chain.from_iterable(parallel_stream(generate, per_shard, workers))
 
 
 def make_sharded_nanopore_dataset(

@@ -4,7 +4,7 @@ Every expensive stage of the harness — profile fitting, reconstruction,
 curve accumulation, simulation — is embarrassingly parallel over
 clusters, yet at the paper's 10,000-cluster scale a serial pass through
 ``IterativeReconstruction.reconstruct_pool`` alone costs minutes.  This
-module provides the one primitive those stages share:
+module provides the two primitives those stages share:
 
 * :func:`parallel_map` — a chunked ``ProcessPoolExecutor`` map whose
   results are merged **in input order**, so any stage whose per-item work
@@ -12,6 +12,11 @@ module provides the one primitive those stages share:
   inputs too small to amortise the pool (fewer than
   :data:`MIN_PARALLEL_ITEMS` items, one worker, one CPU, or a single
   chunk) run as a plain serial loop with identical results;
+* :func:`parallel_stream` — its streaming counterpart for sources that
+  must never be materialised whole (shards of a streamed dataset,
+  batches of an evyat file): one pool serves the whole stream, at most
+  ``workers`` items are in flight, and results are yielded in input
+  order;
 * worker-count resolution — the ``REPRO_WORKERS`` environment variable
   (``0`` means "all cores") overridden per-process by the CLI's
   ``--workers`` flag via :func:`set_default_workers`;
@@ -29,10 +34,11 @@ from __future__ import annotations
 
 import hashlib
 import os
-from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from repro import observability
 from repro.observability import get_logger
@@ -60,9 +66,11 @@ FORCE_ENV = "REPRO_FORCE_PARALLEL"
 #: startup plus pickling costs more than the work itself — the
 #: ``BENCH_throughput`` sub-1× "speedups" were exactly this overhead
 #: measured on inputs too small to parallelise.  Kept small: the sharded
-#: stages routinely dispatch one item per shard (4 shards is a common
-#: test configuration), and those items are coarse enough to amortise
-#: the pool even at this count.
+#: stages dispatch one item per shard (4 shards is a common test
+#: configuration), and those items are coarse enough to amortise the pool
+#: even at this count.  It gates :func:`parallel_map` only: a stream's
+#: length is unknown up front, and its one pool is amortised over the
+#: whole stream.
 MIN_PARALLEL_ITEMS = 4
 
 #: Process-wide override installed by the CLI's ``--workers`` flag.
@@ -228,6 +236,57 @@ def parallel_map_chunks(
     chunks = chunk_items(items, pool_workers, chunk_size)
     per_chunk = parallel_map(fn, chunks, pool_workers, chunk_size=1, force=True)
     return [result for part in per_chunk for result in part]
+
+
+def parallel_stream(
+    fn: Callable[[Item], Result],
+    items: Iterable[Item],
+    workers: int | None = None,
+) -> Iterator[Result]:
+    """Yield ``fn(item)`` for each item of ``items``, in input order,
+    computed on one process pool that serves the whole stream.
+
+    ``items`` is read lazily, and at most ``workers`` items are ever
+    submitted but not yet yielded: the next item is pulled and submitted
+    only when the consumer asks for the next result.  Whatever the
+    stream's length, memory therefore holds at most ``workers`` items and
+    results at once, the one the consumer is working on included.
+
+    Runs as a plain serial loop when the resolved worker count is <= 1
+    or the machine has a single CPU; ``REPRO_FORCE_PARALLEL=1`` forces
+    the pool regardless.  A worker's exception is raised at its item's
+    position in the output.  Closing the generator early (``break``, an
+    exception in the consumer, ``close()``) cancels the queued items and
+    shuts the pool down.
+    """
+    workers = resolve_workers(workers)
+    if _force_parallel():
+        workers = max(workers, 2)
+    elif workers <= 1 or (os.cpu_count() or 1) == 1:
+        yield from map(fn, items)
+        return
+    observed = observability.collection_enabled()
+    task = partial(_observed_call, fn) if observed else fn
+    pending: deque[Future] = deque()
+    executor = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for item in items:
+            pending.append(executor.submit(task, item))
+            if len(pending) == workers:
+                yield _take(pending.popleft(), observed)
+        while pending:
+            yield _take(pending.popleft(), observed)
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+
+
+def _take(future: Future, observed: bool) -> Any:
+    """A stream task's result, its worker snapshots merged home first."""
+    if not observed:
+        return future.result()
+    result, metrics_snapshot, span_records = future.result()
+    observability.merge_worker_snapshot(metrics_snapshot, span_records)
+    return result
 
 
 def _pool_workers(

@@ -26,7 +26,7 @@ from repro.observability.bench import (
 )
 from repro.observability.logs import configure_logging, get_logger
 from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.parallel import parallel_map
+from repro.parallel import parallel_map, parallel_stream
 from repro.reconstruct.iterative import IterativeReconstruction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -350,6 +350,60 @@ def test_serial_and_parallel_counters_match(monkeypatch):
 
     assert parallel_results == serial_results
     assert parallel_count == serial_count == len(items)
+
+
+def test_parallel_stream_merges_worker_metrics_and_spans(monkeypatch):
+    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+    observability.enable(tracing=True, metrics=True)
+    items = list(range(6))
+    with observability.span("parent"):
+        results = list(parallel_stream(_observed_task, iter(items), workers=2))
+    assert results == [item * 2 for item in items]
+    assert observability.registry().counter("task.items").value == len(items)
+    worker_records = [r for r in observability.tracer().records if r.get("worker")]
+    assert [r["attrs"]["item"] for r in worker_records] == items
+
+
+def _counter_totals() -> dict:
+    return {
+        (c["name"], tuple(sorted(c["labels"].items()))): c["value"]
+        for c in observability.registry().to_json()["counters"]
+    }
+
+
+def test_traced_iter_shards_counters_match_serial(monkeypatch):
+    """A traced pooled stream merges the same counters as a serial one,
+    and yields the same clusters."""
+    references = [
+        "".join(random.Random(index).choices("ACGT", k=50)) for index in range(24)
+    ]
+
+    def stream(workers: int) -> list:
+        simulator = Simulator(
+            ErrorModel.uniform(0.05),
+            ConstantCoverage(3),
+            seed=4,
+            per_cluster_seeds=True,
+        )
+        return [
+            cluster.copies
+            for cluster in simulator.iter_shards(
+                references, shards=6, workers=workers
+            )
+        ]
+
+    observability.enable(tracing=True, metrics=True)
+    serial = stream(workers=1)
+    serial_counters = _counter_totals()
+
+    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+    observability.enable(tracing=True, metrics=True)
+    pooled = stream(workers=2)
+    pooled_counters = _counter_totals()
+
+    assert pooled == serial
+    assert pooled_counters == serial_counters
+    assert serial_counters[("simulate.clusters", ())] == len(references)
 
 
 def test_profile_fit_observability_matches_serial(monkeypatch, uniform_pool):

@@ -10,7 +10,10 @@ otherwise hide pickling and merge bugs).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import random
+import time
 from functools import partial
 
 import pytest
@@ -20,6 +23,8 @@ from repro.core.coverage import ConstantCoverage, NegativeBinomialCoverage
 from repro.core.errors import ErrorModel
 from repro.core.profile import ErrorProfile
 from repro.core.simulator import Simulator
+from repro.core.strand import Cluster
+from repro.data.io import PoolWriter
 from repro.data.nanopore import make_nanopore_dataset
 from repro.experiments import cache as context_cache
 from repro.metrics.curves import (
@@ -32,6 +37,7 @@ from repro.parallel import (
     default_chunk_size,
     derive_seed,
     parallel_map,
+    parallel_stream,
     resolve_workers,
     set_default_workers,
 )
@@ -84,6 +90,164 @@ class TestParallelMap:
     def test_worker_exception_propagates(self, force_pool):
         with pytest.raises(ZeroDivisionError):
             parallel_map(partial(divmod, 1), [1, 0], workers=2)
+
+
+def _slow_square(value: int) -> int:
+    time.sleep(0.05)
+    return value * value
+
+
+class PullCounter:
+    """An input generator that records, at every pull, how many items
+    the stream has pulled beyond what its consumer has received."""
+
+    def __init__(self, n_items: int) -> None:
+        self.n_items = n_items
+        self.pulled = 0
+        self.received = 0
+        self.ahead: list[int] = []
+
+    def __iter__(self):
+        for value in range(self.n_items):
+            self.pulled += 1
+            self.ahead.append(self.pulled - self.received)
+            yield value
+
+
+def _counting_pool(monkeypatch) -> list[int]:
+    """Wrap ``parallel.ProcessPoolExecutor`` so each pool built is logged."""
+    built: list[int] = []
+    real = parallel.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", counting)
+    return built
+
+
+class TestParallelStream:
+    def test_serial_fallback_matches_comprehension(self):
+        assert list(parallel_stream(_square, iter(range(20)), workers=1)) == [
+            value * value for value in range(20)
+        ]
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_pool_preserves_order(self, force_pool, workers):
+        assert list(parallel_stream(_square, iter(range(23)), workers)) == [
+            value * value for value in range(23)
+        ]
+
+    def test_empty_stream(self, force_pool):
+        assert list(parallel_stream(_square, iter([]), workers=2)) == []
+
+    @pytest.mark.parametrize("workers", (2, 3))
+    def test_window_never_pulls_more_than_workers_ahead(
+        self, monkeypatch, workers
+    ):
+        """The DESIGN §11 memory bound: at most ``workers`` items are
+        pulled beyond the results the consumer has received."""
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
+        source = PullCounter(12)
+        results = []
+        for result in parallel_stream(_square, source, workers):
+            source.received += 1
+            results.append(result)
+        assert results == [value * value for value in range(12)]
+        assert max(source.ahead) == workers
+
+    def test_worker_exception_surfaces_at_its_position(self, force_pool):
+        results = []
+        with pytest.raises(ZeroDivisionError):
+            for result in parallel_stream(
+                partial(divmod, 1), iter([1, 2, 0, 4, 5]), workers=2
+            ):
+                results.append(result)
+        assert results == [divmod(1, 1), divmod(1, 2)]
+        assert multiprocessing.active_children() == []
+
+
+class TestStreamLifecycle:
+    """A consumer that stops early shuts the stream's pool down: queued
+    items are cancelled, no worker outlives the stream, and the stop
+    waits at most for the items already running."""
+
+    N_ITEMS = 400  # ~10 s of work on 2 workers if the stream ran on
+
+    def test_break(self, force_pool):
+        started = time.perf_counter()
+        for result in parallel_stream(
+            _slow_square, iter(range(self.N_ITEMS)), workers=2
+        ):
+            assert result == 0
+            break
+        assert time.perf_counter() - started < 5
+        assert multiprocessing.active_children() == []
+
+    def test_close(self, force_pool):
+        source = PullCounter(self.N_ITEMS)
+        stream = parallel_stream(_slow_square, source, workers=2)
+        assert [next(stream), next(stream)] == [0, 1]
+        stream.close()
+        assert source.pulled <= 2 + 2  # results received + the window
+        assert multiprocessing.active_children() == []
+
+    def test_raising_pool_writer(self, force_pool, tmp_path, monkeypatch):
+        written: list[Cluster] = []
+
+        def fail_after_three(self, cluster):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(cluster)
+
+        monkeypatch.setattr(PoolWriter, "write_cluster", fail_after_three)
+        simulator = Simulator(
+            ErrorModel.uniform(0.06),
+            ConstantCoverage(4),
+            seed=5,
+            per_cluster_seeds=True,
+        )
+        references = ["ACGT" * 25] * self.N_ITEMS
+        with pytest.raises(OSError, match="disk full"):
+            with PoolWriter(tmp_path / "pool.txt") as writer:
+                writer.write_all(
+                    simulator.iter_shards(references, shards=50, workers=2)
+                )
+        assert len(written) == 3
+        assert not (tmp_path / "pool.txt").exists()
+        assert multiprocessing.active_children() == []
+
+
+class TestIterShardsPools:
+    REFERENCES = [
+        "".join(random.Random(index).choices("ACGT", k=40))
+        for index in range(40)
+    ]
+
+    def _simulator(self) -> Simulator:
+        return Simulator(
+            ErrorModel.uniform(0.06),
+            ConstantCoverage(3),
+            seed=11,
+            per_cluster_seeds=True,
+        )
+
+    def test_one_pool_for_eight_shards(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        built = _counting_pool(monkeypatch)
+        streamed = list(
+            self._simulator().iter_shards(self.REFERENCES, shards=8, workers=2)
+        )
+        assert built == [2]
+        whole = self._simulator().simulate(self.REFERENCES)
+        assert [c.copies for c in streamed] == [c.copies for c in whole]
+
+    def test_one_worker_builds_no_pool(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        built = _counting_pool(monkeypatch)
+        list(self._simulator().iter_shards(self.REFERENCES, shards=8, workers=1))
+        assert built == []
 
 
 class TestSerialFastPath:

@@ -29,6 +29,7 @@ from repro.data.nanopore import (
 from repro.exceptions import ConfigError
 from repro.metrics.accuracy import AccuracyTally
 from repro.metrics.curves import post_reconstruction_curves, pre_reconstruction_curves
+from repro.parallel import FORCE_ENV
 from repro.reconstruct.majority import PositionalMajority
 from repro.sharding import (
     ShardPlan,
@@ -267,7 +268,7 @@ class TestStageEquivalence:
             == serial.statistics.long_deletion_lengths
         )
 
-    def test_profile_fit_streaming_matches_pool(self, stage_pool):
+    def test_profile_fit_streaming_matches_pool(self, stage_pool, monkeypatch):
         whole = ErrorProfile.from_pool(stage_pool, max_copies_per_cluster=3)
         streamed = ErrorProfile.from_clusters(
             iter(stage_pool), max_copies_per_cluster=3, batch_size=7
@@ -277,6 +278,11 @@ class TestStageEquivalence:
             == whole.statistics.substitution_pairs
         )
         assert streamed.statistics.pair_count == whole.statistics.pair_count
+        monkeypatch.setenv(FORCE_ENV, "1")
+        pooled = ErrorProfile.from_clusters(
+            iter(stage_pool), max_copies_per_cluster=3, workers=2, batch_size=7
+        )
+        assert pooled.statistics == whole.statistics
 
     def test_reconstruct_pool_sharded_matches_serial(self, stage_pool):
         reconstructor = PositionalMajority()
@@ -333,6 +339,22 @@ class TestSimulatorShards:
         streamed = list(
             self._simulator(per_cluster_seeds=True).iter_shards(
                 references, shards=4
+            )
+        )
+        assert [c.reference for c in streamed] == whole.references
+        assert [c.copies for c in streamed] == [c.copies for c in whole]
+
+    @pytest.mark.parametrize("shards", (1, 3, 8))
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_iter_shards_pool_matches_simulate(self, monkeypatch, workers, shards):
+        monkeypatch.setenv(FORCE_ENV, "1")
+        references = [
+            "".join(random.Random(i).choices("ACGT", k=60)) for i in range(18)
+        ]
+        whole = self._simulator(per_cluster_seeds=True).simulate(references)
+        streamed = list(
+            self._simulator(per_cluster_seeds=True).iter_shards(
+                references, shards=shards, workers=workers
             )
         )
         assert [c.reference for c in streamed] == whole.references
