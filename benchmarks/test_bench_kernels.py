@@ -4,8 +4,8 @@ Times each kernel (exact edit distance, banded edit distance, the
 one-vs-many batch kernel, and gestalt matching blocks) at the paper's
 strand length (110) plus 220 and 1000, once as the ``python`` reference
 function and once per fast path that serves the shape (``bitparallel``
-for pairwise distances and one-vs-many batches, ``runtable`` for
-gestalt); the edit-operation traceback (one
+for pairwise distances and, as the lane-packed sweep, one-vs-many
+batches; ``runtable`` for gestalt); the edit-operation traceback (one
 implementation, so one number per length); and the greedy-clustering
 end-to-end wall-clock with the reference DPs patched in (``python``)
 versus the code-chosen kernels (``bitparallel``).  The JSON lands at the
@@ -22,6 +22,7 @@ Two floors are asserted, with the values the dashboard's
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from pathlib import Path
@@ -73,13 +74,34 @@ def _reference_banded(pattern: CompiledPattern, other: str, band: int) -> int:
     return kernels._python_banded(pattern.text, other, band)
 
 
-def _patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
+def _reference_lanes(
+    text: str, lanes: list[CompiledPattern], band: int | None = None
+) -> list[int]:
+    if band is None:
+        return [kernels._python_distance(text, lane.text) for lane in lanes]
+    return [kernels._python_banded(lane.text, text, band) for lane in lanes]
+
+
+def _patch_reference_kernels(patch: pytest.MonkeyPatch) -> dict[str, int]:
     """Route every distance through the seed's DPs: the clustering
-    baseline the floor compares against."""
+    baseline the floor compares against.  Each lane of a one-vs-many
+    sweep goes through the reference DP behind the same short-circuits.
+    Returns a count of reference banded-DP calls, so the caller can check
+    the baseline really ran them."""
+    calls = {"banded": 0}
+    python_banded = kernels._python_banded
+
+    def counted_banded(first: str, second: str, band: int) -> int:
+        calls["banded"] += 1
+        return python_banded(first, second, band)
+
+    patch.setattr(kernels, "_python_banded", counted_banded)
     patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
-    patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
+    patch.setattr(kernels, "_bitparallel_banded", counted_banded)
     patch.setattr(CompiledPattern, "distance", _reference_distance)
     patch.setattr(CompiledPattern, "banded_distance", _reference_banded)
+    patch.setattr(kernels, "_packed_distances", _reference_lanes)
+    return calls
 
 
 def _per_read_ns(function, reference: str, reads: list[str]) -> float:
@@ -167,10 +189,11 @@ def test_bench_kernels_record():
     clustering: dict[str, float] = {}
     results = {}
     with pytest.MonkeyPatch.context() as patch:
-        _patch_reference_kernels(patch)
+        reference_calls = _patch_reference_kernels(patch)
         start = time.perf_counter()
         results["python"] = GreedyClusterer().cluster(reads)
         clustering["python"] = time.perf_counter() - start
+    assert reference_calls["banded"] > 0
     start = time.perf_counter()
     results["bitparallel"] = GreedyClusterer().cluster(reads)
     clustering["bitparallel"] = time.perf_counter() - start
@@ -192,6 +215,7 @@ def test_bench_kernels_record():
                 "speedup": clustering["speedup"],
             },
             "edit_distance_110_speedup": kernel_speedup,
+            "cpu_count": os.cpu_count(),
         }
     )
     assert_stamped(record)

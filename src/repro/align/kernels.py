@@ -3,11 +3,12 @@
 Every layer of the harness above the channel ultimately bottoms out in a
 handful of single-pair string kernels: Levenshtein distance (clustering,
 reconstruction-quality scoring), its banded variant (the
-:class:`~repro.cluster.greedy.GreedyClusterer` hot path — called once per
-candidate pair), and the longest-common-substring recursion behind gestalt
-matching (the Fig. 3.2b/3.4 error-position analyses).  This module makes
-those kernels fast while keeping the original pure-Python dynamic programs
-as plain reference functions for the differential oracles.
+:class:`~repro.cluster.greedy.GreedyClusterer` hot path — one read
+against all its candidate representatives), and the
+longest-common-substring recursion behind gestalt matching (the Fig.
+3.2b/3.4 error-position analyses).  This module makes those kernels fast
+while keeping the original pure-Python dynamic programs as plain
+reference functions for the differential oracles.
 
 There is one code-chosen path per input shape:
 
@@ -19,8 +20,12 @@ There is one code-chosen path per input shape:
   is simply an m-bit int — the 64-bit word blocking happens inside
   CPython's limb arithmetic and patterns longer than 64 characters need
   no extra code.
-* one-vs-many batches (:class:`CompiledPattern`) reuse one pattern's
-  masks and loop the pairwise kernel over the reads.
+* one-vs-many batches (:class:`CompiledPattern`) sweep the shared
+  string once against all the others, packed as lanes of one integer
+  (:func:`_packed_distances`): each lane is one string's pattern bits
+  plus a zero guard bit that stops carries and shifts at the lane's
+  edge, and each lane's distance is read off the final column by
+  popcount.
 * the gestalt recursion's longest-common-substring queries are answered
   from one :class:`RunTable` per string pair.
 
@@ -211,6 +216,79 @@ def _myers_distance(
     return score
 
 
+def _packed_distances(
+    text: str, lanes: Sequence[CompiledPattern], band: int | None = None
+) -> list[int]:
+    """Myers/Hyyrö distance of ``text`` to every lane's string in one
+    sweep over ``text`` (banded to ``min(distance, band + 1)`` when
+    ``band`` is given).
+
+    Lane ``k`` occupies ``len(lanes[k].text)`` bits of one integer,
+    followed by one zero guard bit; ``Peq`` ORs every lane's masks in at
+    its offset.  The recurrence is the pairwise one with two lane-wise
+    changes: ``HP`` shifts in ``low`` (bit 0 of every lane) instead of
+    ``1``, and ``& full`` (every lane's bits, no guard) clears whatever
+    the addition's carry or a shift pushed into a guard, so no lane ever
+    reads a neighbour's bits.  ``full ^ x`` stands for ``~x`` within the
+    lanes; it keeps every word non-negative, which CPython's big-int
+    logic handles faster than a complement.  Nothing is scored per step:
+    the DP's top row is ``D[0][n] = n``, so lane ``k``'s distance is
+    ``n`` plus its +1 vertical deltas minus its -1 ones in the final
+    column.
+    """
+    peq: dict[str, int] = {}
+    get_mask = peq.get
+    low = full = offset = 0
+    offsets = []
+    for lane in lanes:
+        width = len(lane.text)
+        if width:
+            for char, mask in lane._pattern().items():
+                peq[char] = get_mask(char, 0) | (mask << offset)
+            low |= 1 << offset
+            full |= ((1 << width) - 1) << offset
+        offsets.append(offset)
+        offset += width + 1
+    vertical_positive = full
+    vertical_negative = 0
+    for char in text:
+        # ``Eq | VN``: ANDed with VP it is ``Eq & VP``, as VP and VN
+        # never share a bit.  A carry out of a lane's top bit stops in
+        # its guard bit; the guard bits this sets are masked off below.
+        eq_or_negative = get_mask(char, 0) | vertical_negative
+        diagonal_zero = (
+            ((eq_or_negative & vertical_positive) + vertical_positive)
+            ^ vertical_positive
+        ) | eq_or_negative
+        horizontal_negative = vertical_positive & diagonal_zero
+        # A guard bit shifts into the next lane's bit 0, which ``low``
+        # overwrites; a lane's top bit shifts into its guard, which
+        # ``full`` clears.
+        horizontal_positive = (
+            (
+                (vertical_negative | (full ^ (diagonal_zero | vertical_positive)))
+                << 1
+            )
+            | low
+        ) & full
+        vertical_negative = horizontal_positive & diagonal_zero
+        vertical_positive = (
+            (horizontal_negative << 1) | (full ^ (diagonal_zero | horizontal_positive))
+        ) & full
+    length = len(text)
+    distances = []
+    for lane, offset in zip(lanes, offsets):
+        bits = (1 << len(lane.text)) - 1
+        distances.append(
+            length
+            + ((vertical_positive >> offset) & bits).bit_count()
+            - ((vertical_negative >> offset) & bits).bit_count()
+        )
+    if band is None:
+        return distances
+    return [min(distance, band + 1) for distance in distances]
+
+
 def _bitparallel_distance(first: str, second: str) -> int:
     # The shorter string is the pattern: fewer bits per word operation.
     if len(second) < len(first):
@@ -320,15 +398,16 @@ class RunTable:
 # ------------------------------------------------------------------ #
 
 
-def _count_kernel_call(kernel: str) -> None:
-    """Record one kernel dispatch in the metrics registry.
+def _count_kernel_call(kernel: str, pairs: int = 1) -> None:
+    """Record ``pairs`` kernel comparisons in the metrics registry.
 
     These kernels are the innermost hot path of the whole harness, so the
     counter bypasses the null-object helper: callers guard on
     ``_obs_state.registry is not None`` (one global load and an ``is``
-    check) and pay nothing when metrics are disabled.
+    check) and pay nothing when metrics are disabled.  A one-vs-many call
+    counts all its lanes in one increment.
     """
-    _obs_state.registry.counter("kernel.calls", kernel=kernel).inc()
+    _obs_state.registry.counter("kernel.calls", kernel=kernel).inc(pairs)
 
 
 def edit_distance_kernel(first: str, second: str) -> int:
@@ -369,10 +448,13 @@ def longest_common_substring(
 class CompiledPattern:
     """One string compiled for repeated comparisons against many others.
 
-    Precomputes the Myers pattern-match bitmasks once, so a one-vs-many
-    sweep — a cluster representative against every candidate read, a
-    reconstruction candidate against every copy in its cluster — pays the
-    O(m) mask build a single time instead of once per pair.
+    Its Myers pattern-match bitmasks are built on first use and kept, so
+    a string compared again and again — a greedy cluster representative
+    against every read that names it as a candidate — pays the O(m) mask
+    build once.  :meth:`distances` and :meth:`banded_distances` sweep
+    this string once against all of ``others`` (:func:`_packed_distances`);
+    an entry of ``others`` may itself be a ``CompiledPattern``, whose
+    held masks then become its lane.
     """
 
     __slots__ = ("text", "_masks")
@@ -409,14 +491,47 @@ class CompiledPattern:
             _count_kernel_call("banded")
         return _myers_distance(self._pattern(), len(self.text), other, band)
 
-    def distances(self, others: Sequence[str]) -> list[int]:
+    def distances(self, others: Sequence[str | CompiledPattern]) -> list[int]:
         """Levenshtein distance to each of ``others``."""
-        return [self.distance(other) for other in others]
+        return self._one_to_many(others, None)
 
-    def banded_distances(self, others: Sequence[str], band: int) -> list[int]:
+    def banded_distances(
+        self, others: Sequence[str | CompiledPattern], band: int
+    ) -> list[int]:
         """Banded distance to each of ``others`` (exact when ``<= band``,
         else ``band + 1``)."""
-        return [self.banded_distance(other, band) for other in others]
+        return self._one_to_many(others, band)
+
+    def _one_to_many(
+        self, others: Sequence[str | CompiledPattern], band: int | None
+    ) -> list[int]:
+        """Each of ``others`` behind :meth:`distance`'s or
+        :meth:`banded_distance`'s short-circuits, in their order; the rest
+        become lanes of one packed sweep."""
+        text = self.text
+        results: list[int] = []
+        lanes: list[CompiledPattern] = []
+        slots: list[int] = []
+        for other in others:
+            lane = (
+                other if isinstance(other, CompiledPattern) else CompiledPattern(other)
+            )
+            if band is not None and abs(len(text) - len(lane.text)) > band:
+                results.append(band + 1)
+            elif lane.text == text:
+                results.append(0)
+            elif band is None and not (text and lane.text):
+                results.append(abs(len(text) - len(lane.text)))
+            else:
+                slots.append(len(results))
+                results.append(0)
+                lanes.append(lane)
+        if lanes:
+            if _obs_state.registry is not None:
+                _count_kernel_call("edit" if band is None else "banded", len(lanes))
+            for slot, distance in zip(slots, _packed_distances(text, lanes, band)):
+                results[slot] = distance
+        return results
 
 
 def edit_distances_one_to_many(

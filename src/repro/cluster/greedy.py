@@ -110,6 +110,10 @@ class GreedyClusterer:
         signatures = index.signatures(list(reads))
         assignments: list[int] = []
         representatives: list[str] = []
+        # Each representative compiled once, when its cluster is founded:
+        # every later read that names the cluster as a candidate reuses
+        # its lane masks, and so does the merge pass.
+        compiled: list[CompiledPattern] = []
         members: list[list[int]] = []
         comparisons = 0
         for read_position, read in enumerate(reads):
@@ -123,16 +127,15 @@ class GreedyClusterer:
                     )
                 }
             )
-            # Compile the read once: its pattern masks are reused across
-            # every candidate representative (the sweep's hot path).  The
-            # candidates go through one banded one-vs-many call; iteration
-            # order and the strict < first-minimum tie-break match the
-            # prior one-at-a-time loop exactly.
+            # The read is swept once against every candidate
+            # representative, each a lane of one banded one-vs-many call
+            # (the sweep's hot path); iteration order and the strict <
+            # first-minimum tie-break match a one-at-a-time loop exactly.
             pattern = CompiledPattern(read)
             if candidate_clusters:
                 comparisons += len(candidate_clusters)
                 distances = pattern.banded_distances(
-                    [representatives[c] for c in candidate_clusters],
+                    [compiled[c] for c in candidate_clusters],
                     self.distance_threshold,
                 )
                 for cluster_index, distance in zip(candidate_clusters, distances):
@@ -142,13 +145,14 @@ class GreedyClusterer:
             if best_cluster < 0:
                 best_cluster = len(representatives)
                 representatives.append(read)
+                compiled.append(pattern)
                 members.append([])
             assignments.append(best_cluster)
             members[best_cluster].append(read_position)
             index.add(read_position, read, signature=signatures[read_position])
 
         merged_assignments, merged_representatives, merge_comparisons = (
-            self._merge_fragments(assignments, representatives)
+            self._merge_fragments(assignments, representatives, compiled)
         )
         merged_members: list[list[int]] = [
             [] for _ in range(len(merged_representatives))
@@ -163,9 +167,13 @@ class GreedyClusterer:
         )
 
     def _merge_fragments(
-        self, assignments: list[int], representatives: list[str]
+        self,
+        assignments: list[int],
+        representatives: list[str],
+        compiled: list[CompiledPattern],
     ) -> tuple[list[int], list[str], int]:
-        """Union clusters whose representatives are within the threshold."""
+        """Union clusters whose representatives are within the threshold
+        (``compiled`` holds each representative's sweep-time pattern)."""
         n_clusters = len(representatives)
         parent = list(range(n_clusters))
 
@@ -179,9 +187,8 @@ class GreedyClusterer:
         rep_signatures = representative_index.signatures(representatives)
         comparisons = 0
         for cluster_index, representative in enumerate(representatives):
-            pattern = CompiledPattern(representative)
-            # Distances to every candidate are precomputed in one
-            # one-vs-many banded call; the union-find walk below then
+            # Distances to every candidate come from one packed banded
+            # sweep of this representative; the union-find walk below then
             # consumes them in the original order.  A candidate already
             # unioned with this cluster wastes one precomputed distance,
             # but ``comparisons`` still counts exactly the pairs the
@@ -193,8 +200,8 @@ class GreedyClusterer:
                 )
             )
             distances = (
-                pattern.banded_distances(
-                    [representatives[c] for c in candidates],
+                compiled[cluster_index].banded_distances(
+                    [compiled[c] for c in candidates],
                     self.distance_threshold,
                 )
                 if candidates

@@ -14,9 +14,11 @@ runs the transmit loop against the vectorised sweep over the models of
 per-cluster BMA loop against the lockstep kernel over batches of
 clusters (:func:`bma_corpus`), for ``BMALookahead`` and ``DividerBMA``.
 The ``iterative_many`` entry does the same for the lockstep Iterative
-(:func:`iterative_corpus`).  The ``qgram_signatures`` entry runs the
-per-gram min-hash loop against the per-read and pool-wide vectorised
-signatures (:func:`qgram_corpus`).
+(:func:`iterative_corpus`).  The ``lane_packed`` entry runs the
+one-vs-many sweep, its lanes given as strings and as held compiled
+patterns, straight against the seed DPs (:func:`lane_corpus`).  The
+``qgram_signatures`` entry runs the per-gram min-hash loop against the
+per-read and pool-wide vectorised signatures (:func:`qgram_corpus`).
 """
 
 from __future__ import annotations
@@ -276,6 +278,87 @@ def one_to_many(pattern: str, reads: list[str]) -> list[list[int]]:
     return results
 
 
+#: Lane lengths the ``lane_packed`` entry mixes in one call: empty, one
+#: character, every 64-bit word boundary a lane can straddle, the paper's
+#: 110 and a long lane.
+LANE_LENGTHS = (0, 1, 63, 64, 65, 110, 127, 128, 129, 500)
+
+#: Lane counts of the ``lane_packed`` entry: :data:`BATCH_SIZES` and 300.
+LANE_BATCH_SIZES = BATCH_SIZES + (300,)
+
+
+def lane_corpus(seed: int) -> list[tuple[list[str], list[str]]]:
+    """``(texts, lanes)`` inputs of the lane-packed sweep, every text
+    against all the lanes: mixed lane lengths in one call; an empty text
+    and texts whose characters appear in no lane; ``N``, lowercase,
+    non-ASCII and lone-surrogate alphabets; every lane count of
+    :data:`LANE_BATCH_SIZES`; and greedy clustering's shape, paper-rate
+    reads against one representative per reference."""
+    rng = random.Random(seed)
+    inputs = []
+    lanes = [_strand(rng, length) for length in LANE_LENGTHS]
+    texts = ["", "XYZ" * 20, "é", lanes[5], _strand(rng, 110)]
+    texts += [_mutate(rng, lane, "ACGT", 1 + len(lane) // 16) for lane in lanes]
+    inputs.append((texts, lanes))
+    for alphabet in ("ACGTN", "acgt", "ACGTé", "αβγδ", "ACG\ud800"):
+        lanes = [_strand(rng, length, alphabet) for length in (0, 1, 20, 64, 65, 90)]
+        texts = [_mutate(rng, lane, alphabet, 6) for lane in lanes[2:]]
+        inputs.append((texts + [_strand(rng, 40)], lanes))
+    partners = [_strand(rng, rng.randint(0, 40)) for _ in range(50)]
+    partners += [_strand(rng, length) for length in (63, 64, 65)]
+    for size in LANE_BATCH_SIZES:
+        lanes = [partners[rng.randrange(len(partners))] for _ in range(size)]
+        texts = [_mutate(rng, partners[size % len(partners)], "ACGT", 3), ""]
+        inputs.append((texts, lanes))
+    channel = Channel(ground_truth_model(), random.Random(seed + 4000))
+    references = [_strand(rng, 110) for _ in range(8)]
+    representatives = [channel.transmit(reference) for reference in references]
+    reads = [channel.transmit(reference) for reference in references for _ in range(2)]
+    rng.shuffle(reads)
+    inputs.append((reads, representatives))
+    return inputs
+
+
+def _lane_bands(texts: list[str], lanes: list[str]) -> tuple[int, ...]:
+    """Bands 0, 1 and 3, greedy's threshold 25, and one at least as wide
+    as every string."""
+    return (0, 1, 3, 25, max(map(len, texts + lanes + [""])))
+
+
+def reference_lanes(texts: list[str], lanes: list[str]) -> list[list[int]]:
+    """The seed's DPs, exact and under each band behind the
+    length-difference lower bound, for every (text, lane) pair; once per
+    fast call shape."""
+    results = []
+    for text in texts:
+        results.append([kernels._python_distance(text, lane) for lane in lanes])
+        for band in _lane_bands(texts, lanes):
+            results.append(
+                [
+                    band + 1
+                    if abs(len(text) - len(lane)) > band
+                    else kernels._python_banded(lane, text, band)
+                    for lane in lanes
+                ]
+            )
+    return [results, results]
+
+
+def packed_lanes(texts: list[str], lanes: list[str]) -> list[list[int]]:
+    """``CompiledPattern.distances`` / ``banded_distances`` with the
+    lanes given as strings, and with them compiled once and held across
+    every text, as greedy clustering holds its representatives."""
+    held = [CompiledPattern(lane) for lane in lanes]
+    results: dict[bool, list[list[int]]] = {False: [], True: []}
+    for text in texts:
+        for use_held, others in ((False, lanes), (True, held)):
+            sweep = CompiledPattern(text)
+            results[use_held].append(sweep.distances(others))
+            for band in _lane_bands(texts, lanes):
+                results[use_held].append(sweep.banded_distances(others, band))
+    return [results[False], results[True]]
+
+
 #: ``(q, bands)`` of the q-gram entry: the clusterer's default and the
 #: index's own default.
 QGRAM_SHAPES = ((8, 8), (11, 4))
@@ -506,6 +589,12 @@ ORACLES = (
         inputs=batch_corpus,
     ),
     Oracle(
+        name="lane_packed",
+        reference=reference_lanes,
+        fast=packed_lanes,
+        inputs=lane_corpus,
+    ),
+    Oracle(
         name="qgram_signatures",
         reference=reference_signatures,
         fast=fast_signatures,
@@ -559,6 +648,17 @@ def test_corpus_covers_its_regions():
         len(reads) >= 48 and any("\ud800" in read for read in reads)
         for _, reads in batches
     )
+    lane_inputs = lane_corpus(0)
+    assert any(set(LANE_LENGTHS) <= set(map(len, lanes)) for _, lanes in lane_inputs)
+    assert set(LANE_BATCH_SIZES) <= {len(lanes) for _, lanes in lane_inputs}
+    assert any("" in texts for texts, _ in lane_inputs)
+    assert any(
+        text and not set(text) & set("".join(lanes))
+        for texts, lanes in lane_inputs
+        for text in texts
+    )
+    for symbol in ("N", "a", "é", "\ud800"):
+        assert any(symbol in "".join(lanes) for _, lanes in lane_inputs), symbol
     for q, _, pool in qgram_corpus(0):
         assert {0, 1, q - 1, q, q + 1, 63, 64, 65, 110, 128} <= set(map(len, pool))
         for symbol in ("N", "a", "é", "\U0001F600", "\ud800"):

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro import observability
 from repro.align import gestalt, kernels
 from repro.align.edit_distance import edit_distance, edit_distance_banded
 from repro.align.gestalt import clear_block_cache, matching_blocks
@@ -56,19 +57,45 @@ def _reference_banded(pattern: CompiledPattern, other: str, band: int) -> int:
     return kernels._python_banded(pattern.text, other, band)
 
 
+def _reference_lanes(
+    text: str, lanes: list[CompiledPattern], band: int | None = None
+) -> list[int]:
+    """The packed kernel's entry, one reference DP per lane (the
+    short-circuits stay in the ``CompiledPattern`` methods)."""
+    if band is None:
+        return [kernels._python_distance(text, lane.text) for lane in lanes]
+    return [kernels._python_banded(lane.text, text, band) for lane in lanes]
+
+
 def patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
     """Route every distance through the seed's DPs, so a run computes
-    what the reference kernels would."""
+    what the reference kernels would: the pairwise kernels, the pairwise
+    ``CompiledPattern`` methods, and each lane of the one-vs-many sweep."""
     patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
     patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
     patch.setattr(CompiledPattern, "distance", _reference_distance)
     patch.setattr(CompiledPattern, "banded_distance", _reference_banded)
+    patch.setattr(kernels, "_packed_distances", _reference_lanes)
+
+
+def count_reference_calls(patch: pytest.MonkeyPatch) -> dict[str, int]:
+    """Count calls into the reference banded DP from here on (installed
+    after :func:`patch_reference_kernels`, it sees every lane it routes)."""
+    calls = {"banded": 0}
+    python_banded = kernels._python_banded
+
+    def counted_banded(first: str, second: str, band: int) -> int:
+        calls["banded"] += 1
+        return python_banded(first, second, band)
+
+    patch.setattr(kernels, "_python_banded", counted_banded)
+    return calls
 
 
 #: The distance paths a test can pin.  ``python`` patches the reference
 #: DPs in; ``bitparallel`` (like ``auto``) leaves the code-chosen
-#: kernels, which run every distance, pairwise or one-vs-many, on the
-#: pairwise Myers kernel.
+#: kernels: the pairwise Myers kernel for one pair, the lane-packed
+#: sweep for one-vs-many.
 PATHS = ("python", "bitparallel")
 
 BANDS = (0, 1, 3, 25)
@@ -243,7 +270,11 @@ class TestClusteringIdentity:
         default = GreedyClusterer().cluster(reads)
         with monkeypatch.context() as patch:
             patch_reference_kernels(patch)
+            calls = count_reference_calls(patch)
             baseline = GreedyClusterer().cluster(reads)
+        # The baseline really ran the reference DP, once per compared pair
+        # the length difference did not settle.
+        assert 0 < calls["banded"] <= baseline.comparisons
         assert default.assignments == baseline.assignments
         assert default.representatives == baseline.representatives
         assert default.comparisons == baseline.comparisons
@@ -306,6 +337,37 @@ class TestBatchedBackendEquivalence:
                         min(distance, band + 1) for distance in expected
                     ], (length, alphabet, band)
 
+    def test_one_to_many_counts_lanes_in_one_increment(self, monkeypatch):
+        """A one-vs-many call adds the pairs that reach the kernel to
+        ``kernel.calls`` in one increment, and counts what a per-pair
+        loop counts."""
+        pattern = CompiledPattern("ACGTACGT")
+        others = ["ACGTACGT", "", "ACGAACGT", "ACG", "A" * 30, "TTTTACGT"]
+        increments = []
+        count = kernels._count_kernel_call
+
+        def spy(kernel: str, pairs: int = 1) -> None:
+            increments.append((kernel, pairs))
+            count(kernel, pairs)
+
+        monkeypatch.setattr(kernels, "_count_kernel_call", spy)
+        observability.enable(tracing=False, metrics=True)
+        try:
+            pattern.distances(others)
+            pattern.banded_distances(others, 3)
+            assert increments == [("edit", 4), ("banded", 2)]
+            for other in others:
+                pattern.distance(other)
+                pattern.banded_distance(other, 3)
+            counters = {
+                counter["labels"]["kernel"]: counter["value"]
+                for counter in observability.registry().to_json()["counters"]
+                if counter["name"] == "kernel.calls"
+            }
+        finally:
+            observability.disable()
+        assert counters == {"edit": 8, "banded": 4}
+
     def test_one_to_many_empty_batch(self):
         assert edit_distances_one_to_many("ACGT", []) == []
         assert edit_distances_one_to_many("ACGT", [], band=3) == []
@@ -336,7 +398,9 @@ class TestBatchedBackendEquivalence:
         rng.shuffle(reads)
         with monkeypatch.context() as patch:
             patch_reference_kernels(patch)
+            calls = count_reference_calls(patch)
             baseline = GreedyClusterer().cluster(reads)
+        assert calls["banded"] > 0
         monkeypatch.setenv("REPRO_ALIGN_BACKEND", "batched")
         assert kernels.align_backend() == "auto"
         result = GreedyClusterer().cluster(reads)
