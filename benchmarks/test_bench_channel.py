@@ -135,6 +135,7 @@ def test_bench_channel_record():
             "vectorised_us_per_copy": vector_s / copies * 1e6,
             "speedup_vs_python": speedup,
             "speedup_vs_seed_equivalent": seed_speedup,
+            "cpu_count": os.cpu_count(),
             "issue_target_note": (
                 "ISSUE 8 names a 5x transmit_pool floor; the measured "
                 "event-site decomposition caps the pool-level CPython "

@@ -16,11 +16,13 @@ so the hot loop does one ``random()`` call and one short scan per base.
 
 Two execution paths share that draw-order contract bit for bit: the
 reference loop below, and the sparse-event NumPy sweep in
-:mod:`repro.core.channel_backend`.  The channel picks one from the
-call's shape (:meth:`Channel._use_sweep`): bulk calls on a plain
-``random.Random`` run the sweep, everything else the loop.  Both consume
-the same uniform variates in the same order from ``self.rng``, so seeds
-give the same pools whichever path runs.
+:mod:`repro.core.channel_backend`.  Every entry point funnels into
+:meth:`Channel.transmit_many`, which rejects non-ACGT references before
+any draw and then picks the path from the call's shape
+(:meth:`Channel._use_sweep`): bulk calls on a plain ``random.Random``
+run the sweep, everything else the loop.  Both consume the same uniform
+variates in the same order from ``self.rng``, so seeds give the same
+pools whichever path runs.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import weakref
 from collections.abc import Sequence
 
 from repro.core import channel_backend
-from repro.core.alphabet import BASES, homopolymer_mask
+from repro.core.alphabet import _BASE_SET, BASES, validate_strand
 from repro.core.channel_backend import (
     ReferencePrep,
     UniformBulkSource,
@@ -39,7 +41,6 @@ from repro.core.channel_backend import (
     homopolymer_mask_fast,
     rng_supports_bulk,
     transmit_batch,
-    transmit_vectorised,
 )
 from repro.core.coverage import CoverageModel
 from repro.core.errors import ErrorModel
@@ -105,22 +106,19 @@ class Channel:
 
     def transmit(self, reference: str) -> str:
         """Transmit one strand through the channel, returning a noisy copy."""
-        source = self._active_source
-        if source is not None and source.rng is self.rng:
-            return transmit_vectorised(
-                self, reference, source, self._reference_prep(reference)
-            )
-        if self._use_sweep(len(reference)):
-            with self._bulk_source(len(reference) + 16) as bulk:
-                return transmit_vectorised(
-                    self, reference, bulk, self._reference_prep(reference)
-                )
-        return self._transmit_python(reference)
+        return self.transmit_many(reference, 1)[0]
 
     def transmit_many(self, reference: str, coverage: int) -> list[str]:
-        """Generate ``coverage`` independent noisy copies of one strand."""
+        """Generate ``coverage`` independent noisy copies of one strand.
+
+        Raises:
+            AlphabetError: ``reference`` holds a character outside
+                ``{A, C, G, T}`` (checked before any draw).
+        """
         if coverage < 0:
             raise ValueError(f"coverage must be non-negative, got {coverage}")
+        if not _BASE_SET.issuperset(reference):
+            validate_strand(reference)
         source = self._active_source
         if source is not None and source.rng is self.rng:
             return transmit_batch(
@@ -151,20 +149,18 @@ class Channel:
             len(reference) * coverage
             for reference, coverage in zip(references, coverages)
         )
-        if self._use_sweep(draws_hint):
-            with self._bulk_source(draws_hint + 64):
-                return StrandPool(
-                    [
-                        self.transmit_cluster(reference, coverage)
-                        for reference, coverage in zip(references, coverages)
-                    ]
-                )
-        return StrandPool(
-            [
-                self.transmit_cluster(reference, coverage)
-                for reference, coverage in zip(references, coverages)
-            ]
+        bulk = (
+            self._bulk_source(draws_hint + 64)
+            if self._use_sweep(draws_hint)
+            else contextlib.nullcontext()
         )
+        with bulk:
+            return StrandPool(
+                [
+                    self.transmit_cluster(reference, coverage)
+                    for reference, coverage in zip(references, coverages)
+                ]
+            )
 
     # ---------------------------------------------------------------- #
     # Path selection
@@ -211,9 +207,7 @@ class Channel:
         entry = self._mask_entry
         if entry is not None and entry[0] == reference:
             return entry[1]
-        mask = homopolymer_mask_fast(reference)
-        if mask is None:  # non-ASCII strand: reference implementation
-            mask = homopolymer_mask(reference)
+        mask = homopolymer_mask_fast(reference)  # validated ACGT: never None
         self._mask_entry = (reference, mask)
         return mask
 
@@ -224,14 +218,13 @@ class Channel:
         if entry is not None and entry.reference == reference:
             return entry
         length = len(reference)
-        tables = self._tables(length)
-        vector = self._vector_tables(length, tables)
+        vector = self._vector_tables(length, self._tables(length))
         mask = (
             self._mask_for(reference)
             if self.model.homopolymer_factor != 1.0
             else None
         )
-        prep = ReferencePrep(reference, vector, tables, mask)
+        prep = ReferencePrep(reference, vector, mask)
         self._prep_entry = prep
         return prep
 
@@ -289,7 +282,7 @@ class Channel:
         reference: str,
         position: int,
         output: list[str],
-        rng=None,
+        rng,
     ) -> int:
         """Apply one channel event; returns the next reference position.
 
@@ -298,8 +291,6 @@ class Channel:
         shim on the sweep (same variates, same order).
         """
         model = self.model
-        if rng is None:
-            rng = self.rng
         base = reference[position]
         tag = event[0]
         if tag == "substitution":
@@ -330,12 +321,10 @@ class Channel:
         raise RuntimeError(f"unknown channel event {event!r}")  # pragma: no cover
 
     def _apply_burst(
-        self, reference: str, position: int, output: list[str], rng=None
+        self, reference: str, position: int, output: list[str], rng
     ) -> int:
         """Nanopore burst: corrupt >= burst_min_length consecutive bases."""
         model = self.model
-        if rng is None:
-            rng = self.rng
         run_length = model.burst_min_length
         while rng.random() < model.burst_continue:
             run_length += 1

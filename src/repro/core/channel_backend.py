@@ -19,14 +19,15 @@ touching a single draw*:
 
 * **Sparse-event fast path.**  At paper rates ~94% of positions take no
   event: the roll is simply ``>=`` the position's cumulative ladder
-  total, and the reference base is copied through.  Candidate event
-  sites come from one vectorised ``rolls < t_cand`` comparison per
-  buffer refill; error-free runs between them are copied as whole
-  string slices.  Only candidate sites run the exact per-position
-  comparison, and only actual events run the serial loop's ladder scan
-  and event code.  The high-threshold terminal positions (the paper's
-  end-of-strand skew) are walked through a second, coarser comparison
-  plane scanned with C-speed ``bytes.find``.
+  total, and the reference base is copied through.  Each copy is one
+  walk with two stop-finders and one event handler.  In the interior
+  the finder jumps between candidate sites, which come from one
+  vectorised ``rolls < t_cand`` comparison per buffer refill; in the
+  high-threshold terminal positions (the paper's end-of-strand skew) it
+  scans a second, coarser comparison plane with C-speed ``bytes.find``.
+  Only the finders' stops run the exact per-position comparison, the
+  error-free runs between events are copied as whole string slices, and
+  only actual events run the serial loop's ladder scan and event code.
 
 * **Exact effective thresholds.**  The serial loop shrinks the roll at
   homopolymer positions (``roll / factor``) before comparing against
@@ -36,14 +37,15 @@ touching a single draw*:
   ``fl(T / factor) >= total`` — making ``roll < T`` decide the event
   exactly as the serial loop does, to the last ulp.
 
-The candidate filter is alignment-independent (``rolls < t_cand`` does
-not depend on which reference position a roll lands on), so the
-candidate index built per refill stays valid no matter how many extra
-draws earlier events consumed — no re-vectorisation at event sites.
-The walk tracks the draw-to-position alignment as one integer offset;
-events that consume extra draws (substitutions, insertions, long
-deletions, bursts) shift it, while deletions and second-order errors
-consume exactly the one roll and leave it untouched.
+Both planes are alignment-independent (``rolls < t_cand`` does not
+depend on which reference position a roll lands on), so the candidate
+index built per refill stays valid no matter how many extra draws
+earlier events consumed — no re-vectorisation at event sites.  The walk
+tracks the draw-to-position alignment as one integer offset, which the
+finders re-derive each time the walk enters them; events that consume
+extra draws (substitutions, insertions, long deletions, bursts) shift
+it, while deletions and second-order errors consume exactly the one
+roll and leave it untouched.
 
 The channel picks the path from the call's shape, with no other
 selection: a call on a plain ``random.Random`` worth at least
@@ -143,9 +145,11 @@ class UniformBulkSource:
     (buffer indices with ``roll < t_cand``, plus their rolls, ending in
     an ``(n, 2.0)`` sentinel), and the coarse byte plane ``hi_plane``
     (``roll < t_hi`` as ``\\x01`` bytes, scanned with ``bytes.find`` in
-    the terminal zone), and keeps ``cursor``/``cand_ptr`` in sync.
-    This is a deliberate hot-path contract with :func:`transmit_batch`,
-    not a public API.
+    the terminal zone).  :func:`transmit_batch` keeps these in locals,
+    writes ``cursor``/``cand_ptr`` back before any scalar draw it hands
+    to the source and on return, and reloads them after every refill or
+    scalar draw.  This is a
+    deliberate hot-path contract with that walk, not a public API.
     """
 
     __slots__ = (
@@ -371,11 +375,9 @@ def _cumulative_draw_table(weights: dict) -> tuple[float, list, list] | None:
     return (total, cums, keys)
 
 
-_BASE_INDEX = {base: index for index, base in enumerate(BASES)}
-
 #: Byte-value -> totals-matrix row, -1 for non-alphabet bytes.
 _ROW_LUT = np.full(256, -1, dtype=np.intp)
-for _base, _row in _BASE_INDEX.items():
+for _row, _base in enumerate(BASES):
     _ROW_LUT[ord(_base)] = _row
 
 
@@ -494,39 +496,19 @@ class VectorTables:
 class ReferencePrep:
     """Per-reference view of :class:`VectorTables`: the exact effective
     threshold per position of one strand, plus the walk's working set
-    bundled for a single tuple unpack."""
+    bundled for a single tuple unpack.  ``reference`` must already be
+    validated (``Channel.transmit_many`` rejects non-ACGT strands before
+    any draw)."""
 
     __slots__ = ("reference", "vector", "thr", "mask", "bundle")
 
-    def __init__(self, reference: str, vector: VectorTables, tables, mask) -> None:
+    def __init__(self, reference: str, vector: VectorTables, mask) -> None:
         self.reference = reference
         self.vector = vector
         self.mask = mask if vector.factor != 1.0 else None
         length = len(reference)
-        rows = None
         if length:
-            try:
-                codes = np.frombuffer(reference.encode("ascii"), np.uint8)
-            except UnicodeEncodeError:
-                codes = None
-            if codes is not None:
-                rows = _ROW_LUT[codes]
-                if rows.min() < 0:
-                    rows = None
-        if length == 0:
-            self.thr = []
-        elif rows is None:
-            # Non-alphabet bases: fail exactly where the reference loop
-            # fails (the per-base table lookup during the walk).
-            self.thr = [
-                (
-                    vector.masked_mat
-                    if self.mask is not None and self.mask[i]
-                    else vector.totals_mat
-                )[_base_row(base)][i]
-                for i, base in enumerate(reference)
-            ]
-        else:
+            rows = _ROW_LUT[np.frombuffer(reference.encode("ascii"), np.uint8)]
             cols = np.arange(length, dtype=np.intp)
             thr = vector.totals_mat[rows, cols]
             if self.mask is not None:
@@ -536,6 +518,8 @@ class ReferencePrep:
                     thr,
                 )
             self.thr = thr.tolist()
+        else:
+            self.thr = []
         self.bundle = (
             self.thr,
             self.mask,
@@ -549,16 +533,23 @@ class ReferencePrep:
         )
 
 
-def _base_row(base: str) -> int:
-    index = _BASE_INDEX.get(base)
-    if index is None:
-        raise KeyError(base)  # same failure as the reference loop's table hit
-    return index
-
-
 # ------------------------------------------------------------------ #
 # The vectorised walk
 # ------------------------------------------------------------------ #
+
+
+def _walk_state(source: UniformBulkSource) -> tuple:
+    """The buffer state :func:`transmit_batch` keeps in locals, reloaded
+    after a refill or an out-of-line draw through the source."""
+    return (
+        source.values,
+        source.n,
+        source.cursor,
+        source.cand_idx,
+        source.cand_val,
+        source.cand_ptr,
+        source.hi_plane.find,
+    )
 
 
 def transmit_batch(
@@ -571,23 +562,24 @@ def transmit_batch(
     """``coverage`` transmissions of one strand, bit-identical to the
     serial loop on the same draw stream.
 
-    Per copy the walk runs two zones.  The *interior* jumps straight
+    Each copy is one walk with two stop-finders and one event handler.
+    In the *interior* ``[0, tail_start)`` the finder jumps straight
     between candidate rolls (``roll < t_cand``, indexed per buffer
-    refill) copying the error-free runs in between as whole string
-    slices.  The *terminal zone* — the high-threshold positions at the
-    strand end — is scanned through the coarser ``t_hi`` byte plane
-    with C-speed ``bytes.find``.  At each stop one exact comparison
-    against the per-position effective threshold decides whether the
-    serial loop would have taken an event; events run the serial ladder
-    scan and event code, drawing through the source.
+    refill); in the *terminal zone* — the high-threshold positions at
+    the strand end — it scans the coarser ``t_hi`` byte plane with
+    C-speed ``bytes.find``.  Either finder stops at the first roll below
+    its position's exact effective threshold, where the serial loop
+    would take an event, and hands it to the handler: the serial ladder
+    scan via ``bisect``, the error-free run before it copied as one
+    string slice, then the event code, drawing through the source.
 
-    The walk tracks the run's draw-to-position alignment as a single
-    integer ``offset``.  Deletions and second-order errors consume
-    exactly the one roll and advance one position, so they extend the
-    bookkeeping unchanged; substitutions, insertions, long deletions
-    and bursts consume extra draws and re-derive it.  All buffer state
-    lives in locals; the source is synced only around refills,
-    out-of-line event helpers, and on return.
+    The draw-to-position alignment is one integer ``offset``; the
+    finders re-derive it (and the candidate pointer, and the zone or
+    buffer limit) each time the walk enters them, so events that consume
+    extra draws — substitutions, insertions, long deletions, bursts —
+    need no resync of their own.  All buffer state lives in locals; the
+    source is synced only around refills, out-of-line event draws, and
+    on return.
     """
     length = len(reference)
     if coverage <= 0:
@@ -598,273 +590,124 @@ def transmit_batch(
         prep.bundle
     )
     bisect = bisect_right
-    model = channel.model
-    if source.cursor >= source.n:
-        source.refill(t_cand, t_hi)
-    elif source.t_cand != t_cand or source.t_hi != t_hi:
+    if source.t_cand != t_cand or source.t_hi != t_hi:
         source.recandidate(t_cand, t_hi)
-    values = source.values
-    n = source.n
-    cursor = source.cursor
-    cand_idx = source.cand_idx
-    cand_val = source.cand_val
-    ci = source.cand_ptr
-    hi_find = source.hi_plane.find
+    values, n, cursor, cand_idx, cand_val, ci, hi_find = _walk_state(source)
     outputs: list[str] = []
     for _ in range(coverage):
         out: list[str] = []
         append = out.append
         position = 0
         run_start = 0
-        # ---------------- interior: candidate-list walk --------------- #
-        if tail_start > 0:
-            while cand_idx[ci] < cursor:
-                ci += 1
-            offset = position - cursor
-            limit = cursor + tail_start
-            if limit > n:
-                limit = n
-            while True:
-                j = cand_idx[ci]
-                if j >= limit:
-                    # No event before the zone (or buffer) boundary:
-                    # the whole span is error-free.
-                    position += limit - cursor
-                    cursor = limit
-                    if position == tail_start:
-                        break
-                    source.cand_ptr = ci
-                    source.refill(t_cand, t_hi)
-                    values = source.values
-                    n = source.n
-                    cursor = 0
-                    cand_idx = source.cand_idx
-                    cand_val = source.cand_val
-                    ci = 0
-                    hi_find = source.hi_plane.find
-                    offset = position
-                    limit = tail_start - position
-                    if limit > n:
-                        limit = n
-                    continue
-                roll = cand_val[ci]
-                ci += 1
-                pos_j = j + offset
-                if roll >= thr[pos_j]:
-                    continue  # candidate, but below this position's threshold
-                # --- event at pos_j, roll consumed at buffer index j --- #
-                position = pos_j
-                cursor = j + 1
-                if mask is not None and mask[position]:
-                    roll = roll / factor if factor > 0.0 else 2.0
-                cums, rungs = flat[reference[position]][position]
-                event = rungs[bisect(cums, roll)]
-                if event is None:
-                    position += 1
-                    continue  # fp edge at the ladder top: run extends
-                if position > run_start:
-                    append(reference[run_start:position])
-                tag = event[0]
-                if tag == "substitution" or tag == "insertion":
-                    if tag == "insertion":
-                        append(reference[position])
-                        table = ins_draw
-                    else:
-                        table = sub_draws.get(reference[position])
-                    if table is not None and cursor < n:
-                        point = values[cursor] * table[0]
-                        cursor += 1
-                        append(table[2][bisect(table[1], point)])
-                    else:
-                        source.cursor = cursor
-                        source.cand_ptr = ci
-                        if tag == "insertion":
-                            append(model.draw_insertion_base(source))
-                        else:
-                            append(model.draw_substitution(reference[position], source))
-                        values = source.values
-                        n = source.n
-                        cursor = source.cursor
-                        cand_idx = source.cand_idx
-                        cand_val = source.cand_val
-                        ci = source.cand_ptr
-                        hi_find = source.hi_plane.find
-                    position += 1
-                    run_start = position
-                    # One extra draw consumed: realign and skip any
-                    # candidate the draw swallowed.
-                    if cand_idx[ci] < cursor:
-                        ci += 1
-                    offset = position - cursor
-                    limit = cursor + (tail_start - position)
-                    if limit > n:
-                        limit = n
-                    continue
-                if tag == "deletion":
-                    # One roll, one position: alignment untouched.
-                    position += 1
-                    run_start = position
-                    continue
-                if tag == "second_order":
-                    error = event[1]
-                    kind = error.kind
-                    if kind == "substitution":
-                        append(error.replacement)
-                    elif kind == "insertion":
-                        append(reference[position])
-                        append(error.replacement)
-                    position += 1
-                    run_start = position
-                    continue
-                # Long deletions and bursts: the shared scalar event
-                # machinery, drawing through the source.
-                source.cursor = cursor
-                source.cand_ptr = ci
-                position = channel._apply_event(
-                    event, reference, position, out, source
-                )
-                values = source.values
-                n = source.n
-                cursor = source.cursor
-                cand_idx = source.cand_idx
-                cand_val = source.cand_val
-                ci = source.cand_ptr
-                hi_find = source.hi_plane.find
-                run_start = position
-                if position >= tail_start:
-                    break  # crossed into the terminal zone
+        while True:
+            # ---- find the next event: roll < thr[j + offset] ---- #
+            if position < tail_start:
+                # Interior: walk the candidate list.
                 while cand_idx[ci] < cursor:
-                    ci += 1
+                    ci += 1  # candidates swallowed by earlier draws
                 offset = position - cursor
                 limit = cursor + (tail_start - position)
                 if limit > n:
                     limit = n
-        # ---------------- terminal zone: coarse-plane scan ------------ #
-        if position < length:
-            offset = position - cursor
-            end = cursor + (length - position)
-            if end > n:
-                end = n
-            while True:
-                j = hi_find(1, cursor, end)
+                while True:
+                    j = cand_idx[ci]
+                    if j >= limit:
+                        break
+                    roll = cand_val[ci]
+                    ci += 1
+                    if roll < thr[j + offset]:
+                        break
+                if j >= limit:
+                    # Error-free up to the zone or the buffer end.
+                    position = limit + offset
+                    cursor = limit
+                    if position < tail_start:
+                        source.refill(t_cand, t_hi)
+                        values, n, cursor, cand_idx, cand_val, ci, hi_find = (
+                            _walk_state(source)
+                        )
+                    continue
+            elif position < length:
+                # Terminal zone: scan the coarse byte plane.
+                offset = position - cursor
+                end = cursor + (length - position)
+                if end > n:
+                    end = n
+                while True:
+                    j = hi_find(1, cursor, end)
+                    if j < 0:
+                        break
+                    cursor = j + 1
+                    roll = values[j]
+                    if roll < thr[j + offset]:
+                        break
                 if j < 0:
                     # False alarms advanced ``cursor`` without touching
                     # ``position``; derive it from the alignment instead.
                     position = end + offset
                     cursor = end
-                    if position == length:
-                        break
-                    source.cand_ptr = ci
-                    source.refill(t_cand, t_hi)
-                    values = source.values
-                    n = source.n
-                    cursor = 0
-                    cand_idx = source.cand_idx
-                    cand_val = source.cand_val
-                    ci = 0
-                    hi_find = source.hi_plane.find
-                    offset = position
-                    end = length - position
-                    if end > n:
-                        end = n
+                    if position < length:
+                        source.refill(t_cand, t_hi)
+                        values, n, cursor, cand_idx, cand_val, ci, hi_find = (
+                            _walk_state(source)
+                        )
                     continue
-                roll = values[j]
-                cursor = j + 1
-                pos_j = j + offset
-                if roll >= thr[pos_j]:
-                    continue
-                position = pos_j
-                if mask is not None and mask[position]:
-                    roll = roll / factor if factor > 0.0 else 2.0
-                cums, rungs = flat[reference[position]][position]
-                event = rungs[bisect(cums, roll)]
-                if event is None:
-                    position += 1
-                    continue
-                if position > run_start:
-                    append(reference[run_start:position])
-                tag = event[0]
-                if tag == "substitution" or tag == "insertion":
-                    if tag == "insertion":
-                        append(reference[position])
-                        table = ins_draw
-                    else:
-                        table = sub_draws.get(reference[position])
-                    if table is not None and cursor < n:
-                        point = values[cursor] * table[0]
-                        cursor += 1
-                        append(table[2][bisect(table[1], point)])
-                    else:
-                        source.cursor = cursor
-                        source.cand_ptr = ci
-                        if tag == "insertion":
-                            append(model.draw_insertion_base(source))
-                        else:
-                            append(model.draw_substitution(reference[position], source))
-                        values = source.values
-                        n = source.n
-                        cursor = source.cursor
-                        cand_idx = source.cand_idx
-                        cand_val = source.cand_val
-                        ci = source.cand_ptr
-                        hi_find = source.hi_plane.find
-                    position += 1
-                    run_start = position
-                    offset = position - cursor
-                    end = cursor + (length - position)
-                    if end > n:
-                        end = n
-                    if position >= length:
-                        break
-                    continue
-                if tag == "deletion":
-                    position += 1
-                    run_start = position
-                    if position >= length:
-                        break
-                    continue
-                if tag == "second_order":
-                    error = event[1]
-                    kind = error.kind
-                    if kind == "substitution":
-                        append(error.replacement)
-                    elif kind == "insertion":
-                        append(reference[position])
-                        append(error.replacement)
-                    position += 1
-                    run_start = position
-                    if position >= length:
-                        break
-                    continue
+            else:
+                break
+            # ---- the event at position j + offset, roll drawn at j ---- #
+            position = j + offset
+            cursor = j + 1
+            if mask is not None and mask[position]:
+                roll = roll / factor if factor > 0.0 else 2.0
+            cums, rungs = flat[reference[position]][position]
+            event = rungs[bisect(cums, roll)]
+            if event is None:
+                position += 1
+                continue  # fp edge at the ladder top: the run extends
+            if position > run_start:
+                append(reference[run_start:position])
+            tag = event[0]
+            if tag == "substitution":
+                table = sub_draws.get(reference[position])
+            elif tag == "insertion":
+                table = ins_draw
+            else:
+                table = None
+            if table is not None and cursor < n:
+                # The base draw sits in the buffer: inline it.
+                if tag == "insertion":
+                    append(reference[position])
+                point = values[cursor] * table[0]
+                cursor += 1
+                append(table[2][bisect(table[1], point)])
+                position += 1
+            elif tag == "deletion":
+                position += 1
+            elif tag == "second_order":
+                error = event[1]
+                kind = error.kind
+                if kind == "substitution":
+                    append(error.replacement)
+                elif kind == "insertion":
+                    append(reference[position])
+                    append(error.replacement)
+                position += 1
+            else:
+                # A base draw at the buffer end, long deletions and
+                # bursts: the serial loop's own event code, drawing
+                # through the source.
                 source.cursor = cursor
                 source.cand_ptr = ci
                 position = channel._apply_event(
                     event, reference, position, out, source
                 )
-                values = source.values
-                n = source.n
-                cursor = source.cursor
-                cand_idx = source.cand_idx
-                cand_val = source.cand_val
-                ci = source.cand_ptr
-                hi_find = source.hi_plane.find
-                run_start = position
-                if position >= length:
-                    break
-                offset = position - cursor
-                end = cursor + (length - position)
-                if end > n:
-                    end = n
+                values, n, cursor, cand_idx, cand_val, ci, hi_find = (
+                    _walk_state(source)
+                )
+            run_start = position
         if length > run_start:
             append(reference[run_start:length])
         outputs.append("".join(out))
     source.cursor = cursor
     source.cand_ptr = ci
     return outputs
-
-
-def transmit_vectorised(
-    channel, reference: str, source: UniformBulkSource, prep: ReferencePrep
-) -> str:
-    """One transmission through the channel (see :func:`transmit_batch`)."""
-    return transmit_batch(channel, reference, 1, source, prep)[0]

@@ -10,8 +10,10 @@ one-vs-many batch sizes as clustering and consensus scoring make them,
 and tie-heavy homopolymer and periodic pairs (many co-optimal
 alignments, so every tie-break is exercised).  The ``channel`` entry
 runs the transmit loop against the vectorised sweep over the models of
-``tests/test_channel_backend.py``.  The ``bma_many`` entry runs the
-per-cluster BMA loop against the lockstep kernel over batches of
+``tests/test_channel_backend.py``, and
+:func:`test_channel_corpus_reaches_every_walk_branch` checks that those
+inputs reach every branch of the sweep's walk.  The ``bma_many`` entry
+runs the per-cluster BMA loop against the lockstep kernel over batches of
 clusters (:func:`bma_corpus`), for ``BMALookahead`` and ``DividerBMA``.
 The ``iterative_many`` entry does the same for the lockstep Iterative
 (:func:`iterative_corpus`).  The ``lane_packed`` entry runs the
@@ -54,7 +56,12 @@ from repro.reconstruct.bma import BMALookahead, bma_forward_pass
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
 from repro.reconstruct.two_way import TwoWayIterative
-from tests.test_channel_backend import channel_inputs, fast_run, reference_run
+from tests.test_channel_backend import (
+    channel_inputs,
+    fast_run,
+    reference_run,
+    walk_reach,
+)
 
 #: Seeds the shared corpus is generated from.
 CORPUS_SEEDS = (0, 1)
@@ -687,6 +694,24 @@ def test_corpus_covers_its_regions():
         for _, batch, length in bma_batches
         for copies in batch
     )
+
+
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_channel_corpus_reaches_every_walk_branch(seed):
+    """The ``channel`` entry's inputs reach every branch of the sweep's
+    walk: a refill mid-strand in each zone, the scalar fallback for a
+    substitution and an insertion draw at a buffer end, a long deletion
+    or burst jumping from the interior past ``tail_start``, a strand
+    with no interior and a model with no terminal zone."""
+    assert walk_reach(seed) == {
+        "interior refill mid-strand",
+        "terminal refill mid-strand",
+        "substitution draw at buffer end",
+        "insertion draw at buffer end",
+        "jump past tail_start",
+        "no interior",
+        "no terminal zone",
+    }
 
 
 def test_iterative_corpus_meets_its_ties(monkeypatch):

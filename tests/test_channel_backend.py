@@ -14,18 +14,22 @@ The per-model comparison of ``transmit``, ``transmit_many`` and
 ``transmit_many`` / ``transmit_pool`` checks beside it, and adds the
 stream-level and simulator-level equivalences, path selection, and the
 canary for the MT19937 state transplant the sweep rests on.
+:func:`walk_reach` records which branches of the sweep's walk those
+oracle inputs reach; the oracle file asserts that every one is.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
+import re
 import sys
 
 import pytest
 
+from repro.core import channel as channel_module
 from repro.core import channel_backend
-from repro.core.alphabet import homopolymer_mask, random_strand
+from repro.core.alphabet import AlphabetError, homopolymer_mask, random_strand
 from repro.core.channel import Channel
 from repro.core.channel_backend import (
     AUTO_MIN_DRAWS,
@@ -123,6 +127,59 @@ def channel_inputs(seed: int) -> list[tuple[str, str, int]]:
     ]
 
 
+def walk_reach(seed: int) -> set[str]:
+    """The branches of the sweep's walk that the ``channel`` oracle's
+    inputs at ``seed`` reach, read off spies on the walk's out-of-line
+    calls (its table prep, buffer refills and scalar event code)."""
+    reached: set[str] = set()
+    walk_code = channel_backend.transmit_batch.__code__
+    batch = channel_backend.transmit_batch
+    refill = UniformBulkSource.refill
+    apply_event = Channel._apply_event
+
+    def walk_locals():
+        # Two frames up, past this helper and the spy: the spied call's
+        # caller, which is the walk when the sweep made the call.
+        frame = sys._getframe(2)
+        return frame.f_locals if frame.f_code is walk_code else None
+
+    def spy_batch(channel, reference, coverage, source, prep):
+        tail_start = prep.vector.tail_start
+        if reference and tail_start == 0:
+            reached.add("no interior")
+        if reference and tail_start == len(reference):
+            reached.add("no terminal zone")
+        return batch(channel, reference, coverage, source, prep)
+
+    def spy_refill(source, *args):
+        walk = walk_locals()
+        if walk is not None and walk.get("position", 0) > 0:
+            interior = walk["position"] < walk["tail_start"]
+            reached.add(f"{'interior' if interior else 'terminal'} refill mid-strand")
+        return refill(source, *args)
+
+    def spy_event(channel, event, reference, position, output, rng):
+        walk = walk_locals()
+        at_buffer_end = rng.cursor >= rng.n if walk is not None else False
+        after = apply_event(channel, event, reference, position, output, rng)
+        if walk is not None:
+            tag = event[0]
+            if tag in ("substitution", "insertion") and at_buffer_end:
+                reached.add(f"{tag} draw at buffer end")
+            jumps = position < walk["tail_start"] < after
+            if tag in ("long_deletion", "burst") and jumps:
+                reached.add("jump past tail_start")
+        return after
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_module, "transmit_batch", spy_batch)
+        patch.setattr(UniformBulkSource, "refill", spy_refill)
+        patch.setattr(Channel, "_apply_event", spy_event)
+        for args in channel_inputs(seed):
+            fast_run(*args)
+    return reached
+
+
 @pytest.fixture
 def force_path(monkeypatch):
     """Pin the channel to one path for every call: ``"python"`` (the
@@ -178,6 +235,40 @@ class TestBackendEquivalence:
             states[path] = rng.getstate()
         assert results["vectorised"] == results["python"]
         assert states["vectorised"] == states["python"]
+
+
+#: Non-ACGT references: N, lowercase, non-ASCII, lone surrogate.
+BAD_REFERENCES = (
+    "ACGTN" * 30,
+    "acgt" * 30,
+    "ACGT" * 20 + "é" + "ACGT" * 10,
+    "ACG\ud800T" * 25,
+)
+
+
+class TestAlphabetValidation:
+    """Every entry point rejects a non-ACGT reference with
+    ``AlphabetError`` naming the base and its position, on both paths,
+    before drawing anything."""
+
+    @pytest.mark.parametrize("path", ("python", "vectorised"))
+    @pytest.mark.parametrize(
+        "reference", BAD_REFERENCES, ids=("N", "lower", "nonascii", "surrogate")
+    )
+    def test_rejected_before_any_draw(self, force_path, path, reference):
+        force_path(path)
+        rng_class = LoopRandom if path == "python" else random.Random
+        rng = rng_class(MAIN_SEED)
+        channel = Channel(ground_truth_model(), rng)
+        index = next(i for i, base in enumerate(reference) if base not in "ACGT")
+        message = re.escape(f"invalid base {reference[index]!r} at position {index}")
+        with pytest.raises(AlphabetError, match=message):
+            channel.transmit(reference)
+        with pytest.raises(AlphabetError, match=message):
+            channel.transmit_many(reference, 30)
+        assert rng.getstate() == random.Random(MAIN_SEED).getstate()
+        with pytest.raises(AlphabetError, match=message):
+            channel.transmit_pool(["ACGT" * 30, reference], ConstantCoverage(30))
 
 
 class TestSimulatorEquivalence:
