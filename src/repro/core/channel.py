@@ -119,18 +119,12 @@ class Channel:
             raise ValueError(f"coverage must be non-negative, got {coverage}")
         if not _BASE_SET.issuperset(reference):
             validate_strand(reference)
-        source = self._active_source
-        if source is not None and source.rng is self.rng:
+        with self.bulk_window(len(reference) * coverage) as bulk:
+            if bulk is None:
+                return [self._transmit_python(reference) for _ in range(coverage)]
             return transmit_batch(
-                self, reference, coverage, source, self._reference_prep(reference)
+                self, reference, coverage, bulk, self._reference_prep(reference)
             )
-        draws_hint = len(reference) * coverage
-        if self._use_sweep(draws_hint):
-            with self._bulk_source(draws_hint + 64) as bulk:
-                return transmit_batch(
-                    self, reference, coverage, bulk, self._reference_prep(reference)
-                )
-        return [self._transmit_python(reference) for _ in range(coverage)]
 
     def transmit_cluster(self, reference: str, coverage: int) -> Cluster:
         """Generate one cluster: the reference plus ``coverage`` noisy copies."""
@@ -149,12 +143,7 @@ class Channel:
             len(reference) * coverage
             for reference, coverage in zip(references, coverages)
         )
-        bulk = (
-            self._bulk_source(draws_hint + 64)
-            if self._use_sweep(draws_hint)
-            else contextlib.nullcontext()
-        )
-        with bulk:
+        with self.bulk_window(draws_hint):
             return StrandPool(
                 [
                     self.transmit_cluster(reference, coverage)
@@ -177,6 +166,25 @@ class Channel:
             rng_supports_bulk(self.rng)
             and draws_hint >= channel_backend.AUTO_MIN_DRAWS
         )
+
+    def bulk_window(self, draws_hint: int):
+        """Context manager around a run of transmissions expected to
+        consume roughly ``draws_hint`` uniform variates.
+
+        Yields the bulk source those transmissions draw from: an already
+        open source over ``self.rng``, or a new one (sized
+        ``draws_hint + 64``) when :meth:`_use_sweep` holds.  Otherwise it
+        yields ``None`` and the transmissions run the reference loop.
+        ``transmit_many``, ``transmit_pool`` and the archive's survey
+        blocks open their windows here, so a nested call reuses the
+        outer source and the state transplant happens once per window.
+        """
+        active = self._active_source
+        if (active is not None and active.rng is self.rng) or self._use_sweep(
+            draws_hint
+        ):
+            return self._bulk_source(draws_hint + 64)
+        return contextlib.nullcontext()
 
     @contextlib.contextmanager
     def _bulk_source(self, hint: int | None = None):

@@ -37,6 +37,7 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -75,6 +76,7 @@ def _survey_strands(
     draw_reads: Callable[[int, str, int], list[str]],
     reconstructor: Reconstructor,
     strand_length: int,
+    block_window: Callable[[int], AbstractContextManager] | None = None,
 ) -> list[tuple[str | None, str | None, int]]:
     """Sequence and reconstruct ``(position, strand, coverage)`` items.
 
@@ -84,21 +86,29 @@ def _survey_strands(
     :meth:`~repro.reconstruct.base.Reconstructor.reconstruct_many` call
     reconstructs the block.  Reconstruction draws no randomness, so
     every RNG stream sees the same draws as a strand-by-strand loop.
+    ``block_window``, if given, is entered around each block's
+    ``draw_reads`` calls with the block's expected draw count (bases
+    times copies over its live strands) and left before reconstruction;
+    the serial survey passes :meth:`Channel.bulk_window` so a block's
+    reads come from one bulk source.
     Returns ``(estimate, failure_reason, n_reads)`` per item; exactly one
     of estimate/failure is set.
     """
     results: list[tuple[str | None, str | None, int]] = []
     for start in range(0, len(items), BLOCK_CLUSTERS):
+        block = items[start : start + BLOCK_CLUSTERS]
         outcomes: list[tuple[list[str], str | None]] = []
-        for position, strand, n_copies in items[start : start + BLOCK_CLUSTERS]:
-            if strand is None:
-                outcomes.append(([], "strand lost before sequencing (decay)"))
-            elif n_copies == 0:
-                outcomes.append(([], "zero sequencing coverage drawn"))
-            else:
-                reads = draw_reads(position, strand, n_copies)
-                failure = None if reads else "cluster dropped by fault injection"
-                outcomes.append((reads, failure))
+        block_draws = sum(len(strand) * copies for _, strand, copies in block if strand)
+        with block_window(block_draws) if block_window else nullcontext():
+            for position, strand, n_copies in block:
+                if strand is None:
+                    outcomes.append(([], "strand lost before sequencing (decay)"))
+                elif n_copies == 0:
+                    outcomes.append(([], "zero sequencing coverage drawn"))
+                else:
+                    reads = draw_reads(position, strand, n_copies)
+                    failure = None if reads else "cluster dropped by fault injection"
+                    outcomes.append((reads, failure))
         sequenced = [reads for reads, failure in outcomes if failure is None]
         with span("reconstruct", algorithm=reconstructor.name, clusters=len(sequenced)):
             counter("reconstruct.clusters", algorithm=reconstructor.name).inc(
@@ -254,11 +264,10 @@ class DNAArchive:
 
     def _add_parity(self, group: list[bytes]) -> list[bytes]:
         """RS-encode each byte column across the group's strands."""
-        rs = ReedSolomon(self.rs_group_parity)
         columns = []
         for byte_position in range(self.payload_bytes):
             column = bytes(chunk[byte_position] for chunk in group)
-            columns.append(rs.encode(column))
+            columns.append(self._reed_solomon.encode(column))
         n_total = len(group) + self.rs_group_parity
         return [
             bytes(columns[byte_position][strand_position]
@@ -309,17 +318,20 @@ class DNAArchive:
         reconstructed and parsed into per-index payloads.
 
         Reads come from the archive's serial RNG, strand by strand in
-        pool order; faults, if any, apply to each strand's reads as they
-        are drawn.
+        pool order, through one channel whose bulk window spans each
+        survey block; faults, if any, apply to each strand's reads as
+        they are drawn.  The draw stream is the strand-by-strand one:
+        coverages were drawn before the survey, the fault injector has
+        its own RNG, reconstruction draws nothing, and closing a window
+        advances ``self.rng`` by exactly the variates consumed.
         """
+        channel = None if channel_model is None else Channel(channel_model, self.rng)
 
         def draw_reads(position: int, strand: str, n_copies: int) -> list[str]:
-            if channel_model is None:
+            if channel is None:
                 reads = [strand] * n_copies
             else:
-                reads = Channel(channel_model, self.rng).transmit_many(
-                    strand, n_copies
-                )
+                reads = channel.transmit_many(strand, n_copies)
             if faults is not None:
                 reads = faults.inject_reads(reads)
             return reads
@@ -329,6 +341,7 @@ class DNAArchive:
             draw_reads,
             reconstructor,
             stored.layout.strand_length(),
+            channel.bulk_window if channel is not None else None,
         )
         return self._parse_survey(stored, outcomes)
 

@@ -21,6 +21,11 @@ one-vs-many sweep, its lanes given as strings and as held compiled
 patterns, straight against the seed DPs (:func:`lane_corpus`).  The
 ``qgram_signatures`` entry runs the per-gram min-hash loop against the
 per-read and pool-wide vectorised signatures (:func:`qgram_corpus`).
+The ``reed_solomon`` entry runs a textbook scalar Reed-Solomon coder,
+built here from the :mod:`repro.pipeline.gf256` field calls, against the
+log-domain :class:`~repro.pipeline.reed_solomon.ReedSolomon` over
+parities 1 to 254, codeword lengths n_parity to 255, and errors and
+erasures at the correction budget and one past it (:func:`rs_corpus`).
 """
 
 from __future__ import annotations
@@ -52,6 +57,16 @@ from repro.cluster.qgram_index import (
 )
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
+from repro.pipeline.gf256 import (
+    GENERATOR,
+    gf_div,
+    gf_inverse,
+    gf_mul,
+    gf_pow,
+    poly_eval,
+    poly_mul,
+)
+from repro.pipeline.reed_solomon import ReedSolomon, ReedSolomonError
 from repro.reconstruct.bma import BMALookahead, bma_forward_pass
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
@@ -553,6 +568,169 @@ def iterative_many(variant: str, clusters: list[list[str]], length: int) -> list
     return [whole, singles]
 
 
+class TextbookReedSolomon:
+    """The scalar RS(n, k) decoder the log-domain one must reproduce:
+    every field operation a :mod:`repro.pipeline.gf256` call, every
+    polynomial evaluated term by term (Horner for syndromes)."""
+
+    def __init__(self, n_parity: int) -> None:
+        self.n_parity = n_parity
+        self.generator = [1]
+        for power in range(n_parity):
+            self.generator = poly_mul(self.generator, [1, gf_pow(GENERATOR, power)])
+
+    def encode(self, data: bytes) -> bytes:
+        remainder = list(data) + [0] * self.n_parity
+        for index in range(len(data)):
+            coefficient = remainder[index]
+            for offset, generator_coefficient in enumerate(self.generator):
+                remainder[index + offset] ^= gf_mul(generator_coefficient, coefficient)
+        return bytes(data) + bytes(remainder[len(data) :])
+
+    def decode(self, codeword: bytes, erasure_positions: list[int]) -> bytes:
+        if len(erasure_positions) > self.n_parity:
+            raise ReedSolomonError(
+                f"{len(erasure_positions)} erasures exceed "
+                f"{self.n_parity} parity symbols"
+            )
+        received = list(codeword)
+        length = len(received)
+        for position in erasure_positions:
+            received[position] = 0
+        syndromes = self.syndromes(received)
+        if max(syndromes) == 0:
+            return bytes(received[: length - self.n_parity])
+        locator = [1]
+        for position in erasure_positions:
+            erasure = gf_pow(GENERATOR, length - 1 - position)
+            locator = self.mul_low(locator, [1, erasure])
+        locator = self.berlekamp_massey(syndromes, locator, len(erasure_positions))
+        degree = len(locator) - 1
+        while degree > 0 and locator[degree] == 0:
+            degree -= 1
+        positions = []
+        for position in range(length):
+            inverse_locator = gf_pow(GENERATOR, (position + 1 - length) % 255)
+            if self.eval_low(locator, inverse_locator) == 0:
+                positions.append(position)
+        if degree > self.n_parity or len(positions) != degree:
+            raise ReedSolomonError("error locator does not factor; too many errors")
+        evaluator = self.mul_low(syndromes, locator)[: self.n_parity]
+        derivative = [c if power % 2 else 0 for power, c in enumerate(locator)][1:]
+        for position in positions:
+            x_k = gf_pow(GENERATOR, length - 1 - position)
+            inverse_root = gf_inverse(x_k)
+            denominator = self.eval_low(derivative, inverse_root)
+            if denominator == 0:
+                raise ReedSolomonError("Forney denominator vanished")
+            numerator = self.eval_low(evaluator, inverse_root)
+            received[position] ^= gf_mul(x_k, gf_div(numerator, denominator))
+        if max(self.syndromes(received)) != 0:
+            raise ReedSolomonError("correction failed; too many errors")
+        return bytes(received[: length - self.n_parity])
+
+    def syndromes(self, received: list[int]) -> list[int]:
+        return [poly_eval(received, gf_pow(GENERATOR, p)) for p in range(self.n_parity)]
+
+    def berlekamp_massey(self, syndromes, locator, n_erasures) -> list[int]:
+        correction, current_length, shift, last_delta = list(locator), n_erasures, 1, 1
+        for step in range(n_erasures, self.n_parity):
+            delta = syndromes[step]
+            for degree in range(1, min(len(locator), step + 1)):
+                delta ^= gf_mul(locator[degree], syndromes[step - degree])
+            if delta == 0:
+                shift += 1
+                continue
+            scale = gf_div(delta, last_delta)
+            shifted = [0] * shift + [gf_mul(c, scale) for c in correction]
+            updated = [0] * max(len(locator), len(shifted))
+            for index, coefficient in [*enumerate(locator), *enumerate(shifted)]:
+                updated[index] ^= coefficient
+            if 2 * current_length <= step + n_erasures:
+                current_length = step + n_erasures + 1 - current_length
+                correction, last_delta, shift = locator, delta, 1
+            else:
+                shift += 1
+            locator = updated
+        return locator
+
+    @staticmethod
+    def mul_low(first: list[int], second: list[int]) -> list[int]:
+        result = [0] * (len(first) + len(second) - 1)
+        for index_first, coefficient_first in enumerate(first):
+            for index_second, coefficient_second in enumerate(second):
+                result[index_first + index_second] ^= gf_mul(
+                    coefficient_first, coefficient_second
+                )
+        return result
+
+    @staticmethod
+    def eval_low(polynomial: list[int], point: int) -> int:
+        value = 0
+        for power, coefficient in enumerate(polynomial):
+            value ^= gf_mul(coefficient, gf_pow(point, power))
+        return value
+
+
+#: Parity counts of the ``reed_solomon`` corpus: the smallest code, the
+#: archive's, and the largest GF(256) allows.
+RS_PARITIES = (1, 2, 8, 20, 32, 254)
+
+
+def rs_mixes(n_parity: int) -> list[tuple[int, int]]:
+    """``(errors, erasures)`` mixes at the budget 2 * errors + erasures
+    = n_parity and one past it, plus clean words and errors alone."""
+    mixes = {(0, 0), (0, n_parity), (0, n_parity + 1), (n_parity // 2 + 1, 0)}
+    for errors in (1, n_parity // 2):
+        for cost in (n_parity, n_parity + 1):
+            if errors and cost >= 2 * errors:
+                mixes.add((errors, cost - 2 * errors))
+    return sorted(mixes)
+
+
+def rs_corpus(seed: int) -> list[tuple[int, bytes, bytes, list[int]]]:
+    """``(n_parity, data, received word, erasure positions)`` over
+    codeword lengths n_parity (no data) to 255, with errors XORed in
+    and erased symbols overwritten."""
+    rng = random.Random(seed)
+    cases = []
+    for n_parity in RS_PARITIES:
+        lengths = {n_parity, min(n_parity + 1, 255), rng.randint(n_parity, 255), 255}
+        for length in sorted(lengths):
+            data = rng.randbytes(length - n_parity)
+            codeword = TextbookReedSolomon(n_parity).encode(data)
+            for errors, erasures in rs_mixes(n_parity):
+                if errors + erasures > length:
+                    continue
+                positions = rng.sample(range(length), errors + erasures)
+                word = bytearray(codeword)
+                for position in positions[:errors]:
+                    word[position] ^= rng.randrange(1, 256)
+                for position in positions[errors:]:
+                    word[position] = rng.randrange(256)
+                cases.append((n_parity, data, bytes(word), positions[errors:]))
+    return cases
+
+
+def _rs_outcomes(code, data: bytes, word: bytes, erasures: list[int]) -> list:
+    """``encode(data)`` and ``decode(word, erasures)``: the bytes, or the
+    ``(type, message)`` of the error raised."""
+    outcomes = [code.encode(data)]
+    try:
+        outcomes.append(code.decode(word, erasures))
+    except ReedSolomonError as error:
+        outcomes.append((type(error), str(error)))
+    return outcomes
+
+
+def reference_rs(n_parity: int, data: bytes, word: bytes, erasures: list[int]) -> list:
+    return _rs_outcomes(TextbookReedSolomon(n_parity), data, word, erasures)
+
+
+def fast_rs(n_parity: int, data: bytes, word: bytes, erasures: list[int]) -> list:
+    return _rs_outcomes(ReedSolomon(n_parity), data, word, erasures)
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One fast path and the reference it must reproduce exactly on
@@ -625,6 +803,12 @@ ORACLES = (
         fast=iterative_many,
         inputs=iterative_corpus,
     ),
+    Oracle(
+        name="reed_solomon",
+        reference=reference_rs,
+        fast=fast_rs,
+        inputs=rs_corpus,
+    ),
 )
 
 
@@ -694,6 +878,27 @@ def test_corpus_covers_its_regions():
         for _, batch, length in bma_batches
         for copies in batch
     )
+    rs_cases = rs_corpus(0)
+    for n_parity in RS_PARITIES:
+        mixes = set()
+        lengths = set()
+        for parity, data, word, erasures in rs_cases:
+            if parity != n_parity:
+                continue
+            codeword = TextbookReedSolomon(n_parity).encode(data)
+            errors = sum(
+                1
+                for position, (sent, got) in enumerate(zip(codeword, word))
+                if sent != got and position not in erasures
+            )
+            mixes.add((errors, len(erasures)))
+            lengths.add(len(word))
+        assert {n_parity, 255} <= lengths and min(lengths) == n_parity
+        assert {(0, 0), (0, n_parity), (0, n_parity + 1)} <= mixes
+        for cost in (n_parity, n_parity + 1):
+            assert any(
+                errors and 2 * errors + erasures == cost for errors, erasures in mixes
+            ) or n_parity == 1 and cost == 1, (n_parity, cost)
 
 
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)

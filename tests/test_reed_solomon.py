@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import ConfigError
 from repro.pipeline.reed_solomon import ReedSolomon, ReedSolomonError
 
 
@@ -99,6 +100,42 @@ class TestDecoding:
         codeword = rs.encode(bytes(10))
         with pytest.raises(ValueError):
             rs.decode(codeword, erasure_positions=[99])
+
+
+class TestUnrepresentableWords:
+    """Words the code cannot represent are rejected, not misread."""
+
+    def test_word_longer_than_255_rejected(self):
+        # alpha^255 = 1, so positions 0 and 255 share a locator and this
+        # word has zero syndromes.
+        word = bytearray(300)
+        word[0] = word[255] = 5
+        rs = ReedSolomon(2)
+        with pytest.raises(ConfigError, match="outside"):
+            rs.check(bytes(word))
+        with pytest.raises(ConfigError, match="outside"):
+            rs.decode(bytes(word))
+
+    def test_word_shorter_than_parity_rejected(self):
+        rs = ReedSolomon(4)
+        truncated = rs.encode(bytes(range(10)))[:3]
+        with pytest.raises(ConfigError, match="outside"):
+            rs.decode(truncated)
+        with pytest.raises(ConfigError, match="outside"):
+            rs.check(truncated)
+
+    def test_parity_only_word_decodes_to_empty_data(self):
+        rs = ReedSolomon(4)
+        assert rs.decode(rs.encode(b"")) == b""
+
+    def test_duplicate_erasures_count_once(self):
+        rs = ReedSolomon(2)
+        codeword = rs.encode(bytes(range(10)))
+        assert rs.decode(codeword, [2, 2]) == bytes(range(10))
+        damaged = bytearray(codeword)
+        damaged[2] = 0
+        damaged[5] = 0
+        assert rs.decode(bytes(damaged), [5, 2, 5, 2, 2]) == bytes(range(10))
 
 
 class TestPropertyBased:
