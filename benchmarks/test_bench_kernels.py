@@ -6,7 +6,9 @@ strand length (110) plus 220 and 1000, once as the ``python`` reference
 function and once per fast path that serves the shape (``bitparallel``
 for pairwise distances and, as the lane-packed sweep, one-vs-many
 batches; ``runtable`` for gestalt); the edit-operation traceback (one
-implementation, so one number per length); and the greedy-clustering
+implementation, so one number per length); one block of 64 110-nt
+pairs through ``matching_blocks_many`` against 64 scalar
+decompositions, both cold; and the greedy-clustering
 end-to-end wall-clock with the reference DPs patched in (``python``)
 versus the code-chosen kernels (``bitparallel``).  The JSON lands at the
 repo root so the kernel perf trajectory is recorded PR over PR.
@@ -30,7 +32,13 @@ from pathlib import Path
 import pytest
 
 from repro.align import kernels
-from repro.align.gestalt import clear_block_cache, matching_blocks, reference_blocks
+from repro.align.gestalt import (
+    _decompose,
+    clear_block_cache,
+    matching_blocks,
+    matching_blocks_many,
+    reference_blocks,
+)
 from repro.align.kernels import (
     CompiledPattern,
     banded_distance_kernel,
@@ -58,6 +66,9 @@ PAIRS_PER_CELL = {110: 40, 220: 20, 1000: 4}
 #: Acceptance floors, as the dashboard charts them.
 MIN_KERNEL_SPEEDUP = committed_floor("kernels", "edit distance 110 speedup")
 MIN_CLUSTER_SPEEDUP = committed_floor("kernels", "clustering speedup")
+
+#: Pairs in the block gestalt row: one block of 110-nt channel pairs.
+GESTALT_BLOCK_PAIRS = 64
 
 #: Clustering corpus shape: references x noisy copies each.
 CLUSTER_REFERENCES = 40
@@ -129,6 +140,27 @@ def _time_per_pair(function, pairs, repeats: int = 3) -> float:
             function(first, second)
         best = min(best, time.perf_counter() - start)
     return best / len(pairs) * 1e9
+
+
+def _gestalt_block_record() -> dict:
+    """Cold block decomposition of 64 workload-shaped pairs against 64
+    cold scalar decompositions, best of 3, in ns per pair."""
+    pairs = _noisy_pairs(110, GESTALT_BLOCK_PAIRS)
+    assert matching_blocks_many(pairs) == [_decompose(*pair) for pair in pairs]
+    scalar = _time_per_pair(_decompose, pairs)
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        matching_blocks_many(pairs)
+        best = min(best, time.perf_counter() - start)
+    block = best / len(pairs) * 1e9
+    return {
+        "pairs": len(pairs),
+        "strand_length": 110,
+        "decompose_ns_per_pair": scalar,
+        "matching_blocks_many_ns_per_pair": block,
+        "speedup": scalar / block,
+    }
 
 
 def test_bench_kernels_record():
@@ -207,6 +239,7 @@ def test_bench_kernels_record():
             "band": BAND,
             "pairs_per_cell": PAIRS_PER_CELL,
             "kernels_ns_per_pair": kernels_record,
+            "gestalt_block": _gestalt_block_record(),
             "clustering": {
                 "reads": len(reads),
                 "strand_length": 110,

@@ -27,7 +27,8 @@ There is one code-chosen path per input shape:
   edge, and each lane's distance is read off the final column by
   popcount.
 * the gestalt recursion's longest-common-substring queries are answered
-  from one :class:`RunTable` per string pair.
+  from a :class:`RunTable`: one per pair for a single pair, and views
+  of one :func:`block_runs` array for a block of pairs.
 
 The reference DPs (:func:`_python_distance`, :func:`_python_banded`,
 :func:`longest_common_substring`) are the seed implementations, verbatim;
@@ -323,19 +324,33 @@ def _string_codes(text: str) -> np.ndarray:
 
 
 class RunTable:
-    """Diagonal common-run lengths of one string pair, built once and
-    queried for the longest common substring of any sub-rectangle.
+    """Diagonal common-run lengths of one string pair, queried for the
+    longest common substring of any sub-rectangle.
 
     ``table[i, j]`` is the length of the common run that ends at
-    ``first[i]``, ``second[j]``.  It is built without a Python loop: the
-    match matrix is skewed so each diagonal becomes a column, a running
-    max of the last-mismatch row along it gives every run length, and the
-    inverse skew maps them back.
+    ``first[i]``, ``second[j]``, and ``caps`` is :func:`run_caps` of at
+    least the table's shape, in the table's dtype.  :meth:`for_pair`
+    builds one pair's table; a block of pairs shares one
+    :func:`block_runs` array and one ``caps``, each pair a view of it.
+    The strings themselves answer one-row and one-column regions.
     """
 
-    __slots__ = ("table", "_row_caps", "_column_caps")
+    __slots__ = ("first", "second", "table", "caps")
 
-    def __init__(self, first: str, second: str) -> None:
+    def __init__(
+        self, first: str, second: str, table: np.ndarray, caps: np.ndarray
+    ) -> None:
+        self.first = first
+        self.second = second
+        self.table = table
+        self.caps = caps
+
+    @classmethod
+    def for_pair(cls, first: str, second: str) -> RunTable:
+        """One pair's table, built without a Python loop: the match
+        matrix is skewed so each diagonal becomes a column, a running max
+        of the last-mismatch row along it gives every run length, and the
+        inverse skew maps them back."""
         height, width = len(first), len(second)
         # Diagonal j - i of the match matrix becomes column
         # j - i + height - 1 of a (height, diagonals + 1) grid: written
@@ -355,11 +370,10 @@ class RunTable:
         np.maximum.accumulate(last_mismatch, axis=0, out=last_mismatch)
         runs = rows - last_mismatch
         # The inverse shift: read back with row stride ``diagonals``.
-        self.table = runs.ravel()[: height * diagonals].reshape(height, diagonals)[
+        table = runs.ravel()[: height * diagonals].reshape(height, diagonals)[
             :, height - 1 :
         ]
-        self._row_caps = rows + 1
-        self._column_caps = np.arange(1, width + 1, dtype=np.int32)[None, :]
+        return cls(first, second, table, run_caps(height, width, table.dtype))
 
     def longest(
         self, first_low: int, first_high: int, second_low: int, second_high: int
@@ -369,18 +383,31 @@ class RunTable:
         :func:`longest_common_substring` returns it.
 
         A run inside the region can reach back at most to its top or left
-        edge, so clipping each run length by its distance from those
-        edges gives the region's own run lengths.  The first row-major
-        maximum is the earliest run end in ``first``, then in
+        edge, so clipping each run length by ``caps`` (its distance from
+        those edges) gives the region's own run lengths.  The first
+        row-major maximum is the earliest run end in ``first``, then in
         ``second`` — the reference kernel's tie-break.
         """
         height = first_high - first_low
         width = second_high - second_low
+        # A one-row or one-column region holds runs of length 1 at most:
+        # its first match is a plain search.
+        if height == 1:
+            column = self.second.find(
+                self.first[first_low], second_low, second_high
+            )
+            if column < 0:
+                return first_low, second_low, 0
+            return first_low, column, 1
+        if width == 1:
+            row = self.first.find(self.second[second_low], first_low, first_high)
+            if row < 0:
+                return first_low, second_low, 0
+            return row, second_low, 1
         clipped = np.minimum(
             self.table[first_low:first_high, second_low:second_high],
-            self._row_caps[:height],
+            self.caps[:height, :width],
         )
-        np.minimum(clipped, self._column_caps[:, :width], out=clipped)
         end = int(clipped.argmax())
         size = int(clipped.flat[end])
         if size == 0:
@@ -391,6 +418,78 @@ class RunTable:
             second_low + end_column - size + 1,
             size,
         )
+
+
+@lru_cache(maxsize=16)
+def run_caps(height: int, width: int, dtype: np.dtype) -> np.ndarray:
+    """``caps[i, j] = min(i + 1, j + 1)``, the longest run that can end at
+    cell ``(i, j)`` of a region, read-only.
+
+    It is computed wide and then cast: no entry exceeds ``min(height,
+    width)``, so it fits any dtype that holds the table's runs.  Casting
+    the row or column caps alone would wrap past 255 in uint8 on a tall
+    table.
+    """
+    caps = np.minimum(
+        np.arange(1, height + 1)[:, None], np.arange(1, width + 1)[None, :]
+    ).astype(dtype)
+    caps.flags.writeable = False
+    return caps
+
+
+def run_dtype(longest_run: int) -> type[np.unsignedinteger]:
+    """The smallest unsigned dtype that holds run lengths up to
+    ``longest_run``: uint8 up to 255, then uint16, then uint32."""
+    for dtype in (np.uint8, np.uint16):
+        if longest_run <= np.iinfo(dtype).max:
+            return dtype
+    return np.uint32
+
+
+#: Pad codes of a :func:`block_runs` block: above every code point
+#: (U+10FFFF) and different from each other, so a pad matches no
+#: character and no other pad.
+_FIRST_PAD = 0x110000
+_SECOND_PAD = 0x110001
+
+
+def _padded_codes(texts: list[str], lengths: np.ndarray, size: int, pad: int):
+    """The texts' code points as the rows of a ``(len(texts), size)``
+    array, each row padded with ``pad``."""
+    codes = np.full((len(texts), size), pad, dtype=np.uint32)
+    codes[np.arange(size)[None, :] < lengths[:, None]] = code_points("".join(texts))
+    return codes
+
+
+def block_runs(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """The run tables of a block of string pairs, in one array.
+
+    ``runs[p, i + 1, j + 1]`` is the length of the common run that ends
+    at ``first[i]``, ``second[j]`` of pair ``p``; row 0, column 0 and
+    every cell past a pair's own lengths hold 0.  The array is in
+    :func:`run_dtype` of the block's ``min(height, width)``.  It is built
+    by a row DP, one vectorised step per row of the block:
+    ``runs[:, i + 1, 1:] = (runs[:, i, :-1] + 1) * match[:, i, :]``.
+    """
+    firsts = [first for first, _ in pairs]
+    seconds = [second for _, second in pairs]
+    first_lengths = np.array([len(first) for first in firsts])
+    second_lengths = np.array([len(second) for second in seconds])
+    height = int(first_lengths.max())
+    width = int(second_lengths.max())
+    match = (
+        _padded_codes(firsts, first_lengths, height, _FIRST_PAD)[:, :, None]
+        == _padded_codes(seconds, second_lengths, width, _SECOND_PAD)[:, None, :]
+    )
+    runs = np.zeros(
+        (len(pairs), height + 1, width + 1), dtype=run_dtype(min(height, width))
+    )
+    # No run can pass min(height, width), so ``+ 1`` never wraps.
+    for row in range(height):
+        current = runs[:, row + 1, 1:]
+        np.add(runs[:, row, :-1], 1, out=current)
+        current *= match[:, row]
+    return runs
 
 
 # ------------------------------------------------------------------ #

@@ -16,8 +16,9 @@ reference) or post-reconstruction (each estimate against its reference).
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from itertools import accumulate
 
-from repro.align.gestalt import gestalt_error_positions
+from repro.align.gestalt import matching_blocks_many
 from repro.align.hamming import hamming_error_positions
 from repro.core.strand import StrandPool
 from repro.parallel import chunk_items, parallel_map, resolve_workers
@@ -61,17 +62,26 @@ def gestalt_error_curve(
     references: Sequence[str], others: Sequence[str]
 ) -> list[int]:
     """Positional histogram of gestalt-aligned errors (misalignment
-    sources) over all pairs."""
+    sources) over all pairs.
+
+    The pairs are decomposed in blocks
+    (:func:`~repro.align.gestalt.matching_blocks_many`).  Each pair adds
+    one to every position of its reference and takes one away from every
+    position its matching blocks cover, tallied as interval endpoints of
+    one difference array."""
     if len(references) != len(others):
         raise ValueError(f"{len(references)} references but {len(others)} strands")
     length = max((len(reference) for reference in references), default=0)
-    return _accumulate(
-        [
-            gestalt_error_positions(reference, other)
-            for reference, other in zip(references, others)
-        ],
-        length,
-    )
+    difference = [0] * (length + 1)
+    for reference, blocks in zip(
+        references, matching_blocks_many(list(zip(references, others)))
+    ):
+        difference[0] += 1
+        difference[len(reference)] -= 1
+        for block in blocks:
+            difference[block.first_start] -= 1
+            difference[block.first_start + block.size] += 1
+    return list(accumulate(difference[:length]))
 
 
 def merge_curves(curves: Iterable[Sequence[int]]) -> list[int]:

@@ -76,6 +76,10 @@ class ReedSolomon:
             [0] + [EXP[LOG[value] + power] for value in range(1, 256)]
             for power in range(n_parity)
         ]
+        # The last ((length, erasure positions), Gamma(x)): the archive
+        # decodes every byte column of a strand group with the same
+        # erasures.
+        self._last_erasures: tuple[tuple, list[int]] = ((), [1])
 
     @staticmethod
     def _build_generator(n_parity: int) -> list[int]:
@@ -152,12 +156,11 @@ class ReedSolomon:
         if max(syndromes) == 0:
             return bytes(received[: length - self.n_parity])
 
-        # Position i carries the coefficient of x^(length-1-i), so its
-        # locator is X_i = alpha^(length-1-i).
-        erasure_locators = [
-            EXP[length - 1 - position] for position in erasure_positions
-        ]
-        error_locator = self._berlekamp_massey(syndromes, erasure_locators)
+        error_locator = self._berlekamp_massey(
+            syndromes,
+            self._erasure_locator(length, erasure_positions),
+            len(erasure_positions),
+        )
         error_positions = self._chien_search(error_locator, length)
         if error_positions is None:
             raise ReedSolomonError("error locator does not factor; too many errors")
@@ -198,22 +201,33 @@ class ReedSolomon:
             syndromes.append(value)
         return syndromes
 
+    def _erasure_locator(self, length: int, erasure_positions: list[int]) -> list[int]:
+        """The erasure locator Gamma(x) = prod (1 - X_i x), low-first, of
+        a ``length``-symbol word; the last one is kept for the next
+        call."""
+        key = (length, tuple(erasure_positions))
+        if self._last_erasures[0] != key:
+            locator = [1]
+            for position in erasure_positions:
+                # Position i carries the coefficient of x^(length-1-i), so
+                # its locator is X_i = alpha^(length-1-i), and
+                # (1 - X_i x) == (1 + X_i x) in characteristic 2.
+                locator = self._poly_mul_low(locator, [1, EXP[length - 1 - position]])
+            self._last_erasures = (key, locator)
+        return self._last_erasures[1]
+
     def _berlekamp_massey(
-        self, syndromes: list[int], erasure_locators: list[int]
+        self, syndromes: list[int], erasure_locator: list[int], n_erasures: int
     ) -> list[int]:
         """Errors-and-erasures Berlekamp-Massey.
 
         Polynomials are lowest-degree-first.  The locator is seeded with
-        the erasure locator Gamma(x) = prod (1 - X_i x) and the iteration
-        starts after the erasure steps (standard Blahut formulation); the
-        result Lambda(x) has the inverses of all error/erasure locators as
-        its roots.
+        the erasure locator Gamma(x) of the ``n_erasures`` erasures and
+        the iteration starts after the erasure steps (standard Blahut
+        formulation); the result Lambda(x) has the inverses of all
+        error/erasure locators as its roots.
         """
-        locator = [1]
-        for erasure in erasure_locators:
-            # (1 - X_i x) == (1 + X_i x) in characteristic 2, low-first.
-            locator = self._poly_mul_low(locator, [1, erasure])
-        n_erasures = len(erasure_locators)
+        locator = erasure_locator
         correction = list(locator)  # B(x)
         current_length = n_erasures  # L
         shift = 1  # m: steps since B was last updated

@@ -28,16 +28,25 @@ _CRC8_POLYNOMIAL = 0x07
 INDEX_BYTES = 2
 
 
+def _crc8_step(value: int) -> int:
+    """Eight bit steps of the CRC-8 shift register."""
+    for _ in range(8):
+        if value & 0x80:
+            value = ((value << 1) ^ _CRC8_POLYNOMIAL) & 0xFF
+        else:
+            value = (value << 1) & 0xFF
+    return value
+
+
+#: The register after eight bit steps from each of its 256 values.
+_CRC8_TABLE = tuple(_crc8_step(value) for value in range(256))
+
+
 def crc8(payload: bytes) -> int:
-    """CRC-8/CCITT over a byte string."""
+    """CRC-8/CCITT over a byte string, one table lookup per byte."""
     value = 0
     for byte in payload:
-        value ^= byte
-        for _ in range(8):
-            if value & 0x80:
-                value = ((value << 1) ^ _CRC8_POLYNOMIAL) & 0xFF
-            else:
-                value = (value << 1) & 0xFF
+        value = _CRC8_TABLE[value ^ byte]
     return value
 
 

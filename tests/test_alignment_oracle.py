@@ -34,6 +34,7 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from repro.align import gestalt, kernels
@@ -731,6 +732,152 @@ def fast_rs(n_parity: int, data: bytes, word: bytes, erasures: list[int]) -> lis
     return _rs_outcomes(ReedSolomon(n_parity), data, word, erasures)
 
 
+#: Strand lengths of the ``gestalt_many`` corpus: word boundaries, the
+#: paper's 110, and both sides of the uint8/uint16 run-dtype switch.
+GESTALT_LENGTHS = (0, 1, 63, 64, 65, 110, 255, 256, 257, 500)
+
+
+def tall_pair(rng: random.Random, second_prefix: int = 20) -> tuple[str, str]:
+    """A first side of 350 nt against a second of ``second_prefix + 100``
+    nt, whose 30-nt common run ends at row 279, inside the left region of
+    a longer 50-nt run: a row cap of 280 cast to uint8 would wrap to 24
+    there and cut the run short.  At the default prefix the pair makes a
+    uint8 block; at 250 a uint16 one."""
+    core = _strand(rng, 30)
+    anchor = _strand(rng, 50)
+    first = _strand(rng, 250) + core + _strand(rng, 20) + anchor
+    second = _strand(rng, second_prefix) + core + _strand(rng, 20) + anchor
+    return first, second
+
+
+def gestalt_corpus(seed: int) -> list[tuple[list[tuple[str, str]]]]:
+    """Blocks of pairs for ``gestalt_many``: edge and equal pairs, mixed
+    lengths in one block, word-boundary and short random pairs, more
+    110-nt channel pairs than one block holds (some of them exact
+    matches, as after reconstruction), long pairs that make blocks of
+    their own, edge alphabets and tie-heavy pairs, the tall pair in
+    both orientations, and pairs whose runs or caps need uint16."""
+    rng = random.Random(seed)
+    blocks: list[list[tuple[str, str]]] = []
+    edges = [("", ""), ("", "ACGT"), ("ACGT", ""), ("A", "A"), ("A", "C"), ("AC", "CA")]
+    for length in (1, 7, 63, 64, 65, 110, 200):
+        strand = _strand(rng, length)
+        edges.append((strand, strand))
+    blocks.append(edges)
+    mixed = []
+    for length in GESTALT_LENGTHS:
+        strand = _strand(rng, length)
+        mixed += [
+            (strand, strand),
+            (strand, ""),
+            ("", strand),
+            (strand, _mutate(rng, strand, "ACGT", 1 + length // 16)),
+            (strand, _strand(rng, max(0, length + rng.randint(-4, 4)))),
+        ]
+    blocks.append(mixed)
+    blocks.append(
+        [
+            (_strand(rng, length), _strand(rng, rng.randint(length - 6, length + 6)))
+            for length in (63, 64, 65, 127, 128, 129)
+            for _ in range(8)
+        ]
+    )
+    blocks.append(
+        [
+            (_strand(rng, rng.randint(0, 40)), _strand(rng, rng.randint(0, 40)))
+            for _ in range(140)
+        ]
+    )
+    channel = Channel(ground_truth_model(), random.Random(seed + 1000))
+    paper = []
+    for index in range(100):
+        reference = _strand(rng, 110)
+        copy = channel.transmit(reference) if index % 4 else reference
+        paper.append((reference, copy))
+    blocks.append(paper)
+    long_strand = _strand(rng, 1000)
+    blocks.append(
+        [
+            (long_strand, _mutate(rng, long_strand, "ACGT", 60)),
+            (_strand(rng, 500), _strand(rng, 20)),
+            (_strand(rng, 20), _strand(rng, 500)),
+        ]
+    )
+    alphabets = []
+    for alphabet in ("ACGTN", "acgt", "ACGTé", "αβγδ", "ACG\ud800"):
+        for length in (20, 90):
+            strand = _strand(rng, length, alphabet)
+            alphabets.append((strand, _mutate(rng, strand, alphabet, 6)))
+    # Surrogate halves that meet where the block joins its strings.
+    alphabets.append(("ACGTAC\ud800", "\udc00ACGTAC\ud800"))
+    alphabets.append(("\udc00GTACGT", "ACGTAC\ud800\udc00GT"))
+    blocks.append(alphabets)
+    ties = []
+    for length in (5, 40, 110):
+        periodic = "ACGT" * (length // 4)
+        ties += [
+            ("A" * length, "A" * (length + 3)),
+            ("A" * length, _mutate(rng, "A" * length, "AC", 4)),
+            (periodic, "ACGT" * (length // 4 + 2)),
+            (periodic, "CGTA" * (length // 4)),
+            (periodic, _mutate(rng, periodic, "ACGT", 5)),
+        ]
+    blocks.append(ties)
+    tall = [tall_pair(rng) for _ in range(2)]
+    blocks.append(tall + [(second, first) for first, second in tall])
+    # Wider than uint8 holds: caps past 255 and a common run past 255.
+    shared = _strand(rng, 300)
+    blocks.append(
+        [
+            tall_pair(rng, second_prefix=250),
+            ("A" + shared + _strand(rng, 5), "C" + shared + _strand(rng, 5)),
+        ]
+    )
+    return [(block,) for block in blocks]
+
+
+def reference_many(block: list[tuple[str, str]]) -> list:
+    blocks = [gestalt.reference_blocks(first, second) for first, second in block]
+    return [blocks, blocks]
+
+
+def fast_many(block: list[tuple[str, str]]) -> list:
+    """The whole block at once, then each pair as a block of its own."""
+    return [
+        gestalt.matching_blocks_many(block),
+        [gestalt.matching_blocks_many([pair])[0] for pair in block],
+    ]
+
+
+def _table_pairs(block: list[tuple[str, str]]) -> list[int]:
+    """Indices of the pairs that reach a run table: neither side empty,
+    the two not equal."""
+    return [
+        index
+        for index, (first, second) in enumerate(block)
+        if first and second and first != second
+    ]
+
+
+def _cut_by_wrapped_cap(first: str, second: str) -> bool:
+    """Whether the pair makes a uint8 block and has a block, left of the
+    largest one, that ends past row 255 of ``first`` and is longer than
+    the row cap cast to uint8 there: the trap of :func:`tall_pair`."""
+    if min(len(first), len(second)) > 255 or len(first) < 256:
+        return False
+    blocks = gestalt.reference_blocks(first, second)
+    if not blocks:
+        return False
+    largest = max(blocks, key=lambda block: block.size)
+    return any(
+        block.size < largest.size
+        and block.first_start < largest.first_start
+        and block.first_start + block.size > 255
+        and (block.first_start + block.size) % 256 < block.size
+        for block in blocks
+    )
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One fast path and the reference it must reproduce exactly on
@@ -754,6 +901,12 @@ ORACLES = (
         reference=gestalt.reference_blocks,
         fast=gestalt._decompose,
         inputs=shared_corpus,
+    ),
+    Oracle(
+        name="gestalt_many",
+        reference=reference_many,
+        fast=fast_many,
+        inputs=gestalt_corpus,
     ),
     Oracle(
         name="edit_distance",
@@ -878,6 +1031,27 @@ def test_corpus_covers_its_regions():
         for _, batch, length in bma_batches
         for copies in batch
     )
+    gestalt_blocks = [block for (block,) in gestalt_corpus(0)]
+    gestalt_pairs = [pair for block in gestalt_blocks for pair in block]
+    assert set(GESTALT_LENGTHS) <= {len(first) for first, _ in gestalt_pairs}
+    assert {("", ""), ("", "ACGT"), ("ACGT", "")} <= set(gestalt_pairs)
+    assert any(first == second and first for first, second in gestalt_pairs)
+    assert any(len({len(first) for first, _ in block}) > 5 for block in gestalt_blocks)
+    assert any(
+        len(list(gestalt._blocks(block, _table_pairs(block)))) > 1
+        for block in gestalt_blocks
+    ), "no block the cell budget splits"
+    for symbol in ("N", "a", "é", "\ud800", "\udc00"):
+        assert any(symbol in first for first, _ in gestalt_pairs), symbol
+    tall = [
+        (first, second)
+        for first, second in gestalt_pairs
+        if _cut_by_wrapped_cap(first, second)
+    ]
+    assert tall and all(len(first) >= 256 > len(second) for first, second in tall)
+    assert any(
+        _cut_by_wrapped_cap(first, second) for second, first in gestalt_pairs
+    ), "no tall pair with the long side second"
     rs_cases = rs_corpus(0)
     for n_parity in RS_PARITIES:
         mixes = set()
@@ -957,3 +1131,14 @@ def test_non_ascii_pair_above_matrix_threshold():
         start = block.first_start
         other = block.second_start
         assert first[start : start + block.size] == second[other : other + block.size]
+
+
+def test_run_dtype_boundaries():
+    """A block's run table takes the smallest unsigned dtype that holds
+    its ``min(height, width)``, switching at 255/256 and 65,535/65,536."""
+    assert kernels.run_dtype(255) is np.uint8
+    assert kernels.run_dtype(256) is np.uint16
+    assert kernels.run_dtype(65_535) is np.uint16
+    assert kernels.run_dtype(65_536) is np.uint32
+    assert kernels.block_runs([("A" * 300, "A" * 255)]).dtype == np.uint8
+    assert kernels.block_runs([("A" * 256, "C" * 10), ("G", "A" * 256)]).dtype == np.uint16

@@ -2,11 +2,12 @@
 
 The kernels pick their path from the input shape, and every path must
 give what the pure-Python reference DPs give: exact distances, banded
-lower bounds, gestalt matching blocks and clustering assignments.  Here
-the code-chosen kernels and the reference DPs (see :data:`PATHS`) run
-over a seeded corpus of ~500 pairs; the shared-corpus oracle registry of
-``tests/test_alignment_oracle.py`` checks the same contract, and the
-q-gram signatures, over its edge alphabets and batch sizes.  This file
+lower bounds and clustering assignments.  Here the code-chosen kernels
+and the reference DPs (see :data:`PATHS`) run over a seeded corpus of
+~500 pairs; the shared-corpus oracle registry of
+``tests/test_alignment_oracle.py`` checks the same contract, gestalt
+matching blocks and the q-gram signatures, over its edge alphabets and
+batch sizes.  This file
 also covers one-vs-many batches, the fast exits, block memoisation, and
 the retired backend selection.
 """
@@ -219,36 +220,6 @@ class TestDistanceEquivalence:
                 assert pattern.banded_distance(other, band) == (
                     edit_distance_banded(pattern.text, other, band)
                 )
-
-
-class TestGestaltEquivalence:
-    """Matching blocks against the reference per-region LCS recursion.
-
-    ``numpy`` runs the :class:`~repro.align.kernels.RunTable`
-    decomposition directly; ``auto`` and ``bitparallel`` go through the
-    memoised public entry point."""
-
-    @pytest.mark.parametrize("path", ("numpy", "bitparallel", "auto"))
-    def test_matching_blocks_match_python_reference(self, path, use_path):
-        expected = [
-            list(gestalt.reference_blocks(first, second))
-            for first, second in PAIRS[:200]
-        ]
-        clear_block_cache()
-        if path == "numpy":
-            blocks = [list(gestalt._decompose(*pair)) for pair in PAIRS[:200]]
-        else:
-            use_path(path)
-            blocks = [matching_blocks(*pair) for pair in PAIRS[:200]]
-        for pair, got, want in zip(PAIRS[:200], blocks, expected):
-            assert got == want, pair
-
-    def test_long_pair_blocks_match(self):
-        first, second = PAIRS[-1]
-        clear_block_cache()
-        assert matching_blocks(first, second) == list(
-            gestalt.reference_blocks(first, second)
-        )
 
 
 class TestClusteringIdentity:

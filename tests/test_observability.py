@@ -451,6 +451,23 @@ def test_pipeline_output_identical_with_tracing_on():
     assert observability.tracer().records  # and it actually traced
 
 
+def test_traced_gestalt_curves_show_block_span_and_pair_count():
+    """The block gestalt decomposition is one ``align.gestalt_many`` span
+    per call, and its kernel counter counts the pairs that reach the run
+    tables: neither side empty and the two not identical."""
+    from repro.core.strand import StrandPool
+    from repro.metrics.curves import post_reconstruction_curves
+
+    references = ["ACGTACGTAC", "GGGTTTCCCA", "ACGTTGCA", "TTTTAAAACC", "CAGT"]
+    estimates = ["ACGTACGTAC", "GGGTTCCCA", "", "TTTTAAAACC", "CAGTT"]
+    pool = StrandPool.from_references(references)
+    observability.enable(tracing=True, metrics=True)
+    post_reconstruction_curves(pool, estimates, workers=1, shards=1)
+    records = observability.tracer().records
+    assert [r["name"] for r in records].count("align.gestalt_many") == 1
+    assert _counter_totals()[("kernel.calls", (("kernel", "gestalt"),))] == 2
+
+
 # ------------------------------------------------------------------ #
 # Cache lifecycle events
 # ------------------------------------------------------------------ #

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,29 @@ class TestCrc8:
     @given(st.binary(max_size=40))
     def test_in_byte_range(self, payload):
         assert 0 <= crc8(payload) <= 255
+
+    def test_table_matches_bitwise_loop(self):
+        """The lookup table gives what eight bit steps per byte give, for
+        every single byte and for seeded payloads of 0 to 64 bytes."""
+        rng = random.Random(8)
+        payloads = [bytes([byte]) for byte in range(256)]
+        payloads += [rng.randbytes(length) for length in range(65) for _ in range(4)]
+        for payload in payloads:
+            assert crc8(payload) == bitwise_crc8(payload), payload
+
+
+def bitwise_crc8(payload: bytes) -> int:
+    """CRC-8/CCITT (x^8 + x^2 + x + 1) by the textbook loop of eight bit
+    steps per byte."""
+    value = 0
+    for byte in payload:
+        value ^= byte
+        for _ in range(8):
+            if value & 0x80:
+                value = ((value << 1) ^ 0x07) & 0xFF
+            else:
+                value = (value << 1) & 0xFF
+    return value
 
 
 class TestStrandLayout:
