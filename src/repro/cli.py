@@ -344,9 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="partition per-cluster stages into N deterministic shards "
-        "(bounded memory at paper scale; merged results are identical "
-        "at any shard count; overrides REPRO_SHARDS; default: 1)",
+        help="partition streamed generation (dataset/generate --stream), "
+        "full-scale runs and jobs into N contiguous shards (bounded memory "
+        "and per-shard checkpoints at paper scale; results are identical "
+        "at any shard count; other stages ignore it; overrides "
+        "REPRO_SHARDS; default: 1)",
     )
     parser.add_argument(
         "--log-level",

@@ -43,7 +43,7 @@ from repro.parallel import (
     parallel_stream,
     resolve_workers,
 )
-from repro.sharding.plan import ShardPlan, batched, resolve_shards
+from repro.sharding.plan import batched
 
 
 #: How many positions at each end are scanned for excess terminal error
@@ -153,13 +153,9 @@ class ErrorProfile:
         Per-cluster tallies are independent and additive, so with
         ``workers > 1`` clusters are profiled on a process pool and the
         per-chunk statistics merged in order — bit-identical to the
-        serial fit.  With ``shards > 1`` the pool is partitioned by a
-        stable hash of each reference (:meth:`ShardPlan.by_id
-        <repro.sharding.ShardPlan.by_id>`) and each shard becomes one
-        pool task — still bit-identical, because the tallies are pure
-        integer counts and addition commutes.  A caller-supplied ``rng``
-        (random tie-breaking whose draw order is serial by definition)
-        forces the serial path.
+        serial fit.  A caller-supplied ``rng`` (random tie-breaking
+        whose draw order is serial by definition) forces the serial
+        path.
 
         Args:
             pool: pseudo-clustered dataset to measure.
@@ -170,34 +166,21 @@ class ErrorProfile:
             workers: worker processes (None -> ``REPRO_WORKERS``/CLI
                 default; 0 -> all cores; <= 1 -> serial).
             chunk_size: clusters per pool task (default ~4 chunks per
-                worker; ignored when ``shards > 1`` — shards are the
-                chunks).
-            shards: shard count (None -> ``REPRO_SHARDS``/CLI default;
-                1 -> the worker-chunked or serial path).
+                worker).
+            shards: accepted for call-site compatibility and ignored;
+                an in-memory pool needs no second partition, so neither
+                it nor ``REPRO_SHARDS`` changes the fit.
         """
         effective_workers = resolve_workers(workers)
-        n_shards = resolve_shards(shards)
-        with span(
-            "profile_fit",
-            clusters=len(pool),
-            workers=effective_workers,
-            shards=n_shards,
-        ):
+        with span("profile_fit", clusters=len(pool), workers=effective_workers):
             counter("profile.clusters").inc(len(pool))
-            if rng is not None or (effective_workers <= 1 and n_shards <= 1):
+            if rng is not None or effective_workers <= 1:
                 statistics = ErrorStatistics()
                 statistics.tally_pool(pool, max_copies_per_cluster, rng)
                 return cls(statistics)
-            if n_shards > 1:
-                plan = ShardPlan.by_id(pool.references, n_shards)
-                chunks = [
-                    chunk for chunk in plan.split(pool.clusters) if chunk
-                ]
-            else:
-                chunks = chunk_items(pool.clusters, effective_workers, chunk_size)
             partials = parallel_map(
                 partial(_tally_cluster_chunk, max_copies_per_cluster),
-                chunks,
+                chunk_items(pool.clusters, effective_workers, chunk_size),
                 workers=effective_workers,
                 chunk_size=1,
             )

@@ -99,28 +99,17 @@ class Simulator:
         references: Sequence[str],
         workers: int | None = None,
         chunk_size: int | None = None,
-        shards: int | None = None,
     ) -> StrandPool:
         """Transmit every reference; returns a pseudo-clustered pool.
 
         The default simulator draws every random variate from one serial
         stream — that exact draw order is a compatibility contract, so
-        ``workers`` (and the global shard default) is ignored unless the
-        simulator was constructed with ``per_cluster_seeds=True``.  In
-        that mode each cluster owns an RNG derived from
-        ``(seed, cluster_index)`` and clusters can be transmitted on a
-        process pool, bit-identical at any worker or shard count.
-
-        Raises:
-            ConfigError: ``shards > 1`` requested explicitly without
-                ``per_cluster_seeds`` — the serial stream cannot be
-                partitioned without changing its draws.
+        ``workers`` is ignored unless the simulator was constructed with
+        ``per_cluster_seeds=True``.  In that mode each cluster owns an
+        RNG derived from ``(seed, cluster_index)`` and clusters can be
+        transmitted on a process pool, bit-identical at any worker
+        count.
         """
-        if shards is not None and shards > 1 and not self.per_cluster_seeds:
-            raise ConfigError(
-                "sharded simulation requires per_cluster_seeds=True "
-                "(the default serial RNG stream cannot be partitioned)"
-            )
         with span(
             "simulate",
             clusters=len(references),

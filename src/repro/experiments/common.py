@@ -29,7 +29,6 @@ from repro.core.strand import StrandPool
 from repro.data.nanopore import make_nanopore_dataset
 from repro.observability import span
 from repro.reconstruct.base import Reconstructor
-from repro.sharding.plan import default_shards
 from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
@@ -69,19 +68,10 @@ class ExperimentContext:
             self.real_pool, statistics = cached
             self.profile = ErrorProfile(statistics)
         else:
-            with span(
-                "context.build",
-                n_clusters=self.n_clusters,
-                seed=DATASET_SEED,
-                shards=default_shards(),
-            ):
+            with span("context.build", n_clusters=self.n_clusters, seed=DATASET_SEED):
                 self.real_pool = make_nanopore_dataset(
                     n_clusters=self.n_clusters, seed=DATASET_SEED
                 )
-                # The profile fit resolves the global --shards/REPRO_SHARDS
-                # default internally; per-cluster tallies merge
-                # associatively, so the cached profile is identical at any
-                # shard count.
                 self.profile = ErrorProfile.from_pool(
                     self.real_pool, max_copies_per_cluster=PROFILE_COPIES
                 )

@@ -22,7 +22,6 @@ from repro.align.gestalt import matching_blocks_many
 from repro.align.hamming import hamming_error_positions
 from repro.core.strand import StrandPool
 from repro.parallel import chunk_items, parallel_map, resolve_workers
-from repro.sharding.plan import resolve_shards
 
 
 def _accumulate(
@@ -116,29 +115,12 @@ def _paired_curves(
     workers: int | None,
     chunk_size: int | None,
     reference_length: int,
-    shards: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """Both curves over (reference, other) pairs, chunked over a process
     pool when ``workers > 1``; results are merged in order and padded to
-    the full reference length, matching the serial pass bit for bit.
-    With ``shards > 1`` the pairs are partitioned into that many
-    contiguous chunks instead (the sharded pipeline's unit of work) —
-    curve merging is element-wise addition, so any partition produces
-    the identical curve."""
+    the full reference length, matching the serial pass bit for bit."""
     effective_workers = resolve_workers(workers)
-    n_shards = resolve_shards(shards)
-    if n_shards > 1 and pairs:
-        shard_size = -(-len(pairs) // n_shards)
-        chunks = [
-            pairs[start : start + shard_size]
-            for start in range(0, len(pairs), shard_size)
-        ]
-        per_chunk = parallel_map(
-            _curves_for_pairs, chunks, workers=effective_workers, chunk_size=1
-        )
-        hamming = merge_curves(chunk[0] for chunk in per_chunk)
-        gestalt = merge_curves(chunk[1] for chunk in per_chunk)
-    elif effective_workers <= 1 or len(pairs) < 2:
+    if effective_workers <= 1 or len(pairs) < 2:
         hamming, gestalt = _curves_for_pairs(pairs)
     else:
         chunks = chunk_items(pairs, effective_workers, chunk_size)
@@ -164,8 +146,9 @@ def pre_reconstruction_curves(
 ) -> tuple[list[int], list[int]]:
     """(Hamming, gestalt) curves of raw noisy copies against references —
     the paper's Fig. 3.2 analysis of dataset noise.  With ``workers > 1``
-    the pairs are accumulated on a process pool, and with ``shards > 1``
-    in per-shard chunks (both bit-identical merges)."""
+    the pairs are accumulated on a process pool in chunks of
+    ``chunk_size`` pairs (a bit-identical merge).  ``shards`` is accepted
+    for call-site compatibility and ignored, as is ``REPRO_SHARDS``."""
     pairs: list[tuple[str, str]] = []
     for cluster in pool:
         cluster_copies = cluster.copies
@@ -176,7 +159,7 @@ def pre_reconstruction_curves(
     reference_length = max(
         (len(cluster.reference) for cluster in pool if cluster.copies), default=0
     )
-    return _paired_curves(pairs, workers, chunk_size, reference_length, shards)
+    return _paired_curves(pairs, workers, chunk_size, reference_length)
 
 
 def post_reconstruction_curves(
@@ -188,9 +171,10 @@ def post_reconstruction_curves(
 ) -> tuple[list[int], list[int]]:
     """(Hamming, gestalt) curves of reconstruction estimates against
     references — the paper's Fig. 3.4/3.5/3.7/3.10 analyses.  With
-    ``workers > 1`` the pairs are accumulated on a process pool, and
-    with ``shards > 1`` in per-shard chunks (both bit-identical
-    merges)."""
+    ``workers > 1`` the pairs are accumulated on a process pool in
+    chunks of ``chunk_size`` pairs (a bit-identical merge).  ``shards``
+    is accepted for call-site compatibility and ignored, as is
+    ``REPRO_SHARDS``."""
     references = pool.references
     if len(references) != len(estimates):
         raise ValueError(
@@ -198,7 +182,7 @@ def post_reconstruction_curves(
         )
     pairs = list(zip(references, estimates))
     reference_length = max((len(reference) for reference in references), default=0)
-    return _paired_curves(pairs, workers, chunk_size, reference_length, shards)
+    return _paired_curves(pairs, workers, chunk_size, reference_length)
 
 
 def curve_summary(curve: Sequence[int], bins: int = 11) -> list[int]:

@@ -65,10 +65,10 @@ FORCE_ENV = "REPRO_FORCE_PARALLEL"
 #: The minimum item count worth dispatching to the pool.  Below it, pool
 #: startup plus pickling costs more than the work itself — the
 #: ``BENCH_throughput`` sub-1× "speedups" were exactly this overhead
-#: measured on inputs too small to parallelise.  Kept small: the sharded
-#: stages dispatch one item per shard (4 shards is a common test
-#: configuration), and those items are coarse enough to amortise the pool
-#: even at this count.  It gates :func:`parallel_map` only: a stream's
+#: measured on inputs too small to parallelise.  Kept small: the
+#: full-scale runner dispatches one item per shard (4 shards is a common
+#: test configuration), and those items are coarse enough to amortise the
+#: pool even at this count.  It gates :func:`parallel_map` only: a stream's
 #: length is unknown up front, and its one pool is amortised over the
 #: whole stream.
 MIN_PARALLEL_ITEMS = 4

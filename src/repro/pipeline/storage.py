@@ -39,15 +39,12 @@ import time
 from collections.abc import Callable
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
-from functools import partial
 
 from repro.core.channel import Channel
 from repro.core.coverage import ConstantCoverage, CoverageModel
 from repro.core.errors import ErrorModel
 from repro.exceptions import ConfigError, EncodeError, RetrievalError
 from repro.observability import counter, get_logger, span
-from repro.parallel import derive_seed, parallel_map
-from repro.sharding.plan import ShardPlan, resolve_shards
 from repro.pipeline.decay import StorageDecay
 from repro.pipeline.encoding import Basic2BitCodec, Codec
 from repro.pipeline.primers import generate_primer_library
@@ -89,7 +86,7 @@ def _survey_strands(
     ``block_window``, if given, is entered around each block's
     ``draw_reads`` calls with the block's expected draw count (bases
     times copies over its live strands) and left before reconstruction;
-    the serial survey passes :meth:`Channel.bulk_window` so a block's
+    :meth:`DNAArchive._survey` passes :meth:`Channel.bulk_window` so a block's
     reads come from one bulk source.
     Returns ``(estimate, failure_reason, n_reads)`` per item; exactly one
     of estimate/failure is set.
@@ -121,32 +118,6 @@ def _survey_strands(
                 estimate, failure = None, "reconstruction produced no estimate"
             results.append((estimate, failure, len(reads)))
     return results
-
-
-def _survey_chunk(
-    channel_model: ErrorModel | None,
-    reconstructor: Reconstructor,
-    strand_length: int,
-    survey_seed: int,
-    chunk: list[tuple[int, str | None, int]],
-) -> list[tuple[str | None, str | None, int]]:
-    """Worker task for the sharded survey: sequence and reconstruct one
-    shard of ``(position, strand, coverage)`` items.
-
-    Each strand's reads are drawn from ``random.Random(derive_seed(
-    survey_seed, position))`` — a pure function of the item, so the
-    survey is identical at any shard and worker count.  Returns what
-    :func:`_survey_strands` returns.
-    """
-    channel = Channel(channel_model) if channel_model is not None else None
-
-    def draw_reads(position: int, strand: str, n_copies: int) -> list[str]:
-        if channel is None:
-            return [strand] * n_copies
-        channel.rng = random.Random(derive_seed(survey_seed, position))
-        return channel.transmit_many(strand, n_copies)
-
-    return _survey_strands(chunk, draw_reads, reconstructor, strand_length)
 
 
 @dataclass
@@ -345,53 +316,6 @@ class DNAArchive:
         )
         return self._parse_survey(stored, outcomes)
 
-    def _survey_sharded(
-        self,
-        stored: StoredFile,
-        strands: list[str | None],
-        channel_model: ErrorModel | None,
-        coverages: list[int],
-        reconstructor: Reconstructor,
-        n_shards: int,
-        workers: int | None,
-    ) -> _Survey:
-        """The sharded sequencing pass: strands are partitioned by a
-        stable hash of their content, each shard sequenced and
-        reconstructed as one pool task, and the per-strand estimates
-        scattered back for parsing.
-
-        Each strand's channel noise comes from a stream derived from
-        ``(survey seed, position)``, where the survey seed itself is one
-        draw from the archive's serial RNG — successive reads still
-        differ, but within a survey the reads are a pure function of the
-        strand, so the result is identical at every shard and worker
-        count.  (The serial :meth:`_survey` consumes one sequential
-        stream instead, so sharded and serial surveys draw *different*
-        noise of the same distribution.)
-        """
-        survey_seed = self.rng.getrandbits(64)
-        plan = ShardPlan.by_id(
-            [
-                strand if strand is not None else f"lost:{position}"
-                for position, strand in enumerate(strands)
-            ],
-            n_shards,
-        )
-        items = list(zip(range(len(strands)), strands, coverages))
-        per_shard = parallel_map(
-            partial(
-                _survey_chunk,
-                channel_model,
-                reconstructor,
-                stored.layout.strand_length(),
-                survey_seed,
-            ),
-            plan.split(items),
-            workers=workers,
-            chunk_size=1,
-        )
-        return self._parse_survey(stored, plan.scatter(per_shard))
-
     @staticmethod
     def _parse_survey(
         stored: StoredFile,
@@ -462,16 +386,10 @@ class DNAArchive:
             storage_years: archival time for the decay model.
             faults: optional fault injector applied to the sequenced
                 reads (dropped clusters, truncation, contamination, ...).
-            shards: shard count for the sequencing+reconstruction pass
-                (None -> ``REPRO_SHARDS``/CLI default).  With
-                ``shards > 1`` strands are partitioned by a stable hash
-                of their content and surveyed shard by shard with
-                per-strand derived RNG streams — deterministic and
-                identical at any shard/worker count, but drawing
-                different (same-distribution) noise than the serial
-                single-stream survey.  Fault injection consumes a serial
-                stream, so ``faults`` forces the serial path.
-            workers: pool workers for the sharded pass.
+            shards, workers: accepted for call-site compatibility and
+                ignored.  A read is one serial sequencing pass over the
+                pool, so neither they nor ``REPRO_SHARDS`` change the
+                result or the archive's RNG state.
 
         Raises:
             KeyError: unknown key.
@@ -488,21 +406,9 @@ class DNAArchive:
         )
         reconstructor = reconstructor or BMALookahead()
         coverages = coverage_model.draw(len(strands), self.rng)
-        n_shards = resolve_shards(shards)
-        if n_shards > 1 and faults is None:
-            survey = self._survey_sharded(
-                stored,
-                strands,
-                channel_model,
-                coverages,
-                reconstructor,
-                n_shards,
-                workers,
-            )
-        else:
-            survey = self._survey(
-                stored, strands, channel_model, coverages, reconstructor, faults
-            )
+        survey = self._survey(
+            stored, strands, channel_model, coverages, reconstructor, faults
+        )
         data, n_erasures, n_corrected = self._decode_groups(
             stored, survey.payload_by_index
         )

@@ -16,8 +16,7 @@ from functools import partial
 
 from repro.core.strand import Cluster, StrandPool
 from repro.observability import counter, span
-from repro.parallel import parallel_map, parallel_map_chunks
-from repro.sharding.plan import ShardPlan, resolve_shards
+from repro.parallel import parallel_map_chunks
 
 #: Clusters per batched reconstruction: the block a lockstep kernel
 #: holds at once (it bounds the kernel's buffers, DESIGN §16), and the
@@ -68,14 +67,10 @@ class Reconstructor(ABC):
         Reconstruction is deterministic per cluster, so with
         ``workers > 1`` chunks of clusters are distributed over a process
         pool and the estimates merged back in pool order — bit-identical
-        to the serial pass.  With ``shards > 1`` the pool is partitioned
-        by a stable hash of each reference and each shard becomes one
-        pool task, with per-shard estimates scattered back to pool order
-        (:meth:`ShardPlan.scatter <repro.sharding.ShardPlan.scatter>`) —
-        also bit-identical.  Every path hands whole chunks (the serial
+        to the serial pass.  Both paths hand whole chunks (the serial
         path: the whole pool) to :meth:`reconstruct_many`.  Defined here
         at the base-class level so every algorithm (BMA, Divider BMA,
-        Iterative, ...) inherits all three paths.
+        Iterative, ...) inherits both paths.
 
         Args:
             pool: the clusters to reconstruct.
@@ -83,30 +78,17 @@ class Reconstructor(ABC):
             workers: worker processes (None -> ``REPRO_WORKERS``/CLI
                 default; 0 -> all cores; <= 1 -> serial).
             chunk_size: clusters per pool task (default ~4 chunks per
-                worker; ignored when ``shards > 1``).
-            shards: shard count (None -> ``REPRO_SHARDS``/CLI default).
+                worker).
+            shards: accepted for call-site compatibility and ignored;
+                neither it nor ``REPRO_SHARDS`` changes the estimates.
         """
-        n_shards = resolve_shards(shards)
-        with span(
-            "reconstruct",
-            algorithm=self.name,
-            clusters=len(pool),
-            shards=n_shards,
-        ):
+        with span("reconstruct", algorithm=self.name, clusters=len(pool)):
             counter("reconstruct.clusters", algorithm=self.name).inc(len(pool))
-            task = partial(_reconstruct_chunk, self, strand_length)
-            copies_lists = [cluster.copies for cluster in pool]
-            if n_shards > 1:
-                plan = ShardPlan.by_id(pool.references, n_shards)
-                per_shard = parallel_map(
-                    task,
-                    plan.split(copies_lists),
-                    workers=workers,
-                    chunk_size=1,
-                )
-                return plan.scatter(per_shard)
             return parallel_map_chunks(
-                task, copies_lists, workers=workers, chunk_size=chunk_size
+                partial(_reconstruct_chunk, self, strand_length),
+                [cluster.copies for cluster in pool],
+                workers=workers,
+                chunk_size=chunk_size,
             )
 
 
@@ -115,7 +97,7 @@ def _reconstruct_chunk(
     strand_length: int,
     copies_lists: list[list[str]],
 ) -> list[str]:
-    """Worker task for the pool passes: reconstruct a chunk or a shard."""
+    """Worker task for the pool pass: reconstruct one chunk."""
     return reconstructor.reconstruct_many(copies_lists, strand_length)
 
 

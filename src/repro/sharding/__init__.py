@@ -5,10 +5,9 @@ The paper's evaluation dataset is 10,000 strands of length 110 with
 stage's intermediate state at once is what kept the experiments at small
 default scales.  This package closes that gap:
 
-* :mod:`repro.sharding.plan` — deterministic shard assignment (stable
-  BLAKE2b hash of strand id + seed, or order-preserving contiguous
-  ranges) with ``split``/``scatter`` round-trips, plus the
-  ``REPRO_SHARDS``/``--shards`` default resolution;
+* :mod:`repro.sharding.plan` — deterministic shard assignment
+  (order-preserving contiguous ranges, :meth:`ShardPlan.contiguous`),
+  plus the ``REPRO_SHARDS``/``--shards`` default resolution;
 * :mod:`repro.sharding.runner` — the full-scale pipeline: per-shard
   generate → profile → reconstruct → score workers on
   :func:`repro.parallel.parallel_map`, merged with the associative
@@ -18,8 +17,11 @@ default scales.  This package closes that gap:
   <repro.metrics.accuracy.AccuracyTally.merge>`) so peak memory is
   bounded by one shard, not the archive.
 
-Single-shard execution (the default) is bit-identical to the
-pre-sharding code path everywhere.
+Shards act only where they bound memory or checkpoint work: streamed
+generation, the full-scale runner, the durable job engine
+(:mod:`repro.jobs`) and the sweep ``shards`` axis.  Their results are
+identical at every shard count.  In-memory stages accept a ``shards=``
+keyword and ignore it.
 """
 
 from repro.sharding.plan import (
@@ -29,7 +31,6 @@ from repro.sharding.plan import (
     default_shards,
     resolve_shards,
     set_default_shards,
-    shard_of,
 )
 
 #: Runner symbols resolved lazily (PEP 562): the runner pulls in the
@@ -62,7 +63,6 @@ __all__ = [
     "default_shards",
     "resolve_shards",
     "set_default_shards",
-    "shard_of",
     "FullScalePlan",
     "FullScaleResult",
     "ShardConfig",

@@ -1,39 +1,36 @@
-"""Deterministic shard planning: who owns which cluster, and why.
+"""Deterministic shard planning: which clusters a shard owns, and why.
 
-A *shard* is a deterministic subset of an archive's clusters small
-enough to simulate, profile, reconstruct, and score in memory.  Two
-partitioning modes cover every pipeline stage:
+A *shard* is a contiguous, order-preserving range of a run's clusters
+small enough to simulate, profile, reconstruct, and score in memory.
+Shards are the unit of memory and of checkpointing, and only where that
+matters do they act:
 
-* :meth:`ShardPlan.by_id` — **stable-hash** assignment: a cluster's
-  shard is a BLAKE2b hash of its strand id (the reference strand) mixed
-  with the plan seed.  Assignment depends only on the cluster's identity,
-  never on its position in the pool, so re-ordering an archive or
-  loading it from a differently-ordered file lands every cluster in the
-  same shard.  Used for shard-wise stage execution over an existing
-  pool (profile fitting, reconstruction, curve accumulation,
-  clustering, archive surveys).
-* :meth:`ShardPlan.contiguous` — order-preserving ranges, used where
-  the *output order* matters (streaming a generated dataset to disk in
-  original index order, independent of the shard count).
+* streamed generation (:meth:`Simulator.iter_shards
+  <repro.core.simulator.Simulator.iter_shards>`,
+  :func:`~repro.data.nanopore.iter_nanopore_clusters`), where one shard
+  at a time is held per worker and written to disk in original index
+  order;
+* the full-scale runner (:mod:`repro.sharding.runner`) and the durable
+  job engine (:mod:`repro.jobs`), where each shard is one checkpoint,
+  and the sweep ``shards`` axis that feeds them.
 
-In both modes every per-cluster stage result is keyed by the cluster's
-original index, and merged either by scatter (estimates) or by the
-associative merge machinery (:meth:`ErrorStatistics.merge
+Per-shard results merge through the associative merge machinery
+(:meth:`ErrorStatistics.merge
 <repro.analysis.error_stats.ErrorStatistics.merge>`,
 :func:`~repro.metrics.curves.merge_curves`,
-:meth:`~repro.metrics.accuracy.AccuracyTally.merge`) — so the shard
-count never changes merged results, only the peak memory and the unit
-of parallel work.
+:meth:`~repro.metrics.accuracy.AccuracyTally.merge`), so the shard count
+never changes a merged result, only the peak memory and the unit of
+parallel work.  In-memory stages (profile fits, reconstruction, curves,
+clustering, archive reads) take no shard partition: a ``shards=`` they
+are passed is accepted and ignored.
 
 The default shard count resolves like the worker count does: the
-``REPRO_SHARDS`` environment variable (default 1 — today's unsharded
-path, bit for bit), overridden per process by the CLI's ``--shards``
-flag via :func:`set_default_shards`.
+``REPRO_SHARDS`` environment variable (default 1), overridden per
+process by the CLI's ``--shards`` flag via :func:`set_default_shards`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -100,52 +97,19 @@ def resolve_shards(shards: int | None) -> int:
     return shards
 
 
-def shard_of(strand_id: str, seed: int, n_shards: int) -> int:
-    """The shard owning ``strand_id`` under ``seed``, out of ``n_shards``.
-
-    A stable 64-bit BLAKE2b hash of ``seed`` and the id — platform- and
-    process-independent (unlike ``hash``), and uncorrelated across
-    adjacent seeds (unlike a linear mix), so shard populations stay
-    balanced and reproducible everywhere.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    digest = hashlib.blake2b(
-        f"{seed}|{strand_id}".encode("ascii"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") % n_shards
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """A deterministic partition of ``n_items`` clusters into shards.
 
     Attributes:
-        n_shards: number of shards (some may be empty in hash mode).
-        seed: the hash seed (0 for contiguous plans).
+        n_shards: number of shards (trailing shards may be empty when
+            there are fewer items than shards).
         indices: per-shard tuples of original item indices.  Every index
             in ``range(n_items)`` appears exactly once across all shards.
     """
 
     n_shards: int
-    seed: int
     indices: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def by_id(
-        cls, ids: Sequence[str], n_shards: int, seed: int = 0
-    ) -> "ShardPlan":
-        """Stable-hash plan: item ``i`` goes to ``shard_of(ids[i], seed)``.
-
-        Assignment depends only on each item's id, so the same strand
-        lands in the same shard no matter how the pool is ordered.
-        """
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        buckets: list[list[int]] = [[] for _ in range(n_shards)]
-        for index, item_id in enumerate(ids):
-            buckets[shard_of(item_id, seed, n_shards)].append(index)
-        return cls(n_shards, seed, tuple(tuple(bucket) for bucket in buckets))
 
     @classmethod
     def contiguous(cls, n_items: int, n_shards: int) -> "ShardPlan":
@@ -164,14 +128,14 @@ class ShardPlan:
         for shard in range(n_shards):
             start = shard * size
             buckets.append(tuple(range(start, min(start + size, n_items))))
-        return cls(n_shards, 0, tuple(buckets))
+        return cls(n_shards, tuple(buckets))
 
     @property
     def n_items(self) -> int:
         return sum(len(bucket) for bucket in self.indices)
 
     def shard_sizes(self) -> list[int]:
-        """Items per shard (diagnostic; hash shards are near-balanced)."""
+        """Items per shard (diagnostic)."""
         return [len(bucket) for bucket in self.indices]
 
     def split(self, items: Sequence[Item]) -> list[list[Item]]:
@@ -185,31 +149,6 @@ class ShardPlan:
                 f"plan covers {self.n_items} items but {len(items)} given"
             )
         return [[items[index] for index in bucket] for bucket in self.indices]
-
-    def scatter(self, per_shard: Sequence[Sequence[Item]]) -> list[Item]:
-        """Reassemble per-shard results into original item order.
-
-        The inverse of :meth:`split`: ``plan.scatter(plan.split(items))
-        == list(items)`` for every plan.
-
-        Raises:
-            ValueError: if the per-shard shapes do not match the plan.
-        """
-        if len(per_shard) != self.n_shards:
-            raise ValueError(
-                f"plan has {self.n_shards} shards but {len(per_shard)} "
-                "result lists given"
-            )
-        gathered: list[Item | None] = [None] * self.n_items
-        for bucket, results in zip(self.indices, per_shard):
-            if len(bucket) != len(results):
-                raise ValueError(
-                    f"shard of {len(bucket)} items produced "
-                    f"{len(results)} results"
-                )
-            for index, result in zip(bucket, results):
-                gathered[index] = result
-        return gathered  # type: ignore[return-value]
 
 
 def batched(items: Iterable[Item], batch_size: int) -> Iterator[list[Item]]:

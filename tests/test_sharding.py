@@ -1,11 +1,11 @@
 """Tests for the sharding layer: plans, streaming IO, and stage equivalence.
 
-The load-bearing invariant throughout is **shard-count invariance**: for
-every associatively-merged stage (generation, profiling, reconstruction,
-curves, accuracy), running sharded must produce results bit-identical to
-the serial path.  Greedy clustering ignores the shard count (one global
-sweep), and the archive survey draws different same-distribution noise
-(asserted to recover the data, not to match serial bytes).
+The load-bearing invariant throughout is **shard-count invariance**:
+streamed generation and the full-scale runner partition their work into
+shards and must produce results bit-identical to the serial path, while
+the in-memory stages (profile fits, reconstruction, curves, greedy
+clustering, archive reads) ignore the shard count altogether — neither a
+``shards`` argument nor ``REPRO_SHARDS`` may change their output.
 """
 
 from __future__ import annotations
@@ -23,14 +23,18 @@ from repro.core.strand import Cluster, StrandPool
 from repro.data.io import PoolWriter, iter_pool, read_pool, write_pool
 from repro.data.nanopore import (
     NanoporeParameters,
+    ground_truth_model,
     iter_nanopore_clusters,
     make_sharded_nanopore_dataset,
 )
 from repro.exceptions import ConfigError
+from repro.experiments import ext_reliability
 from repro.metrics.accuracy import AccuracyTally
 from repro.metrics.curves import post_reconstruction_curves, pre_reconstruction_curves
 from repro.parallel import FORCE_ENV
+from repro.pipeline.storage import DNAArchive
 from repro.reconstruct.majority import PositionalMajority
+from repro.robustness import RetryPolicy
 from repro.sharding import (
     ShardPlan,
     batched,
@@ -38,7 +42,6 @@ from repro.sharding import (
     resolve_shards,
     run_fullscale,
     set_default_shards,
-    shard_of,
 )
 
 
@@ -47,47 +50,7 @@ from repro.sharding import (
 # --------------------------------------------------------------------- #
 
 
-class TestShardOf:
-    def test_deterministic_and_in_range(self):
-        for n_shards in (1, 2, 7):
-            for strand in ("ACGT", "TTTT", ""):
-                shard = shard_of(strand, seed=3, n_shards=n_shards)
-                assert shard == shard_of(strand, seed=3, n_shards=n_shards)
-                assert 0 <= shard < n_shards
-
-    def test_seed_changes_assignment(self):
-        strands = [f"STRAND{i}" for i in range(64)]
-        a = [shard_of(s, seed=0, n_shards=8) for s in strands]
-        b = [shard_of(s, seed=1, n_shards=8) for s in strands]
-        assert a != b
-
-    def test_rejects_zero_shards(self):
-        with pytest.raises(ValueError, match="n_shards"):
-            shard_of("ACGT", seed=0, n_shards=0)
-
-
 class TestShardPlan:
-    def test_by_id_split_scatter_roundtrip(self):
-        ids = [f"ID{i}" for i in range(23)]
-        plan = ShardPlan.by_id(ids, n_shards=5)
-        items = list(range(23))
-        assert plan.scatter(plan.split(items)) == items
-
-    def test_by_id_is_order_independent(self):
-        ids = [f"ID{i}" for i in range(40)]
-        plan = ShardPlan.by_id(ids, n_shards=4)
-        shuffled = list(ids)
-        random.Random(9).shuffle(shuffled)
-        shuffled_plan = ShardPlan.by_id(shuffled, n_shards=4)
-        # The same id lands in the same shard regardless of pool order.
-        by_id = {ids[i]: s for s, bucket in enumerate(plan.indices) for i in bucket}
-        by_id_shuffled = {
-            shuffled[i]: s
-            for s, bucket in enumerate(shuffled_plan.indices)
-            for i in bucket
-        }
-        assert by_id == by_id_shuffled
-
     def test_contiguous_concatenation_restores_order(self):
         for n_items, n_shards in [(0, 3), (7, 3), (12, 4), (5, 8)]:
             plan = ShardPlan.contiguous(n_items, n_shards)
@@ -95,20 +58,13 @@ class TestShardPlan:
             assert flattened == list(range(n_items))
 
     def test_shard_sizes_sum_to_items(self):
-        plan = ShardPlan.by_id([f"ID{i}" for i in range(31)], n_shards=6)
+        plan = ShardPlan.contiguous(31, 6)
         assert sum(plan.shard_sizes()) == plan.n_items == 31
 
     def test_split_rejects_wrong_length(self):
         plan = ShardPlan.contiguous(4, 2)
         with pytest.raises(ValueError, match="plan covers"):
             plan.split([1, 2, 3])
-
-    def test_scatter_rejects_wrong_shapes(self):
-        plan = ShardPlan.contiguous(4, 2)
-        with pytest.raises(ValueError, match="shards"):
-            plan.scatter([[1, 2]])
-        with pytest.raises(ValueError, match="produced"):
-            plan.scatter([[1], [2, 3, 4]])
 
 
 class TestBatched:
@@ -250,24 +206,6 @@ def stage_pool() -> StrandPool:
 
 
 class TestStageEquivalence:
-    def test_profile_fit_sharded_is_bit_identical(self, stage_pool):
-        serial = ErrorProfile.from_pool(stage_pool, max_copies_per_cluster=3)
-        sharded = ErrorProfile.from_pool(
-            stage_pool, max_copies_per_cluster=3, shards=4
-        )
-        assert sharded.statistics.pair_count == serial.statistics.pair_count
-        assert (
-            sharded.statistics.substitution_pairs
-            == serial.statistics.substitution_pairs
-        )
-        assert (
-            sharded.statistics.error_positions == serial.statistics.error_positions
-        )
-        assert (
-            sharded.statistics.long_deletion_lengths
-            == serial.statistics.long_deletion_lengths
-        )
-
     def test_profile_fit_streaming_matches_pool(self, stage_pool, monkeypatch):
         whole = ErrorProfile.from_pool(stage_pool, max_copies_per_cluster=3)
         streamed = ErrorProfile.from_clusters(
@@ -283,24 +221,6 @@ class TestStageEquivalence:
             iter(stage_pool), max_copies_per_cluster=3, workers=2, batch_size=7
         )
         assert pooled.statistics == whole.statistics
-
-    def test_reconstruct_pool_sharded_matches_serial(self, stage_pool):
-        reconstructor = PositionalMajority()
-        length = len(stage_pool.references[0])
-        serial = reconstructor.reconstruct_pool(stage_pool, length)
-        sharded = reconstructor.reconstruct_pool(stage_pool, length, shards=4)
-        assert sharded == serial
-
-    def test_curves_sharded_match_serial(self, stage_pool):
-        pre_serial = pre_reconstruction_curves(stage_pool)
-        pre_sharded = pre_reconstruction_curves(stage_pool, shards=3)
-        assert pre_serial == pre_sharded
-        estimates = PositionalMajority().reconstruct_pool(
-            stage_pool, len(stage_pool.references[0])
-        )
-        post_serial = post_reconstruction_curves(stage_pool, estimates)
-        post_sharded = post_reconstruction_curves(stage_pool, estimates, shards=3)
-        assert post_serial == post_sharded
 
     def test_accuracy_tally_merge_matches_whole(self, stage_pool):
         estimates = PositionalMajority().reconstruct_pool(
@@ -365,11 +285,6 @@ class TestSimulatorShards:
         with pytest.raises(ConfigError, match="per_cluster_seeds"):
             list(simulator.iter_shards(["ACGT" * 10]))
 
-    def test_simulate_rejects_shards_without_per_cluster_seeds(self):
-        simulator = self._simulator(per_cluster_seeds=False)
-        with pytest.raises(ConfigError, match="per_cluster_seeds"):
-            simulator.simulate(["ACGT" * 10], shards=2)
-
 
 # --------------------------------------------------------------------- #
 # Greedy clustering (documented approximation)
@@ -399,6 +314,110 @@ class TestClusteringIgnoresShards:
             assert result.assignments == default.assignments
             assert result.representatives == default.representatives
             assert result.comparisons == default.comparisons
+
+
+# --------------------------------------------------------------------- #
+# In-memory stages and archive reads ignore the shard count
+# --------------------------------------------------------------------- #
+
+
+def _with_ambient_shards(monkeypatch, run):
+    """``run()`` with ``REPRO_SHARDS`` unset, then set to 4."""
+    monkeypatch.delenv("REPRO_SHARDS", raising=False)
+    set_default_shards(None)
+    unset = run()
+    monkeypatch.setenv("REPRO_SHARDS", "4")
+    return unset, run()
+
+
+class TestInMemoryStagesIgnoreShards:
+    """A ``shards`` argument to an in-memory stage is accepted and
+    ignored, and so is ``REPRO_SHARDS``: each result equals the one with
+    the environment unset."""
+
+    @staticmethod
+    def _archive():
+        archive = DNAArchive(seed=5)
+        archive.write("f", bytes(range(256)) * 4)
+        return archive
+
+    def _archive_read(self, **kwargs):
+        archive = self._archive()
+        report = archive.read(
+            "f", channel_model=ground_truth_model(), coverage=20, **kwargs
+        )
+        return report, archive.rng.getstate()
+
+    def test_archive_read_ignores_shards(self, monkeypatch):
+        """A sharded survey once reseeded per strand: on this file the
+        serial read decodes with 11 erasures, and under
+        ``REPRO_SHARDS=4`` it raised "9 erasures exceed 8 parity
+        strands"."""
+        unset, ambient = _with_ambient_shards(monkeypatch, self._archive_read)
+        explicit = self._archive_read(shards=4, workers=1)
+        assert unset[0].data == bytes(range(256)) * 4
+        assert ambient == unset
+        assert explicit == unset
+
+    def test_archive_retrieve_ignores_shards(self, monkeypatch):
+        def retrieve():
+            archive = self._archive()
+            result = archive.retrieve(
+                "f",
+                ground_truth_model(),
+                coverage=3,
+                retry=RetryPolicy(max_attempts=2),
+            )
+            return result, archive.rng.getstate()
+
+        unset, ambient = _with_ambient_shards(monkeypatch, retrieve)
+        assert len(unset[0].attempts) == 2
+        assert ambient == unset
+
+    def test_profile_fit_ignores_shards(self, stage_pool, monkeypatch):
+        def fit(**kwargs):
+            return ErrorProfile.from_pool(
+                stage_pool, max_copies_per_cluster=3, **kwargs
+            ).statistics
+
+        unset, ambient = _with_ambient_shards(monkeypatch, fit)
+        assert ambient == unset
+        assert fit(shards=4) == unset
+
+    def test_reconstruct_pool_ignores_shards(self, stage_pool, monkeypatch):
+        reconstructor = PositionalMajority()
+        length = len(stage_pool.references[0])
+
+        def reconstruct(**kwargs):
+            return reconstructor.reconstruct_pool(stage_pool, length, **kwargs)
+
+        unset, ambient = _with_ambient_shards(monkeypatch, reconstruct)
+        assert ambient == unset
+        assert reconstruct(shards=4) == unset
+
+    def test_curves_ignore_shards(self, stage_pool, monkeypatch):
+        estimates = PositionalMajority().reconstruct_pool(
+            stage_pool, len(stage_pool.references[0])
+        )
+
+        def curves(**kwargs):
+            return (
+                pre_reconstruction_curves(stage_pool, **kwargs),
+                post_reconstruction_curves(stage_pool, estimates, **kwargs),
+            )
+
+        unset, ambient = _with_ambient_shards(monkeypatch, curves)
+        assert ambient == unset
+        assert curves(shards=4) == unset
+
+    def test_ext_reliability_ignores_shards(self, monkeypatch):
+        """The E-X4 table once depended on the ambient shard count
+        (Illumina-grade minimum coverage 4 vs 2, beyond-Nanopore 16 vs
+        FAIL)."""
+        unset, ambient = _with_ambient_shards(
+            monkeypatch, lambda: ext_reliability.run(verbose=False)
+        )
+        assert ambient == unset
 
 
 # --------------------------------------------------------------------- #
@@ -456,23 +475,3 @@ class TestRunFullscale:
             algorithms=("majority",),
         )
         assert result.aggregate_error_rate < loud.aggregate_error_rate
-
-
-# --------------------------------------------------------------------- #
-# Sharded archive read
-# --------------------------------------------------------------------- #
-
-
-class TestShardedArchive:
-    def test_sharded_read_recovers_data(self):
-        from repro.pipeline.storage import DNAArchive
-
-        gentle = ErrorModel.uniform(0.01)
-        data = b"sharded archive read-path test payload!!"
-        archive = DNAArchive(seed=23)
-        archive.write("doc", data)
-        for shards in (1, 3):
-            report = archive.read(
-                "doc", channel_model=gentle, coverage=10, shards=shards
-            )
-            assert report.data == data
