@@ -68,12 +68,7 @@ from repro.metrics.accuracy import (
     per_character_accuracy,
     per_strand_accuracy,
 )
-from repro.parallel import (
-    default_workers,
-    parallel_map,
-    resolve_workers,
-    set_default_workers,
-)
+from repro.parallel import default_workers, resolve_workers, set_default_workers
 from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
@@ -135,7 +130,6 @@ __all__ = [
     "default_workers",
     "evaluate_reconstruction",
     "make_nanopore_dataset",
-    "parallel_map",
     "per_character_accuracy",
     "per_strand_accuracy",
     "resolve_workers",

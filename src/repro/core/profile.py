@@ -37,12 +37,7 @@ from repro.core.errors import ErrorModel, SecondOrderError
 from repro.core.spatial import HistogramSpatial, SpatialDistribution, UniformSpatial
 from repro.core.strand import Cluster, StrandPool
 from repro.observability import counter, span
-from repro.parallel import (
-    chunk_items,
-    parallel_map,
-    parallel_stream,
-    resolve_workers,
-)
+from repro.parallel import parallel_stream, resolve_workers, stream_chunks
 from repro.sharding.plan import batched
 
 
@@ -103,7 +98,7 @@ def fit_three_position_skew(rates: list[float]) -> SpatialDistribution:
 def _tally_cluster_chunk(
     max_copies_per_cluster: int | None, clusters: list[Cluster]
 ) -> ErrorStatistics:
-    """Worker task for the parallel profile fit: tally one cluster chunk."""
+    """Tally one chunk of clusters (the whole pool on a serial fit)."""
     statistics = ErrorStatistics()
     statistics.tally_pool(StrandPool(clusters), max_copies_per_cluster)
     return statistics
@@ -145,17 +140,17 @@ class ErrorProfile:
         max_copies_per_cluster: int | None = None,
         rng: random.Random | None = None,
         workers: int | None = None,
-        chunk_size: int | None = None,
         shards: int | None = None,
     ) -> "ErrorProfile":
         """Profile a dataset by aligning every copy to its reference.
 
         Per-cluster tallies are independent and additive, so with
-        ``workers > 1`` clusters are profiled on a process pool and the
-        per-chunk statistics merged in order — bit-identical to the
-        serial fit.  A caller-supplied ``rng`` (random tie-breaking
-        whose draw order is serial by definition) forces the serial
-        path.
+        ``workers > 1`` chunks of clusters are profiled on a process pool
+        (:func:`repro.parallel.stream_chunks`) and the per-chunk
+        statistics merged in order — bit-identical to the serial fit,
+        which tallies the whole pool at once.  A caller-supplied ``rng``
+        (random tie-breaking whose draw order is serial by definition)
+        forces the serial path.
 
         Args:
             pool: pseudo-clustered dataset to measure.
@@ -165,8 +160,6 @@ class ErrorProfile:
             rng: optional randomness for Algorithm 2 tie-breaking.
             workers: worker processes (None -> ``REPRO_WORKERS``/CLI
                 default; 0 -> all cores; <= 1 -> serial).
-            chunk_size: clusters per pool task (default ~4 chunks per
-                worker).
             shards: accepted for call-site compatibility and ignored;
                 an in-memory pool needs no second partition, so neither
                 it nor ``REPRO_SHARDS`` changes the fit.
@@ -174,18 +167,17 @@ class ErrorProfile:
         effective_workers = resolve_workers(workers)
         with span("profile_fit", clusters=len(pool), workers=effective_workers):
             counter("profile.clusters").inc(len(pool))
-            if rng is not None or effective_workers <= 1:
+            if rng is not None:
                 statistics = ErrorStatistics()
                 statistics.tally_pool(pool, max_copies_per_cluster, rng)
                 return cls(statistics)
-            partials = parallel_map(
+            parts = stream_chunks(
                 partial(_tally_cluster_chunk, max_copies_per_cluster),
-                chunk_items(pool.clusters, effective_workers, chunk_size),
-                workers=effective_workers,
-                chunk_size=1,
+                pool.clusters,
+                effective_workers,
             )
-            statistics = ErrorStatistics()
-            for part in partials:
+            statistics = next(parts)
+            for part in parts:
                 statistics.merge(part)
             return cls(statistics)
 

@@ -34,13 +34,7 @@ from repro.core.profile import ErrorProfile, SimulatorStage
 from repro.core.strand import Cluster, StrandPool
 from repro.exceptions import ConfigError
 from repro.observability import counter, span
-from repro.parallel import (
-    chunk_items,
-    derive_seed,
-    parallel_map,
-    parallel_stream,
-    resolve_workers,
-)
+from repro.parallel import derive_seed, parallel_stream, stream_chunks
 from repro.sharding.plan import ShardPlan, resolve_shards
 
 
@@ -98,7 +92,6 @@ class Simulator:
         self,
         references: Sequence[str],
         workers: int | None = None,
-        chunk_size: int | None = None,
     ) -> StrandPool:
         """Transmit every reference; returns a pseudo-clustered pool.
 
@@ -118,9 +111,7 @@ class Simulator:
             counter("simulate.clusters").inc(len(references))
             if not self.per_cluster_seeds:
                 return self.channel.transmit_pool(references, self.coverage)
-            return self._simulate_seeded(
-                references, self.coverage, workers, chunk_size
-            )
+            return self._simulate_seeded(references, self.coverage, workers)
 
     def iter_shards(
         self,
@@ -173,7 +164,6 @@ class Simulator:
         references: Sequence[str],
         coverage_model: CoverageModel,
         workers: int | None,
-        chunk_size: int | None,
     ) -> StrandPool:
         """Per-cluster-seeded simulation (serial or process pool).
 
@@ -186,15 +176,10 @@ class Simulator:
         coverage_rng = random.Random(derive_seed(self.seed, -1))
         coverages = coverage_model.draw(len(references), coverage_rng)
         items = list(zip(range(len(references)), references, coverages))
-        effective_workers = resolve_workers(workers)
-        chunks = chunk_items(items, effective_workers, chunk_size)
-        per_chunk = parallel_map(
-            partial(_transmit_chunk, self.model, self.seed),
-            chunks,
-            workers=effective_workers,
-            chunk_size=1,
+        per_chunk = stream_chunks(
+            partial(_transmit_chunk, self.model, self.seed), items, workers
         )
-        return StrandPool([cluster for chunk in per_chunk for cluster in chunk])
+        return StrandPool(list(chain.from_iterable(per_chunk)))
 
     def simulate_random(self, n_strands: int, strand_length: int) -> StrandPool:
         """Generate random references, then transmit them.
@@ -211,7 +196,6 @@ class Simulator:
         self,
         reference_pool: StrandPool,
         workers: int | None = None,
-        chunk_size: int | None = None,
     ) -> StrandPool:
         """Simulate with **custom coverage**: each cluster receives exactly
         the coverage of the corresponding cluster of ``reference_pool``
@@ -222,9 +206,7 @@ class Simulator:
         coverages = CustomCoverage(reference_pool.coverages())
         if not self.per_cluster_seeds:
             return self.channel.transmit_pool(reference_pool.references, coverages)
-        return self._simulate_seeded(
-            reference_pool.references, coverages, workers, chunk_size
-        )
+        return self._simulate_seeded(reference_pool.references, coverages, workers)
 
 
 def _transmit_chunk(

@@ -21,7 +21,7 @@ from itertools import accumulate
 from repro.align.gestalt import matching_blocks_many
 from repro.align.hamming import hamming_error_positions
 from repro.core.strand import StrandPool
-from repro.parallel import chunk_items, parallel_map, resolve_workers
+from repro.parallel import stream_chunks
 
 
 def _accumulate(
@@ -100,8 +100,8 @@ def merge_curves(curves: Iterable[Sequence[int]]) -> list[int]:
 def _curves_for_pairs(
     pairs: Sequence[tuple[str, str]],
 ) -> tuple[list[int], list[int]]:
-    """Worker task for the parallel curve passes: both curves over a
-    chunk of (reference, other) pairs."""
+    """Both curves over a chunk of (reference, other) pairs — all of
+    them on a serial pass."""
     references = [pair[0] for pair in pairs]
     others = [pair[1] for pair in pairs]
     return (
@@ -113,22 +113,13 @@ def _curves_for_pairs(
 def _paired_curves(
     pairs: list[tuple[str, str]],
     workers: int | None,
-    chunk_size: int | None,
     reference_length: int,
 ) -> tuple[list[int], list[int]]:
     """Both curves over (reference, other) pairs, chunked over a process
     pool when ``workers > 1``; results are merged in order and padded to
     the full reference length, matching the serial pass bit for bit."""
-    effective_workers = resolve_workers(workers)
-    if effective_workers <= 1 or len(pairs) < 2:
-        hamming, gestalt = _curves_for_pairs(pairs)
-    else:
-        chunks = chunk_items(pairs, effective_workers, chunk_size)
-        per_chunk = parallel_map(
-            _curves_for_pairs, chunks, workers=effective_workers, chunk_size=1
-        )
-        hamming = merge_curves(chunk[0] for chunk in per_chunk)
-        gestalt = merge_curves(chunk[1] for chunk in per_chunk)
+    hammings, gestalts = zip(*stream_chunks(_curves_for_pairs, pairs, workers))
+    hamming, gestalt = merge_curves(hammings), merge_curves(gestalts)
     # A chunk containing only short references yields a short curve; the
     # serial curve is always at least the longest reference.
     for curve in (hamming, gestalt):
@@ -141,14 +132,13 @@ def pre_reconstruction_curves(
     pool: StrandPool,
     max_copies_per_cluster: int | None = None,
     workers: int | None = None,
-    chunk_size: int | None = None,
     shards: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """(Hamming, gestalt) curves of raw noisy copies against references —
     the paper's Fig. 3.2 analysis of dataset noise.  With ``workers > 1``
-    the pairs are accumulated on a process pool in chunks of
-    ``chunk_size`` pairs (a bit-identical merge).  ``shards`` is accepted
-    for call-site compatibility and ignored, as is ``REPRO_SHARDS``."""
+    the pairs are accumulated in chunks on a process pool (a
+    bit-identical merge).  ``shards`` is accepted for call-site
+    compatibility and ignored, as is ``REPRO_SHARDS``."""
     pairs: list[tuple[str, str]] = []
     for cluster in pool:
         cluster_copies = cluster.copies
@@ -159,22 +149,20 @@ def pre_reconstruction_curves(
     reference_length = max(
         (len(cluster.reference) for cluster in pool if cluster.copies), default=0
     )
-    return _paired_curves(pairs, workers, chunk_size, reference_length)
+    return _paired_curves(pairs, workers, reference_length)
 
 
 def post_reconstruction_curves(
     pool: StrandPool,
     estimates: Sequence[str],
     workers: int | None = None,
-    chunk_size: int | None = None,
     shards: int | None = None,
 ) -> tuple[list[int], list[int]]:
     """(Hamming, gestalt) curves of reconstruction estimates against
     references — the paper's Fig. 3.4/3.5/3.7/3.10 analyses.  With
-    ``workers > 1`` the pairs are accumulated on a process pool in
-    chunks of ``chunk_size`` pairs (a bit-identical merge).  ``shards``
-    is accepted for call-site compatibility and ignored, as is
-    ``REPRO_SHARDS``."""
+    ``workers > 1`` the pairs are accumulated in chunks on a process
+    pool (a bit-identical merge).  ``shards`` is accepted for call-site
+    compatibility and ignored, as is ``REPRO_SHARDS``."""
     references = pool.references
     if len(references) != len(estimates):
         raise ValueError(
@@ -182,7 +170,7 @@ def post_reconstruction_curves(
         )
     pairs = list(zip(references, estimates))
     reference_length = max((len(reference) for reference in references), default=0)
-    return _paired_curves(pairs, workers, chunk_size, reference_length)
+    return _paired_curves(pairs, workers, reference_length)
 
 
 def curve_summary(curve: Sequence[int], bins: int = 11) -> list[int]:

@@ -13,7 +13,7 @@ every one of them observable without editing source:
 * :func:`get_logger` — structured key=value / JSON logging
   (:mod:`repro.observability.logs`);
 * cross-process aggregation — workers spawned by
-  :func:`repro.parallel.parallel_map` collect into fresh local
+  :func:`repro.parallel.parallel_stream` collect into fresh local
   instances and the parent merges the snapshots, so a ``--workers 8``
   run is exactly as observable as a serial one.
 
@@ -95,7 +95,7 @@ def metrics_enabled() -> bool:
 
 
 def collection_enabled() -> bool:
-    """Whether any collector is active (the parallel_map wrapping gate)."""
+    """Whether any collector is active (the parallel_stream wrapping gate)."""
     return _state.tracer is not None or _state.registry is not None
 
 
@@ -110,7 +110,7 @@ def registry() -> MetricsRegistry | None:
 
 
 # ------------------------------------------------------------------ #
-# Cross-process aggregation (used by repro.parallel.parallel_map)
+# Cross-process aggregation (used by repro.parallel.parallel_stream)
 # ------------------------------------------------------------------ #
 
 

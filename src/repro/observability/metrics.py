@@ -7,7 +7,7 @@ and JSON (for the bench-trajectory records and CI assertions).
 
 Every metric is **mergeable**: counters and histograms add, gauges keep
 their maximum.  That is the property the cross-process aggregation in
-:func:`repro.parallel.parallel_map` relies on — workers snapshot their
+:func:`repro.parallel.parallel_stream` relies on — workers snapshot their
 local registry, the parent merges the snapshots, and the merged totals
 are identical to a serial run's because the same instrumented code ran
 the same number of times, just in different processes.

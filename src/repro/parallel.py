@@ -1,22 +1,20 @@
-"""Deterministic chunked process-pool execution for per-cluster stages.
+"""Deterministic process-pool execution for per-cluster stages.
 
 Every expensive stage of the harness — profile fitting, reconstruction,
 curve accumulation, simulation — is embarrassingly parallel over
 clusters, yet at the paper's 10,000-cluster scale a serial pass through
-``IterativeReconstruction.reconstruct_pool`` alone costs minutes.  This
-module provides the two primitives those stages share:
+``IterativeReconstruction.reconstruct_pool`` alone costs minutes.  One
+primitive serves them all:
 
-* :func:`parallel_map` — a chunked ``ProcessPoolExecutor`` map whose
-  results are merged **in input order**, so any stage whose per-item work
-  is deterministic produces bit-identical output at any worker count;
-  inputs too small to amortise the pool (fewer than
-  :data:`MIN_PARALLEL_ITEMS` items, one worker, one CPU, or a single
-  chunk) run as a plain serial loop with identical results;
-* :func:`parallel_stream` — its streaming counterpart for sources that
-  must never be materialised whole (shards of a streamed dataset,
-  batches of an evyat file): one pool serves the whole stream, at most
-  ``workers`` items are in flight, and results are yielded in input
-  order;
+* :func:`parallel_stream` — the only place a process pool is started:
+  ``fn`` over a lazily read stream of items on one pool, at most
+  ``workers`` items in flight, results yielded **in input order**, so
+  any stage whose per-item work is deterministic produces bit-identical
+  output at any worker count;
+* :func:`stream_chunks` — the in-memory stages' view of it: a list cut
+  into ~4 ordered chunks per worker and streamed, or handed to ``fn``
+  whole when the stream would run serially (one worker, one CPU) or the
+  list is a single chunk — each stage folds the chunk results in order;
 * worker-count resolution — the ``REPRO_WORKERS`` environment variable
   (``0`` means "all cores") overridden per-process by the CLI's
   ``--workers`` flag via :func:`set_default_workers`;
@@ -35,13 +33,14 @@ from __future__ import annotations
 import hashlib
 import os
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import Future, ProcessPoolExecutor
 from functools import partial
 from typing import Any, TypeVar
 
 from repro import observability
 from repro.observability import get_logger
+from repro.sharding.plan import batched
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -62,21 +61,10 @@ WORKERS_ENV = "REPRO_WORKERS"
 #: one-CPU runners).
 FORCE_ENV = "REPRO_FORCE_PARALLEL"
 
-#: The minimum item count worth dispatching to the pool.  Below it, pool
-#: startup plus pickling costs more than the work itself — the
-#: ``BENCH_throughput`` sub-1× "speedups" were exactly this overhead
-#: measured on inputs too small to parallelise.  Kept small: the
-#: full-scale runner dispatches one item per shard (4 shards is a common
-#: test configuration), and those items are coarse enough to amortise the
-#: pool even at this count.  It gates :func:`parallel_map` only: a stream's
-#: length is unknown up front, and its one pool is amortised over the
-#: whole stream.
-MIN_PARALLEL_ITEMS = 4
-
 #: Process-wide override installed by the CLI's ``--workers`` flag.
 _default_workers_override: int | None = None
 
-#: Chunks per worker when no chunk size is given: small enough to
+#: Chunks per worker of a :func:`stream_chunks` input: small enough to
 #: balance uneven per-cluster cost, large enough to amortise pickling.
 _CHUNKS_PER_WORKER = 4
 
@@ -99,7 +87,9 @@ def default_workers() -> int:
 
     Resolution order: :func:`set_default_workers` override, then the
     ``REPRO_WORKERS`` environment variable, then 1 (serial).  A value of
-    0 means "one worker per CPU core".
+    0 means "one worker per CPU core"; a malformed or negative
+    ``REPRO_WORKERS`` logs one ``invalid_workers_env`` warning and runs
+    serially.
     """
     if _default_workers_override is not None:
         workers = _default_workers_override
@@ -108,6 +98,8 @@ def default_workers() -> int:
         try:
             workers = int(raw)
         except ValueError:
+            workers = -1
+        if workers < 0:
             if raw not in _warned_worker_values:
                 _warned_worker_values.add(raw)
                 _logger.warning(
@@ -117,7 +109,7 @@ def default_workers() -> int:
                     fallback=1,
                 )
             workers = 1
-    if workers <= 0:
+    if workers == 0:
         return os.cpu_count() or 1
     return workers
 
@@ -131,8 +123,15 @@ def resolve_workers(workers: int | None) -> int:
     return workers
 
 
-def _force_parallel() -> bool:
-    return os.environ.get(FORCE_ENV, "").lower() in {"1", "true", "yes", "on"}
+def _stream_workers(workers: int | None) -> int:
+    """The pool size a stream runs on; 1 means a plain serial loop (one
+    worker or one CPU), unless ``REPRO_FORCE_PARALLEL`` forces a pool."""
+    workers = resolve_workers(workers)
+    if os.environ.get(FORCE_ENV, "").lower() in {"1", "true", "yes", "on"}:
+        return max(workers, 2)
+    if (os.cpu_count() or 1) == 1:
+        return 1
+    return workers
 
 
 def default_chunk_size(n_items: int, workers: int) -> int:
@@ -140,102 +139,6 @@ def default_chunk_size(n_items: int, workers: int) -> int:
     if n_items <= 0:
         return 1
     return max(1, -(-n_items // (workers * _CHUNKS_PER_WORKER)))
-
-
-def chunk_items(
-    items: Sequence[Item], workers: int, chunk_size: int | None = None
-) -> list[list[Item]]:
-    """Split ``items`` into ordered chunks of ``chunk_size`` (derived from
-    the worker count when not given).  Concatenating the chunks restores
-    the input order exactly."""
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(items), workers)
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return [
-        list(items[start : start + chunk_size])
-        for start in range(0, len(items), chunk_size)
-    ]
-
-
-def parallel_map(
-    fn: Callable[[Item], Result],
-    items: Sequence[Item],
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    force: bool = False,
-) -> list[Result]:
-    """Map ``fn`` over ``items`` on a process pool, preserving order.
-
-    The result is ``[fn(item) for item in items]`` exactly — results are
-    merged back in input order, so a deterministic ``fn`` makes the
-    whole map deterministic at any worker count.
-
-    Falls back to a plain serial loop — bit-identical results, zero pool
-    or pickling overhead — whenever dispatching cannot pay for itself:
-    the resolved worker count is <= 1, the machine has a single CPU, the
-    input is smaller than :data:`MIN_PARALLEL_ITEMS`, or an explicit
-    ``chunk_size`` covers the whole input in one chunk (a one-task pool
-    is a serial loop plus process startup).  Pass ``force=True`` (or set
-    ``REPRO_FORCE_PARALLEL=1``) to use the pool regardless — the test
-    suite does this to exercise pickling on single-core runners.
-
-    Args:
-        fn: picklable callable applied to each item (a module-level
-            function or a ``functools.partial`` over one).
-        items: sequence of picklable work items.
-        workers: worker processes; ``None`` uses :func:`default_workers`,
-            0 uses all cores.
-        chunk_size: items per pool task; defaults to ~4 chunks per worker.
-        force: bypass the serial fast path entirely.
-    """
-    workers = _pool_workers(len(items), workers, chunk_size, force)
-    if not workers:
-        return [fn(item) for item in items]
-    if not items:
-        return []
-    if chunk_size is None:
-        chunk_size = default_chunk_size(len(items), workers)
-    if observability.collection_enabled():
-        # Pool tasks collect metrics/spans into fresh worker-local
-        # instruments and ship the snapshots home with their results, so
-        # a --workers N run is exactly as observable as a serial one.
-        with ProcessPoolExecutor(max_workers=workers) as executor:
-            packed = list(
-                executor.map(
-                    partial(_observed_call, fn), items, chunksize=chunk_size
-                )
-            )
-        results: list[Result] = []
-        for result, metrics_snapshot, span_records in packed:
-            observability.merge_worker_snapshot(metrics_snapshot, span_records)
-            results.append(result)
-        return results
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items, chunksize=chunk_size))
-
-
-def parallel_map_chunks(
-    fn: Callable[[list[Item]], list[Result]],
-    items: Sequence[Item],
-    workers: int | None = None,
-    chunk_size: int | None = None,
-    force: bool = False,
-) -> list[Result]:
-    """:func:`parallel_map` for a function that maps a *list* of items to
-    the list of their results (a batched kernel).
-
-    Where :func:`parallel_map` would loop serially, ``fn`` is called once
-    on every item; otherwise once per chunk of ``chunk_size`` items on
-    the pool.  The concatenated result is the same either way when
-    ``fn``'s result for an item does not depend on the other items.
-    """
-    pool_workers = _pool_workers(len(items), workers, chunk_size, force)
-    if not pool_workers:
-        return fn(list(items))
-    chunks = chunk_items(items, pool_workers, chunk_size)
-    per_chunk = parallel_map(fn, chunks, pool_workers, chunk_size=1, force=True)
-    return [result for part in per_chunk for result in part]
 
 
 def parallel_stream(
@@ -259,10 +162,8 @@ def parallel_stream(
     exception in the consumer, ``close()``) cancels the queued items and
     shuts the pool down.
     """
-    workers = resolve_workers(workers)
-    if _force_parallel():
-        workers = max(workers, 2)
-    elif workers <= 1 or (os.cpu_count() or 1) == 1:
+    workers = _stream_workers(workers)
+    if workers <= 1:
         yield from map(fn, items)
         return
     observed = observability.collection_enabled()
@@ -280,6 +181,32 @@ def parallel_stream(
         executor.shutdown(wait=True, cancel_futures=True)
 
 
+def stream_chunks(
+    fn: Callable[[list[Item]], Result],
+    items: list[Item],
+    workers: int | None = None,
+) -> Iterator[Result]:
+    """Yield ``fn(chunk)`` for ordered chunks of ``items`` — the fold
+    every in-memory per-cluster stage is built on.
+
+    When :func:`parallel_stream` would run serially (one resolved worker,
+    one CPU) or ``items`` makes a single chunk, ``fn`` runs once, here,
+    over the whole list.  Otherwise ``items`` is cut into
+    :func:`default_chunk_size` items per chunk (about four chunks per
+    worker) and the chunks run through :func:`parallel_stream`.  Always
+    yields at least one result, so a stage can start its fold from the
+    first; concatenating or merging the results in order reproduces the
+    serial result whenever ``fn``'s result for an item does not depend
+    on the other items of its chunk.
+    """
+    workers = _stream_workers(workers)
+    chunk_size = default_chunk_size(len(items), workers)
+    if workers <= 1 or chunk_size >= len(items):
+        yield fn(items)
+        return
+    yield from parallel_stream(fn, batched(items, chunk_size), workers)
+
+
 def _take(future: Future, observed: bool) -> Any:
     """A stream task's result, its worker snapshots merged home first."""
     if not observed:
@@ -287,24 +214,6 @@ def _take(future: Future, observed: bool) -> Any:
     result, metrics_snapshot, span_records = future.result()
     observability.merge_worker_snapshot(metrics_snapshot, span_records)
     return result
-
-
-def _pool_workers(
-    n_items: int, workers: int | None, chunk_size: int | None, force: bool
-) -> int:
-    """The pool size a map of ``n_items`` items runs on, or 0 when it
-    runs as a serial loop (the conditions :func:`parallel_map` lists)."""
-    workers = resolve_workers(workers)
-    if force or _force_parallel():
-        return max(workers, 2)
-    if (
-        workers <= 1
-        or (os.cpu_count() or 1) == 1
-        or n_items < MIN_PARALLEL_ITEMS
-        or (chunk_size is not None and n_items <= chunk_size)
-    ):
-        return 0
-    return workers
 
 
 def _observed_call(

@@ -13,10 +13,11 @@ from abc import ABC, abstractmethod
 from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import partial
+from itertools import chain
 
 from repro.core.strand import Cluster, StrandPool
 from repro.observability import counter, span
-from repro.parallel import parallel_map_chunks
+from repro.parallel import stream_chunks
 
 #: Clusters per batched reconstruction: the block a lockstep kernel
 #: holds at once (it bounds the kernel's buffers, DESIGN §16), and the
@@ -59,37 +60,34 @@ class Reconstructor(ABC):
         pool: StrandPool,
         strand_length: int,
         workers: int | None = None,
-        chunk_size: int | None = None,
         shards: int | None = None,
     ) -> list[str]:
         """Reconstruct every cluster of a pool, in order.
 
         Reconstruction is deterministic per cluster, so with
-        ``workers > 1`` chunks of clusters are distributed over a process
-        pool and the estimates merged back in pool order — bit-identical
-        to the serial pass.  Both paths hand whole chunks (the serial
-        path: the whole pool) to :meth:`reconstruct_many`.  Defined here
-        at the base-class level so every algorithm (BMA, Divider BMA,
-        Iterative, ...) inherits both paths.
+        ``workers > 1`` chunks of clusters are streamed through a process
+        pool (:func:`repro.parallel.stream_chunks`) and the estimates
+        concatenated in pool order — bit-identical to the serial pass,
+        which hands the whole pool to one :meth:`reconstruct_many` call.
+        Defined here at the base-class level so every algorithm (BMA,
+        Divider BMA, Iterative, ...) inherits both paths.
 
         Args:
             pool: the clusters to reconstruct.
             strand_length: the designed strand length L.
             workers: worker processes (None -> ``REPRO_WORKERS``/CLI
                 default; 0 -> all cores; <= 1 -> serial).
-            chunk_size: clusters per pool task (default ~4 chunks per
-                worker).
             shards: accepted for call-site compatibility and ignored;
                 neither it nor ``REPRO_SHARDS`` changes the estimates.
         """
         with span("reconstruct", algorithm=self.name, clusters=len(pool)):
             counter("reconstruct.clusters", algorithm=self.name).inc(len(pool))
-            return parallel_map_chunks(
+            per_chunk = stream_chunks(
                 partial(_reconstruct_chunk, self, strand_length),
                 [cluster.copies for cluster in pool],
-                workers=workers,
-                chunk_size=chunk_size,
+                workers,
             )
+            return list(chain.from_iterable(per_chunk))
 
 
 def _reconstruct_chunk(

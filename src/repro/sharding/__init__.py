@@ -10,7 +10,7 @@ default scales.  This package closes that gap:
   plus the ``REPRO_SHARDS``/``--shards`` default resolution;
 * :mod:`repro.sharding.runner` — the full-scale pipeline: per-shard
   generate → profile → reconstruct → score workers on
-  :func:`repro.parallel.parallel_map`, merged with the associative
+  :func:`repro.parallel.parallel_stream`, merged with the associative
   merge machinery (:meth:`ErrorStatistics.merge
   <repro.analysis.error_stats.ErrorStatistics.merge>`,
   :meth:`AccuracyTally.merge

@@ -153,10 +153,9 @@ class ShardPlan:
 
 def batched(items: Iterable[Item], batch_size: int) -> Iterator[list[Item]]:
     """Yield ``items`` in lists of at most ``batch_size``, preserving
-    order — the streaming counterpart of
-    :func:`repro.parallel.chunk_items` for sources that must never be
-    materialised whole (a 270k-read evyat file, a generator of simulated
-    clusters)."""
+    order — the chunks of :func:`repro.parallel.stream_chunks`, and the
+    batches of sources that must never be materialised whole (a
+    270k-read evyat file, a generator of simulated clusters)."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     batch: list[Item] = []

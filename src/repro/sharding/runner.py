@@ -16,7 +16,7 @@ worker count.
 
 Observability rides along: each shard runs under a ``fullscale.shard``
 span and bumps ``fullscale.*`` counters, shipped home from pool workers
-by :func:`repro.parallel.parallel_map` when collection is enabled.
+by :func:`repro.parallel.parallel_stream` when collection is enabled.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from repro.exceptions import ConfigError
 from repro.robustness.faults import SEVERITY_LEVELS, FaultInjector
 from repro.metrics.accuracy import AccuracyReport, AccuracyTally
 from repro.observability import counter, span
-from repro.parallel import derive_seed, parallel_map, resolve_workers
+from repro.parallel import derive_seed, parallel_stream, resolve_workers
 from repro.reconstruct.base import Reconstructor
 from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.divider_bma import DividerBMA
@@ -87,7 +87,7 @@ class FullScalePlan:
     A pure function of the run parameters: the same ``(n_clusters,
     strand_length, mean_coverage, seed, shards, algorithms, max_copies)``
     always yields the same per-shard work items, so any executor —
-    :func:`run_fullscale`'s one-shot ``parallel_map`` or the checkpointed
+    :func:`run_fullscale`'s one-shot ``parallel_stream`` or the checkpointed
     :class:`repro.jobs.JobEngine` — produces bit-identical merged results
     from the same plan, regardless of scheduling, retries, or crashes in
     between.
@@ -403,11 +403,12 @@ def run_fullscale(
         shards=fullscale_plan.n_shards,
         workers=effective_workers,
     ):
-        shard_results = parallel_map(
-            partial(run_shard, fullscale_plan.config),
-            fullscale_plan.shard_items(),
-            workers=effective_workers,
-            chunk_size=1,
+        shard_results = list(
+            parallel_stream(
+                partial(run_shard, fullscale_plan.config),
+                fullscale_plan.shard_items(),
+                effective_workers,
+            )
         )
     return merge_shard_results(
         fullscale_plan,

@@ -176,10 +176,9 @@ class TestBatchedSurvey:
         "options",
         [
             {"shards": 1},
-            {"shards": 3, "workers": 1},
             {"shards": 1, "faults": "mild"},
         ],
-        ids=["serial", "sharded", "faults"],
+        ids=["serial", "faults"],
     )
     def test_read_matches_per_cluster_loop(self, options):
         def read_back(archive):

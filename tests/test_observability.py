@@ -26,7 +26,7 @@ from repro.observability.bench import (
 )
 from repro.observability.logs import configure_logging, get_logger
 from repro.observability.metrics import Histogram, MetricsRegistry
-from repro.parallel import parallel_map, parallel_stream
+from repro.parallel import parallel_stream
 from repro.reconstruct.iterative import IterativeReconstruction
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -312,11 +312,13 @@ def _observed_task(item: int) -> int:
 
 
 def test_parallel_map_merges_worker_metrics_and_spans(monkeypatch):
+    """A materialised pool run (a list in, a list out) merges worker
+    counters, kernel calls and spans under the caller's open span."""
     monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
     observability.enable(tracing=True, metrics=True)
     items = list(range(6))
     with observability.span("parent"):
-        results = parallel_map(_observed_task, items, workers=2)
+        results = list(parallel_stream(_observed_task, items, workers=2))
     assert results == [item * 2 for item in items]
     assert observability.registry().counter("task.items").value == len(items)
     kernel_calls = [
@@ -340,12 +342,12 @@ def test_parallel_map_merges_worker_metrics_and_spans(monkeypatch):
 def test_serial_and_parallel_counters_match(monkeypatch):
     observability.enable(tracing=False, metrics=True)
     items = list(range(5))
-    serial_results = parallel_map(_observed_task, items, workers=1)
+    serial_results = list(parallel_stream(_observed_task, iter(items), workers=1))
     serial_count = observability.registry().counter("task.items").value
 
     monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
     observability.enable(tracing=False, metrics=True)  # fresh registry
-    parallel_results = parallel_map(_observed_task, items, workers=2)
+    parallel_results = list(parallel_stream(_observed_task, iter(items), workers=2))
     parallel_count = observability.registry().counter("task.items").value
 
     assert parallel_results == serial_results

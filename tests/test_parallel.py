@@ -33,22 +33,40 @@ from repro.metrics.curves import (
     pre_reconstruction_curves,
 )
 from repro.parallel import (
-    chunk_items,
     default_chunk_size,
     derive_seed,
-    parallel_map,
     parallel_stream,
     resolve_workers,
     set_default_workers,
+    stream_chunks,
 )
 from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.iterative import IterativeReconstruction
+from repro.sharding.plan import batched
+from repro.sharding.runner import run_fullscale
 
 WORKER_COUNTS = (1, 2, 4)
 
 
 def _square(value: int) -> int:
     return value * value
+
+
+def _squares(values: list[int]) -> list[int]:
+    return [value * value for value in values]
+
+
+def _scaled(factor: int, values: list[int]) -> list[int]:
+    return [factor * value for value in values]
+
+
+def _inverses(values: list[int]) -> list[float]:
+    return [1 / value for value in values]
+
+
+def _chunk_map(fn, items, workers) -> list:
+    """The flattened results of a :func:`stream_chunks` map."""
+    return [result for chunk in stream_chunks(fn, items, workers) for result in chunk]
 
 
 @pytest.fixture
@@ -63,33 +81,28 @@ def profiling_pool():
 
 
 class TestParallelMap:
+    """The ordered chunk map every in-memory stage folds over
+    (:func:`stream_chunks` on :func:`parallel_stream`)."""
+
     def test_serial_fallback_matches_comprehension(self):
-        assert parallel_map(_square, list(range(20)), workers=1) == [
-            value * value for value in range(20)
-        ]
+        items = list(range(20))
+        assert list(stream_chunks(_squares, items, workers=1)) == [_squares(items)]
 
     def test_pool_preserves_order(self, force_pool):
         items = list(range(37))
-        assert parallel_map(_square, items, workers=2) == [
-            value * value for value in items
-        ]
-
-    def test_pool_with_explicit_chunk_size(self, force_pool):
-        items = list(range(11))
-        assert parallel_map(_square, items, workers=2, chunk_size=3) == [
-            value * value for value in items
-        ]
+        assert len(list(stream_chunks(len, items, workers=2))) > 1
+        assert _chunk_map(_squares, items, workers=2) == _squares(items)
 
     def test_empty_items(self, force_pool):
-        assert parallel_map(_square, [], workers=4) == []
+        assert list(stream_chunks(_squares, [], workers=4)) == [[]]
 
     def test_partial_functions_are_picklable(self, force_pool):
-        fn = partial(pow, 2)
-        assert parallel_map(fn, [1, 2, 3, 4], workers=2) == [2, 4, 8, 16]
+        fn = partial(_scaled, 2)
+        assert _chunk_map(fn, [1, 2, 3, 4], workers=2) == [2, 4, 6, 8]
 
     def test_worker_exception_propagates(self, force_pool):
         with pytest.raises(ZeroDivisionError):
-            parallel_map(partial(divmod, 1), [1, 0], workers=2)
+            _chunk_map(_inverses, [1, 0], workers=2)
 
 
 def _slow_square(value: int) -> int:
@@ -250,45 +263,88 @@ class TestIterShardsPools:
         assert built == []
 
 
+class TestFullScalePools:
+    """``run_fullscale`` streams its shards through one pool at any shard
+    count above one: two or three shards are not below some item-count
+    gate."""
+
+    @pytest.mark.parametrize("shards", (2, 3))
+    def test_one_pool_for_few_shards(self, monkeypatch, shards):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        built = _counting_pool(monkeypatch)
+        pooled = run_fullscale(n_clusters=60, shards=shards, workers=2)
+        assert built == [2]
+        serial = run_fullscale(n_clusters=60, shards=shards, workers=1)
+        assert built == [2]
+        assert pooled.summary() == {**serial.summary(), "workers": 2}
+
+
 class TestSerialFastPath:
-    """The auto-serial dispatch fixes: small inputs, single chunks, and
-    the ``MIN_PARALLEL_ITEMS`` threshold all skip the pool while staying
-    bit-identical to the pool's output."""
-
-    def test_below_min_items_runs_serial(self, monkeypatch):
-        def explode(*_args, **_kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("the pool must not start for tiny inputs")
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", explode)
-        items = list(range(parallel.MIN_PARALLEL_ITEMS - 1))
-        assert parallel_map(_square, items, workers=4) == [
-            value * value for value in items
-        ]
+    """The serial rules the chunk map derives from its inputs — one
+    worker, one CPU, or one chunk — run the function once over the whole
+    input without a pool; there is no item-count gate."""
 
     def test_single_chunk_runs_serial(self, monkeypatch):
         def explode(*_args, **_kwargs):  # pragma: no cover - fails the test
             raise AssertionError("a one-chunk pool is pure overhead")
 
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 4)
         monkeypatch.setattr(parallel, "ProcessPoolExecutor", explode)
-        items = list(range(8))
-        assert parallel_map(_square, items, workers=4, chunk_size=8) == [
-            value * value for value in items
+        assert list(stream_chunks(_squares, [8], workers=4)) == [[64]]
+
+    def test_one_cpu_runs_serial(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
+        built = _counting_pool(monkeypatch)
+        items = list(range(12))
+        assert list(stream_chunks(_squares, items, workers=4)) == [
+            _squares(items)
         ]
+        assert built == []
 
-    def test_raised_min_items_keeps_serial(self, monkeypatch):
-        def explode(*_args, **_kwargs):  # pragma: no cover - fails the test
-            raise AssertionError("inputs below the threshold stay serial")
+    def test_few_items_use_the_pool(self, monkeypatch):
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+        built = _counting_pool(monkeypatch)
+        assert _chunk_map(_squares, [1, 2, 3], workers=2) == [1, 4, 9]
+        assert built == [2]
 
-        monkeypatch.setattr(parallel, "MIN_PARALLEL_ITEMS", 50)
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", explode)
-        items = list(range(49))
-        assert parallel_map(_square, items, workers=4) == [
-            value * value for value in items
+    def test_force_bypasses_all_fast_paths(self, force_pool, monkeypatch):
+        built = _counting_pool(monkeypatch)
+        assert _chunk_map(_squares, [1, 2], workers=1) == [1, 4]
+        assert built == [2]
+
+    @pytest.mark.parametrize(
+        "reconstructor", [BMALookahead(), IterativeReconstruction()],
+        ids=lambda r: r.name,
+    )
+    def test_one_worker_stages_call_once(
+        self, profiling_pool, monkeypatch, reconstructor
+    ):
+        """At one worker each stage runs its function once over the
+        whole input: one ``reconstruct_many``, one tally, one curve
+        pass."""
+        from repro.core import profile as profile_module
+        from repro.metrics import curves as curves_module
+
+        calls: list[str] = []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        spy(type(reconstructor), "reconstruct_many")
+        spy(profile_module, "_tally_cluster_chunk")
+        spy(curves_module, "_curves_for_pairs")
+        estimates = reconstructor.reconstruct_pool(profiling_pool, 110, workers=1)
+        ErrorProfile.from_pool(profiling_pool, 4, workers=1)
+        post_reconstruction_curves(profiling_pool, estimates, workers=1)
+        assert calls == [
+            "reconstruct_many", "_tally_cluster_chunk", "_curves_for_pairs"
         ]
-
-    def test_force_bypasses_all_fast_paths(self, force_pool):
-        items = [1, 2]
-        assert parallel_map(_square, items, workers=1, chunk_size=2) == [1, 4]
 
 
 class TestWorkerResolution:
@@ -303,6 +359,16 @@ class TestWorkerResolution:
     def test_env_garbage_falls_back_to_serial(self, monkeypatch):
         monkeypatch.setenv(parallel.WORKERS_ENV, "many")
         assert parallel.default_workers() == 1
+
+    def test_env_negative_falls_back_to_serial(self, monkeypatch):
+        """A negative ``REPRO_WORKERS`` is rejected like a non-integer
+        one — as ``set_default_workers`` and ``--workers`` reject it —
+        not read as "all cores"."""
+        monkeypatch.setattr(parallel, "_warned_worker_values", set())
+        monkeypatch.setenv(parallel.WORKERS_ENV, "-2")
+        assert parallel.default_workers() == 1
+        assert resolve_workers(None) == 1
+        assert parallel._warned_worker_values == {"-2"}
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(parallel.WORKERS_ENV, "3")
@@ -325,7 +391,8 @@ class TestWorkerResolution:
 class TestChunking:
     def test_chunks_restore_order(self):
         items = list(range(23))
-        chunks = chunk_items(items, workers=4)
+        chunks = list(batched(items, default_chunk_size(len(items), 4)))
+        assert len(chunks) > 1
         assert [item for chunk in chunks for item in chunk] == items
 
     def test_default_chunk_size_targets_four_per_worker(self):
@@ -335,7 +402,7 @@ class TestChunking:
 
     def test_invalid_chunk_size(self):
         with pytest.raises(ValueError):
-            chunk_items([1, 2], workers=1, chunk_size=0)
+            list(batched([1, 2], 0))
 
 
 class TestDeriveSeed:
