@@ -316,6 +316,13 @@ def code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
 
 
+def compact_code_points(text: str) -> np.ndarray:
+    """:func:`code_points`, one byte each (uint8) when ``text`` is ASCII."""
+    if text.isascii():
+        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    return code_points(text)
+
+
 @lru_cache(maxsize=64)
 def _string_codes(text: str) -> np.ndarray:
     """:func:`code_points`, cached for the strings a run table or DP

@@ -20,14 +20,29 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from operator import add
 
+import numpy as np
+
+from repro.align.kernels import compact_code_points
+from repro.align.lockstep import SYMBOLS, Lanes, align_lanes
 from repro.align.operations import OpKind, deletion_runs, edit_operations
 from repro.core.alphabet import BASES
 from repro.core.strand import StrandPool
+from repro.exceptions import ConfigError
 
 #: Second-order error identity: (kind, reference base, replacement base).
 SecondOrderKey = tuple[str, str, str]
+
+#: Pairs :meth:`ErrorStatistics.tally_many` aligns at once.  The text
+#: and operation maps are ``(longest copy, pairs)`` arrays, so a block
+#: bounds them however long one copy is.
+_TALLY_PAIRS = 4096
+
+#: Event kinds of the lockstep tally, in ``SecondOrderKey`` form.
+_KINDS = ("deletion", "substitution", "insertion")
 
 
 @dataclass
@@ -93,7 +108,12 @@ class ErrorStatistics:
         self, reference: str, copy: str, rng: random.Random | None = None
     ) -> None:
         """Tally one transmission: align ``copy`` to ``reference`` and count
-        every error operation."""
+        every error operation.
+
+        Raises:
+            ConfigError: ``reference`` is empty and ``copy`` is not.
+        """
+        _check_pair(reference, copy)
         self._ensure_length(len(reference))
         self.pair_count += 1
         for base in reference:
@@ -137,10 +157,7 @@ class ErrorStatistics:
                 )
             else:  # insertion, attributed to the base it follows
                 attributed = self._clamp(operation.reference_position - 1)
-                attributed_base = (
-                    reference[attributed] if reference else ""
-                )
-                self.insertion_counts[attributed_base] += 1
+                self.insertion_counts[reference[attributed]] += 1
                 self.inserted_bases[operation.copy_base] += 1
                 key = ("insertion", "", operation.copy_base)
                 position = attributed
@@ -152,6 +169,90 @@ class ErrorStatistics:
                 self.second_order_positions[key] = histogram
             histogram[position] += 1
 
+    def tally_many(self, pairs: Iterable[tuple[str, str]]) -> None:
+        """Tally every ``(reference, copy)`` pair, as a :meth:`tally_pair`
+        loop with ``rng=None`` does, from one lockstep alignment per
+        block of pairs (DESIGN §19).  Every count, and the key order of
+        every ``Counter`` and of ``second_order_positions``, equals the
+        loop's.
+
+        Raises:
+            ConfigError: a pair has an empty reference and a non-empty
+                copy; nothing is tallied.
+        """
+        pairs = list(pairs)
+        for index, (reference, copy) in enumerate(pairs):
+            _check_pair(reference, copy, index)
+        for first in range(0, len(pairs), _TALLY_PAIRS):
+            self._tally_block(pairs[first : first + _TALLY_PAIRS])
+
+    def _tally_block(self, pairs: list[tuple[str, str]]) -> None:
+        """:meth:`tally_many` for one block of pairs."""
+        references = [reference for reference, _ in pairs]
+        lengths = np.fromiter(map(len, references), dtype=np.int64, count=len(pairs))
+        self._ensure_length(int(lengths.max(initial=0)))
+        length = self.strand_length
+        self.pair_count += len(pairs)
+        _count_in_order(
+            self.base_opportunities, compact_code_points("".join(references))
+        )
+        covering = np.cumsum(np.bincount(lengths, minlength=length + 1)[::-1])
+        _add_counts(self.position_opportunities, covering[::-1][1:])
+
+        # Consecutive pairs that share a reference share one pattern; an
+        # identical copy is all EQUAL and needs no lane.
+        patterns: list[str] = []
+        texts_lists: list[list[str]] = []
+        aligned: list[int] = []
+        for index, (reference, copy) in enumerate(pairs):
+            if copy == reference:
+                continue
+            if not patterns or reference != patterns[-1]:
+                patterns.append(reference)
+                texts_lists.append([])
+            texts_lists[-1].append(copy)
+            aligned.append(index)
+        if not aligned:
+            return
+        lanes, _ = align_lanes(patterns, texts_lists, np.empty(0, dtype=np.uint64))
+        lane_pair = np.array(aligned)[lanes.order]
+
+        long_starts, long_lengths, single = _deletion_runs(lanes, lane_pair)
+        self.long_deletion_count += len(long_lengths)
+        _count_in_order(self.long_deletion_lengths, long_lengths, int)
+        kind, position, base, replacement = _error_events(lanes, lane_pair, single)
+        deletion, substitution, insertion = kind == 0, kind == 1, kind == 2
+        _count_in_order(self.deletion_counts, base[deletion])
+        _count_in_order(self.substitution_counts, base[substitution])
+        _count_in_order(
+            self.substitution_pairs,
+            base[substitution] * SYMBOLS + replacement[substitution],
+            lambda code: (chr(code // SYMBOLS), chr(code % SYMBOLS)),
+        )
+        _count_in_order(self.insertion_counts, base[insertion])
+        _count_in_order(self.inserted_bases, replacement[insertion])
+
+        # Second-order keys leave out the inserted base's predecessor
+        # and the deleted base's (absent) replacement.
+        base[insertion] = 0
+        replacement[deletion] = 0
+        keys, index = _count_in_order(
+            self.second_order_counts,
+            (kind * SYMBOLS + base) * SYMBOLS + replacement,
+            _second_order_key,
+        )
+        histograms = np.bincount(index * length + position, minlength=len(keys) * length)
+        for key, histogram in zip(keys, histograms.reshape(len(keys), length)):
+            mine = self.second_order_positions.get(key)
+            if mine is None:
+                mine = [0] * length
+                self.second_order_positions[key] = mine
+            _add_counts(mine, histogram)
+        _add_counts(
+            self.error_positions,
+            np.bincount(np.concatenate([position, long_starts]), minlength=length),
+        )
+
     def tally_pool(
         self,
         pool: StrandPool,
@@ -159,6 +260,11 @@ class ErrorStatistics:
         rng: random.Random | None = None,
     ) -> None:
         """Tally every (reference, copy) pair in a pool.
+
+        With ``rng=None`` the pairs go through :meth:`tally_many`'s
+        lockstep alignment; a caller-supplied ``rng`` runs the scalar
+        :meth:`tally_pair` loop, because its tie-break draws come in
+        that loop's order.  Both give the same statistics as the loop.
 
         Args:
             pool: pseudo-clustered pool (each copy is paired with its own
@@ -168,12 +274,16 @@ class ErrorStatistics:
             rng: optional source of randomness for Algorithm 2's random
                 tie-breaking among optimal edit paths.
         """
-        for cluster in pool:
-            copies = cluster.copies
-            if max_copies_per_cluster is not None:
-                copies = copies[:max_copies_per_cluster]
-            for copy in copies:
-                self.tally_pair(cluster.reference, copy, rng)
+        pairs = [
+            (cluster.reference, copy)
+            for cluster in pool
+            for copy in cluster.copies[:max_copies_per_cluster]
+        ]
+        if rng is None:
+            self.tally_many(pairs)
+            return
+        for reference, copy in pairs:
+            self.tally_pair(reference, copy, rng)
 
     def merge(self, other: "ErrorStatistics") -> None:
         """Fold another tally into this one.
@@ -345,3 +455,107 @@ class ErrorStatistics:
         if kind == "insertion":
             return f"ins {replacement}"
         return f"sub {base}->{replacement}"
+
+
+def _check_pair(reference: str, copy: str, index: int | None = None) -> None:
+    """Reject a copy of an empty reference: its insertions follow no base."""
+    if not reference and copy:
+        label = "pair" if index is None else f"pair {index}"
+        raise ConfigError(
+            f"cannot tally {label} ({reference!r}, {copy!r}): an empty "
+            "reference has no base to attribute the copy's insertions to"
+        )
+
+
+def _deletion_runs(
+    lanes: Lanes, lane_pair: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The long deletions of every lane, as :func:`deletion_runs` finds
+    them: the start row and length of each maximal run of two or more
+    consecutive deleted rows, in (pair, start) order; and the ``(lane,
+    row)`` of every deletion outside them.  A minimal path never puts an
+    insertion next to a deletion (one substitution costs less), so no
+    insertion splits a run of deleted rows."""
+    row, lane = np.nonzero(lanes.deleted)
+    by_lane = np.lexsort((row, lane))
+    row, lane = row[by_lane], lane[by_lane]
+    opens = np.ones(len(row), dtype=bool)
+    opens[1:] = (lane[1:] != lane[:-1]) | (row[1:] != row[:-1] + 1)
+    run = np.cumsum(opens) - 1
+    run_lengths = np.bincount(run)
+    long_run = run_lengths >= 2
+    first = np.flatnonzero(opens)[long_run]
+    ranked = np.lexsort((row[first], lane_pair[lane[first]]))
+    single = ~long_run[run]
+    return row[first][ranked], run_lengths[long_run][ranked], (lane[single], row[single])
+
+
+def _error_events(
+    lanes: Lanes, lane_pair: np.ndarray, deletions: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every single-base error of every lane, in the order the
+    :meth:`ErrorStatistics.tally_pair` loop meets them: by pair, then by
+    reference row, an insertion before row ``p`` ahead of the op at row
+    ``p``, and insertions before one row by copy column.
+
+    Returns the kind (0 deletion, 1 substitution, 2 insertion), the
+    position the loop tallies it at, the reference base's code point
+    (for an insertion, the base it follows) and the copy base's (0 for
+    a deletion).
+    """
+    deleted_lane, deleted_row = deletions
+    column, column_lane = np.nonzero(lanes.column_at != lanes.equal)
+    value = lanes.column_at[column, column_lane].astype(np.int64)
+    inserted = value < 0
+    row = np.where(inserted, -1 - value, value)
+    no_column = np.zeros(len(deleted_row), dtype=np.int64)
+    kind = np.concatenate([no_column, 1 + inserted])
+    # An insertion before the first base is attributed to it.
+    position = np.concatenate(
+        [deleted_row, np.where(inserted, np.maximum(row - 1, 0), row)]
+    )
+    lane = np.concatenate([deleted_lane, column_lane])
+    base = lanes.points[lanes.start[lanes.pattern[lane]] + position].astype(np.int64)
+    replacement = np.concatenate(
+        [no_column, lanes.text[column, column_lane].astype(np.int64)]
+    )
+    step = 2 * np.concatenate([deleted_row, row]) + (kind < 2)
+    ranked = np.lexsort((np.concatenate([no_column, column]), step, lane_pair[lane]))
+    return kind[ranked], position[ranked], base[ranked], replacement[ranked]
+
+
+def _second_order_key(code: int) -> SecondOrderKey:
+    """The :data:`SecondOrderKey` of ``(kind * SYMBOLS + base) * SYMBOLS
+    + replacement``."""
+    kind, bases = divmod(code, SYMBOLS * SYMBOLS)
+    base, replacement = divmod(bases, SYMBOLS)
+    return (
+        _KINDS[kind],
+        "" if kind == 2 else chr(base),
+        "" if kind == 0 else chr(replacement),
+    )
+
+
+def _count_in_order(
+    counter: Counter, codes: np.ndarray, decode: Callable[[int], object] = chr
+) -> tuple[list, np.ndarray]:
+    """Add one to ``counter[decode(code)]`` per entry of ``codes``, as a
+    loop over ``codes`` would: keys new to ``counter`` enter it in order
+    of their first entry.  Returns the distinct keys in that order and
+    each entry's index into them."""
+    distinct, first, inverse, counts = np.unique(
+        codes, return_index=True, return_inverse=True, return_counts=True
+    )
+    seen = np.argsort(first)
+    keys = [decode(code) for code in distinct[seen].tolist()]
+    for key, count in zip(keys, counts[seen].tolist()):
+        counter[key] += count
+    rank = np.empty_like(seen)
+    rank[seen] = np.arange(len(seen))
+    return keys, rank[inverse]
+
+
+def _add_counts(histogram: list[int], counts: np.ndarray) -> None:
+    """Add ``counts`` into the leading entries of ``histogram``, keeping
+    Python ints."""
+    histogram[: len(counts)] = map(add, histogram, counts.tolist())

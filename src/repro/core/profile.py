@@ -144,13 +144,16 @@ class ErrorProfile:
     ) -> "ErrorProfile":
         """Profile a dataset by aligning every copy to its reference.
 
-        Per-cluster tallies are independent and additive, so with
-        ``workers > 1`` chunks of clusters are profiled on a process pool
+        Without ``rng`` the pairs are aligned and tallied in lockstep
+        (:meth:`ErrorStatistics.tally_many`, DESIGN §19).  Per-cluster
+        tallies are independent and additive, so with ``workers > 1``
+        chunks of clusters are profiled on a process pool
         (:func:`repro.parallel.stream_chunks`) and the per-chunk
         statistics merged in order — bit-identical to the serial fit,
         which tallies the whole pool at once.  A caller-supplied ``rng``
         (random tie-breaking whose draw order is serial by definition)
-        forces the serial path.
+        runs the scalar :meth:`ErrorStatistics.tally_pair` loop in one
+        process.
 
         Args:
             pool: pseudo-clustered dataset to measure.

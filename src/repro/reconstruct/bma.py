@@ -28,7 +28,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.align.kernels import code_points
+from repro.align.kernels import compact_code_points
 from repro.reconstruct.base import (
     Reconstructor,
     majority_symbol,
@@ -173,13 +173,6 @@ class BMALookahead(Reconstructor):
         )
 
 
-def _code_points(text: str) -> np.ndarray:
-    """The code points of ``text``, one byte each when it is ASCII."""
-    if text.isascii():
-        return np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    return code_points(text)
-
-
 def _plurality(votes: np.ndarray, n_passes: int) -> np.ndarray:
     """Per pass, the smallest rank with the most votes (0 = no votes)."""
     votes = votes.reshape(n_passes, -1)
@@ -213,12 +206,12 @@ def _lockstep(
     # column 2 * steps: a longer copy keeps only the symbols its pass
     # can reach (its true length still drives the deficit rule).
     width = min(int(lengths.max(initial=0)) + 2, 2 * steps) + 1
-    points = [_code_points("".join(copy[:width] for copy in copies))]
+    points = [compact_code_points("".join(copy[:width] for copy in copies))]
     if two_way:
         # The reversed concatenation holds every reversed copy, the last
         # copy first, so the backward rows run in reverse copy order.
         points.append(
-            _code_points("".join(copy[-width:] for copy in copies)[::-1])
+            compact_code_points("".join(copy[-width:] for copy in copies)[::-1])
         )
         pass_of_row = np.concatenate([pass_of_row, pass_of_row[::-1] + n_clusters])
         lengths = np.concatenate([lengths, lengths[::-1]])

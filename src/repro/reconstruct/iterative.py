@@ -30,8 +30,9 @@ Behavioural properties the paper measures and that emerge here:
 reference.  :meth:`IterativeReconstruction.reconstruct_many` runs the
 same rounds for a block of clusters at once (:func:`_lockstep`): every
 copy of every cluster is one lane of a multi-word Myers/Hyyrö pass and
-of a traceback that moves all lanes together, one move per NumPy step.
-Outputs are identical (DESIGN §17).
+of a traceback that moves all lanes together, one move per NumPy step
+(:func:`repro.align.lockstep.align_lanes`).  Outputs are identical
+(DESIGN §17).
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from repro.align.lockstep import SYMBOLS, Lanes, align_lanes
 from repro.align.operations import OpKind, edit_operations
 from repro.reconstruct import bma
 from repro.reconstruct.base import Reconstructor, reconstruct_in_blocks
@@ -224,13 +226,6 @@ class IterativeReconstruction(Reconstructor):
         return None
 
 
-#: Code points lie in ``[0, 0x110000)``, so ``index * _SYMBOLS + code
-#: point`` packs an (index, symbol) pair into one int64 key.
-_SYMBOLS = 0x110000
-
-_ONE = np.uint64(1)
-
-
 def _lockstep(
     copies_lists: list[Sequence[str]], strand_length: int, rounds: int
 ) -> list[str]:
@@ -268,290 +263,18 @@ def _refine_block(
     columns: np.ndarray,
 ) -> tuple[list[str], np.ndarray]:
     """:meth:`IterativeReconstruction._refine` for every cluster of a
-    block: one forward pass and one traceback over every (cluster, copy)
-    lane, then the votes and the round's rules for every cluster.
-
-    Lanes are sorted longest copy first, so the lanes still reading at
-    column ``j`` are a prefix: a lane past its copy's end is frozen by
-    leaving it out.  Per-lane arrays are laid out ``(column, lane)``;
-    each has a spare last row that finished lanes read and write.  The
-    forward pass and the traceback run over contiguous groups of the
-    sorted lanes, as few as keep each group's D0/VP columns within
-    :data:`_COLUMN_BYTES`; lanes are independent, so the grouping
-    changes no vote.  ``columns`` is the D0/VP buffer, grown when too
-    small and returned for the next round.
+    block: one lockstep alignment of every (cluster, copy) lane against
+    its cluster's estimate (:func:`repro.align.lockstep.align_lanes`),
+    then the votes and the round's rules for every cluster.  ``columns``
+    is the alignment's D0/VP buffer, returned for the next round.
     """
-    n_clusters = len(estimates)
-    est_lengths = np.fromiter(map(len, estimates), dtype=np.int64, count=n_clusters)
-    est_start = np.zeros(n_clusters + 1, dtype=np.int64)
-    np.cumsum(est_lengths, out=est_start[1:])
-    # A trailing sentinel matches no symbol; gathers at row -1 land on it.
-    est_points = np.full(est_start[-1] + 1, -1, dtype=np.int32)
-    est_points[:-1] = bma._code_points("".join(estimates))
-
-    copy_counts = np.fromiter(map(len, copies_lists), dtype=np.int64, count=n_clusters)
-    copies = [copy for cluster in copies_lists for copy in cluster]
-    natural_lengths = np.fromiter(map(len, copies), dtype=np.int64, count=len(copies))
-    order = np.argsort(-natural_lengths, kind="stable")
-    lengths = natural_lengths[order]
-    cluster = np.repeat(np.arange(n_clusters), copy_counts)[order]
-    width = int(lengths[0])
-    points = bma._code_points("".join([copies[index] for index in order]))
-    text = np.zeros((width + 1, len(copies)), dtype=points.dtype)
-    text.T[np.arange(width + 1) < lengths[:, None]] = points
-    rows = est_lengths[cluster]
-    # column_at holds -1 - row for every row and, below those, a mark
-    # for EQUAL columns: one byte each for an estimate under 127.
-    column_type = np.min_scalar_type(-2 - int(rows.max()))
-
-    n_lanes = len(copies)
-    words = max(1, -(-int(rows.max()) // 64))
-    column_bytes = 2 * words * (width + 1) * 8
-    groups = -(-n_lanes * column_bytes // _COLUMN_BYTES)
-    group_lanes = -(-n_lanes // groups)
-    if columns.size * 8 < group_lanes * column_bytes:
-        columns = np.empty(group_lanes * column_bytes // 8, dtype=np.uint64)
-    symbols, peq = _pattern_masks(est_points, est_start, words)
-    column_at = np.full((width, n_lanes), np.iinfo(column_type).min, dtype=column_type)
-    deleted = np.zeros((int(rows.max()), n_lanes), dtype=bool)
-    for first in range(0, n_lanes, group_lanes):
-        group = slice(first, first + group_lanes)
-        group_width = int(lengths[first])
-        group_text = np.ascontiguousarray(text[: group_width + 1, group])
-        shape = (2, words, *group_text.shape)
-        d0_columns, vp_columns = columns[: np.prod(shape)].reshape(shape)
-        _forward_pass(
-            symbols,
-            peq,
-            group_text,
-            lengths[group],
-            cluster[group],
-            rows[group],
-            d0_columns,
-            vp_columns,
-        )
-        group_columns, group_deleted = _traceback(
-            est_points,
-            est_start[cluster[group]],
-            group_text,
-            lengths[group],
-            rows[group],
-            d0_columns,
-            vp_columns,
-            column_type,
-        )
-        column_at[:group_width, group] = group_columns
-        deleted[: len(group_deleted), group] = group_deleted
-    refined = _apply_votes(
-        est_points,
-        est_start,
-        copy_counts,
-        text,
-        cluster,
-        order,
-        column_at,
-        deleted,
-        strand_length,
-    )
-    return refined, columns
-
-
-def _pattern_masks(
-    est_points: np.ndarray, est_start: np.ndarray, words: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted (cluster, symbol) keys of the estimates, ending in a
-    sentinel past every key, and ``peq[:, 1 + index]``: the positions of
-    key ``index``'s symbol in its cluster's estimate, as ``words`` uint64
-    words.  ``peq[:, 0]`` is the empty mask of a symbol the estimate
-    lacks.  The table grows with the estimates, not with the block's
-    alphabet."""
-    est_cluster = np.repeat(np.arange(len(est_start) - 1), np.diff(est_start))
-    keys = est_cluster * _SYMBOLS + est_points[:-1]
-    symbols, key_index = np.unique(keys, return_inverse=True)
-    positions = np.arange(len(keys)) - est_start[est_cluster]
-    peq = np.zeros((words, len(symbols) + 2), dtype=np.uint64)
-    np.bitwise_or.at(
-        peq,
-        (positions >> 6, key_index + 1),
-        _ONE << (positions & 63).astype(np.uint64),
-    )
-    return np.append(symbols, np.iinfo(np.int64).max), peq
-
-
-def _forward_pass(
-    symbols: np.ndarray,
-    peq: np.ndarray,
-    text: np.ndarray,
-    lengths: np.ndarray,
-    cluster: np.ndarray,
-    rows: np.ndarray,
-    d0_columns: np.ndarray,
-    vp_columns: np.ndarray,
-) -> None:
-    """Fill ``d0_columns`` and ``vp_columns`` (``(words, width + 1,
-    lanes)`` uint64) with the D0 and VP words of every DP column of every
-    lane, as :func:`repro.align.operations._delta_columns` computes them:
-    the lane's cluster estimate is the pattern, its copy the text.
-
-    A lane's pattern spans ``words = ceil(max estimate length / 64)``
-    uint64 words, least significant first; the add carries and the HP/HN
-    shifts cross word boundaries, and every word is masked by the lane's
-    own estimate length.  ``symbols`` and ``peq`` come from
-    :func:`_pattern_masks`.
-    """
-    words, width = d0_columns.shape[0], len(text) - 1
-    lane_key = cluster * _SYMBOLS
-
-    spare = np.clip(rows - 64 * np.arange(words)[:, None], 0, 64)
-    full = np.where(
-        spare == 64,
-        ~np.uint64(0),
-        (_ONE << np.minimum(spare, 63).astype(np.uint64)) - _ONE,
-    )
-    vertical_positive = full.copy()
-    vertical_negative = np.zeros_like(full)
-    # Lanes are sorted longest first: column j is read by a prefix.
-    reading = np.searchsorted(-lengths, -np.arange(width), side="left")
-    for column in range(width):
-        k = reading[column]
-        mask = full[:, :k]
-        positive = vertical_positive[:, :k]
-        negative = vertical_negative[:, :k]
-        key = lane_key[:k] + text[column, :k]
-        found = np.searchsorted(symbols, key)
-        # A symbol its estimate lacks takes column 0, the empty mask.
-        eq = peq[:, (found + 1) * (symbols[found] == key)]
-        total = (eq & positive) + positive
-        if words > 1:
-            # The top word's carry-out, like the big-int's, is never read.
-            carry = total[:-1] < positive[:-1]
-            for word in range(1, words):
-                incoming = carry[word - 1]
-                total[word] += incoming
-                if word < words - 1:
-                    carry[word] |= incoming & (total[word] == 0)
-        d0 = (total ^ positive) | eq | negative
-        horizontal_positive = _shift_up(negative | (mask & ~(d0 | positive)))
-        horizontal_positive[0] |= _ONE
-        horizontal_positive &= mask
-        horizontal_negative = _shift_up(positive & d0) & mask
-        positive = horizontal_negative | (mask & ~(d0 | horizontal_positive))
-        vertical_negative[:, :k] = horizontal_positive & d0
-        vertical_positive[:, :k] = positive
-        d0_columns[:, column, :k] = d0
-        vp_columns[:, column, :k] = positive
-
-
-def _shift_up(words: np.ndarray) -> np.ndarray:
-    """``words << 1`` across uint64 words (row 0 least significant)."""
-    shifted = words << _ONE
-    shifted[1:] |= words[:-1] >> np.uint64(63)
-    return shifted
-
-
-#: Matches a traceback step may cross at once.  Runs between errors
-#: average ~16 bases at the paper's ~6% error rate.
-_RUN_WINDOW = 16
-
-#: The most D0/VP column bytes one group of lanes holds at a time.  At
-#: paper shape (L = 110, two words) a 64-cluster block at coverage 10 is
-#: 640 lanes and 2.4 MB of columns, so it runs as two groups.
-_COLUMN_BYTES = 3 << 19
-
-
-def _traceback(
-    est_points: np.ndarray,
-    est_base: np.ndarray,
-    text: np.ndarray,
-    lengths: np.ndarray,
-    rows: np.ndarray,
-    d0_columns: np.ndarray,
-    vp_columns: np.ndarray,
-    column_type: np.dtype,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every lane's :func:`~repro.align.operations.edit_operations`
-    backtrace (``rng=None``), all lanes in lockstep.
-
-    First candidate wins, as in the scalar: a diagonal if the symbols
-    match or D0 is clear (EQUAL/SUB), else a deletion if VP is set, else
-    an insertion.  A lane on the border takes the forced move (deletion
-    at column 0, insertion at row 0) until it reaches the origin.  Each
-    NumPy step first crosses a lane's run of up to :data:`_RUN_WINDOW`
-    matching cells (all EQUAL), then takes one move.
-
-    Every copy column and every estimate row of a lane is consumed
-    exactly once, so the votes need no accumulation here.  ``column_at``
-    holds, per copy column, the estimate row of a SUB, ``-1 - row`` for
-    an insertion before ``row``, or the least ``column_type`` value for
-    an EQUAL.  ``deleted`` marks, per estimate row, a deletion.  Neither
-    grows with the alphabet.
-    """
-    plane = text.size
-    n_lanes = text.shape[1]
-    spare_row = int(rows.max())
-    column_at = np.full(text.shape, np.iinfo(column_type).min, dtype=column_type)
-    deleted = np.zeros((spare_row + 1, n_lanes), dtype=bool)
-    lane = np.arange(n_lanes)
-    text_flat = text.reshape(-1)
-    column_flat = column_at.reshape(-1)
-    deleted_flat = deleted.reshape(-1)
-    d0_flat = d0_columns.reshape(-1)
-    vp_flat = vp_columns.reshape(-1)
-    row = rows.copy()
-    column = lengths.copy()
-    # Flat (column - 1, lane) index: a lane at column 0 wraps to the
-    # spare last row.
-    left = (column - 1) * n_lanes + lane
-    spare_column = plane - n_lanes + lane
-    spare_deletion = spare_row * n_lanes + lane
-    back = np.arange(_RUN_WINDOW)[:, None]
-    while True:
-        # A matching cell's first candidate is EQUAL, which records
-        # nothing: cross up to _RUN_WINDOW matches along each diagonal.
-        same = est_points[np.maximum(est_base + row - 1 - back, -1)] == text_flat[
-            np.maximum(left - back * n_lanes, 0)
-        ]
-        same &= back < np.minimum(row, column)
-        run = same.cumprod(axis=0).sum(axis=0)
-        row -= run
-        column -= run
-        left -= run * n_lanes
-        has_row = row > 0
-        has_column = column > 0
-        if not (has_row | has_column).any():
-            break
-        above = row - has_row
-        match = est_points[est_base + above] == text_flat[left]
-        cell = left + (above >> 6) * plane
-        bit = (above & 63).astype(np.uint64)
-        diagonal = has_row & has_column & (
-            match | ((d0_flat[cell] >> bit) & _ONE == 0)
-        )
-        deletion = has_row & ~diagonal & (
-            ~has_column | ((vp_flat[cell] >> bit) & _ONE != 0)
-        )
-        consumed = has_column & ~deletion
-        recorded = consumed & ~(diagonal & match)
-        column_flat[np.where(recorded, left, spare_column)] = np.where(
-            diagonal, above, -1 - row
-        )
-        deleted_flat[np.where(deletion, above * n_lanes + lane, spare_deletion)] = True
-        row -= diagonal | deletion
-        column -= consumed
-        left -= consumed * n_lanes
-    return column_at[:-1], deleted[:-1]
+    lanes, columns = align_lanes(estimates, copies_lists, columns)
+    copy_counts = np.fromiter(map(len, copies_lists), dtype=np.int64, count=len(estimates))
+    return _apply_votes(lanes, copy_counts, strand_length), columns
 
 
 def _apply_votes(
-    est_points: np.ndarray,
-    est_start: np.ndarray,
-    copy_counts: np.ndarray,
-    text: np.ndarray,
-    cluster: np.ndarray,
-    order: np.ndarray,
-    column_at: np.ndarray,
-    deleted: np.ndarray,
-    strand_length: int,
+    lanes: Lanes, copy_counts: np.ndarray, strand_length: int
 ) -> list[str]:
     """Tally the traceback's votes and apply ``_refine``'s rules to every
     cluster: base majority (smallest symbol among ties), majority
@@ -564,6 +287,7 @@ def _apply_votes(
     estimate once, by EQUAL, SUB or a deletion, so a row's EQUAL votes
     are its cluster's copy count less its SUB and raw deletion votes.
     """
+    est_points, est_start, text, cluster, order, column_at, deleted = lanes
     n_clusters = len(est_start) - 1
     n_positions = len(est_points) - 1
     est_cluster = np.repeat(np.arange(n_clusters), np.diff(est_start))
@@ -580,7 +304,7 @@ def _apply_votes(
     delete_votes = np.bincount(run_start[raw_deletions], minlength=n_positions)
     kept = 2 * delete_votes <= copy_counts[est_cluster]
 
-    column, lane = np.nonzero(column_at != np.iinfo(column_at.dtype).min)
+    column, lane = np.nonzero(column_at != lanes.equal)
     votes = column_at[column, lane]
     symbol = text[column, lane].astype(np.int64)
     base = est_start[cluster[lane]]
@@ -592,8 +316,8 @@ def _apply_votes(
         np.concatenate([at, raw_deletions]), minlength=n_positions
     )
     winner = est_points[:-1].astype(np.int64)
-    groups, counts = np.unique(at * _SYMBOLS + symbol[substitution], return_counts=True)
-    group_at, group_symbol = np.divmod(groups, _SYMBOLS)
+    groups, counts = np.unique(at * SYMBOLS + symbol[substitution], return_counts=True)
+    group_at, group_symbol = np.divmod(groups, SYMBOLS)
     lead = _leaders(group_at, -counts)
     group_at, group_symbol, counts = group_at[lead], group_symbol[lead], counts[lead]
     beats = (counts > equal_votes[group_at]) | (
@@ -612,11 +336,11 @@ def _apply_votes(
     # Counter order: copies in order, each copy's insertions by column.
     first_vote = order[lane[insertion]] * len(text) + column[insertion]
     groups, inverse, counts = np.unique(
-        slot * _SYMBOLS + inserted, return_inverse=True, return_counts=True
+        slot * SYMBOLS + inserted, return_inverse=True, return_counts=True
     )
     first = np.full(len(groups), np.iinfo(np.int64).max)
     np.minimum.at(first, inverse, first_vote)
-    group_slot, group_symbol = np.divmod(groups, _SYMBOLS)
+    group_slot, group_symbol = np.divmod(groups, SYMBOLS)
     lead = _leaders(group_slot, -counts, first)
     insert_slot, insert_symbol, insert_votes = (
         group_slot[lead],

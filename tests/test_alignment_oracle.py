@@ -21,6 +21,9 @@ one-vs-many sweep, its lanes given as strings and as held compiled
 patterns, straight against the seed DPs (:func:`lane_corpus`).  The
 ``qgram_signatures`` entry runs the per-gram min-hash loop against the
 per-read and pool-wide vectorised signatures (:func:`qgram_corpus`).
+The ``tally_many`` entry runs the scalar ``tally_pair`` loop against the
+lockstep profile-fit tally, every ``ErrorStatistics`` field and its key
+order (:func:`tally_corpus`).
 The ``reed_solomon`` entry runs a textbook scalar Reed-Solomon coder,
 built here from the :mod:`repro.pipeline.gf256` field calls, against the
 log-domain :class:`~repro.pipeline.reed_solomon.ReedSolomon` over
@@ -32,12 +35,13 @@ from __future__ import annotations
 
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from repro.align import gestalt, kernels
+from repro.analysis.error_stats import ErrorStatistics
 from repro.align.edit_distance import (
     edit_distance,
     edit_distance_banded,
@@ -49,7 +53,9 @@ from repro.align.operations import (
     EditOp,
     OpKind,
     apply_operations,
+    deletion_runs,
     edit_operations,
+    error_operations,
 )
 from repro.cluster.qgram_index import (
     EMPTY_SIGNATURE,
@@ -57,6 +63,7 @@ from repro.cluster.qgram_index import (
     reference_min_hashes,
 )
 from repro.core.channel import Channel
+from repro.core.strand import Cluster, StrandPool
 from repro.data.nanopore import ground_truth_model
 from repro.pipeline.gf256 import (
     GENERATOR,
@@ -878,6 +885,109 @@ def _cut_by_wrapped_cap(first: str, second: str) -> bool:
     )
 
 
+#: Reference lengths of the ``tally_many`` corpus's mixed call: both
+#: sides of the 64-bit word boundary, the paper's 110 and two words + 1.
+TALLY_LENGTHS = (63, 64, 65, 110, 129)
+
+
+def _long_deletion_model():
+    """The ground-truth model with long deletions at 15x the paper's
+    rate and runs up to 9 bases."""
+    model = ground_truth_model()
+    return replace(
+        model,
+        long_deletion_rate=15 * model.long_deletion_rate,
+        long_deletion_lengths={2: 0.4, 3: 0.3, 5: 0.2, 9: 0.1},
+    )
+
+
+def tally_corpus(seed: int) -> list[tuple[list[tuple[str, list[str]]], int | None]]:
+    """``(clusters, max_copies_per_cluster)`` profile-fit inputs, each
+    cluster a ``(reference, copies)`` pair: paper-rate IDS reads with and
+    without a copy cap, a long-deletion-heavy model, mixed reference
+    lengths with empty, identical and over-2x copies, clusters with zero
+    copies, and ``N``, lowercase and lone-surrogate copy symbols."""
+    rng = random.Random(seed)
+    channel = Channel(ground_truth_model(), random.Random(seed + 3000))
+    paper = [
+        (reference, channel.transmit_many(reference, rng.randint(1, 10)))
+        for reference in (_strand(rng, 110) for _ in range(24))
+    ]
+    long_channel = Channel(_long_deletion_model(), random.Random(seed + 4000))
+    long_deletions = [
+        (reference, long_channel.transmit_many(reference, 6))
+        for reference in (_strand(rng, 110) for _ in range(12))
+    ]
+    mixed = []
+    for length in TALLY_LENGTHS:
+        reference = _strand(rng, length)
+        mixed.append(
+            (
+                reference,
+                channel.transmit_many(reference, 3)
+                + ["", reference, reference * 3, _strand(rng, 2 * length + 7)],
+            )
+        )
+        mixed.append((_strand(rng, length), []))
+    symbols = []
+    for alphabet in ("ACGTN", "acgt", "ACG\ud800"):
+        reference = _strand(rng, 40)
+        symbols.append(
+            (reference, [_mutate(rng, reference, alphabet, 6) for _ in range(3)])
+        )
+    symbols.append(("ACGTACGT", ["N" * 8, "acgtacgt", "\ud800" * 3]))
+    ties = [
+        ("A" * 40, ["A" * 43, "A" * 35, _mutate(rng, "A" * 40, "AC", 4)]),
+        ("ACGT" * 10, ["CGTA" * 10, "ACGT" * 12, "ACGTACGTTT" * 4]),
+        ("AACCGGTT", ["AAGGTT", "AAT", "A", "TTAACCGGTTAA"]),
+    ]
+    return [
+        (paper, None),
+        (paper, 4),
+        (long_deletions, None),
+        (mixed, None),
+        (symbols + ties + mixed[:2], None),
+    ]
+
+
+def statistics_fields(statistics: ErrorStatistics) -> dict[str, object]:
+    """Every ``ErrorStatistics`` field, dicts as their item lists so that
+    key order counts."""
+    return {
+        name: list(value.items()) if isinstance(value, dict) else value
+        for name, value in vars(statistics).items()
+    }
+
+
+def tally_loop(
+    clusters: list[tuple[str, list[str]]], cap: int | None
+) -> list[dict[str, object]]:
+    """The scalar ``tally_pair`` loop, once per fast-path call shape."""
+    statistics = ErrorStatistics()
+    for reference, copies in clusters:
+        for copy in copies[:cap]:
+            statistics.tally_pair(reference, copy)
+    return [statistics_fields(statistics)] * 3
+
+
+def tally_fast(
+    clusters: list[tuple[str, list[str]]], cap: int | None
+) -> list[dict[str, object]]:
+    """``tally_pool`` over the pool, ``tally_many`` over its pairs, and
+    ``tally_many`` over the pairs in two calls (the second meets keys the
+    first already entered)."""
+    pool = StrandPool([Cluster(reference, list(copies)) for reference, copies in clusters])
+    pooled = ErrorStatistics()
+    pooled.tally_pool(pool, cap)
+    pairs = [(reference, copy) for reference, copies in clusters for copy in copies[:cap]]
+    whole = ErrorStatistics()
+    whole.tally_many(pairs)
+    halves = ErrorStatistics()
+    halves.tally_many(pairs[: len(pairs) // 2])
+    halves.tally_many(pairs[len(pairs) // 2 :])
+    return [statistics_fields(statistics) for statistics in (pooled, whole, halves)]
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One fast path and the reference it must reproduce exactly on
@@ -955,6 +1065,12 @@ ORACLES = (
         reference=iterative_loop,
         fast=iterative_many,
         inputs=iterative_corpus,
+    ),
+    Oracle(
+        name="tally_many",
+        reference=tally_loop,
+        fast=tally_fast,
+        inputs=tally_corpus,
     ),
     Oracle(
         name="reed_solomon",
@@ -1073,6 +1189,34 @@ def test_corpus_covers_its_regions():
             assert any(
                 errors and 2 * errors + erasures == cost for errors, erasures in mixes
             ) or n_parity == 1 and cost == 1, (n_parity, cost)
+    tally_inputs = tally_corpus(0)
+    assert {None, 4} <= {cap for _, cap in tally_inputs}
+    tally_clusters = [cluster for clusters, _ in tally_inputs for cluster in clusters]
+    tally_pairs = [(reference, copy) for reference, copies in tally_clusters for copy in copies]
+    assert sum(len(reference) == 110 and copy != reference for reference, copy in tally_pairs) > 100
+    assert any(copy == "" for _, copy in tally_pairs)
+    assert any(copy == reference for reference, copy in tally_pairs)
+    assert any(len(copy) > 2 * len(reference) for reference, copy in tally_pairs)
+    assert any(not copies for _, copies in tally_clusters)
+    assert any(
+        set(TALLY_LENGTHS) <= {len(reference) for reference, _ in clusters}
+        for clusters, _ in tally_inputs
+    )
+    for symbol in ("N", "a", "\ud800"):
+        assert any(symbol in copy for _, copy in tally_pairs), symbol
+    long_runs = [
+        [
+            length
+            for reference, copies in clusters
+            for copy in copies
+            for _, length in deletion_runs(error_operations(reference, copy))
+            if length >= 2
+        ]
+        for clusters, _ in tally_inputs
+    ]
+    assert any(len(runs) >= 150 and max(runs) >= 5 for runs in long_runs), (
+        "no long-deletion-heavy input"
+    )
 
 
 @pytest.mark.parametrize("seed", CORPUS_SEEDS)

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+from repro.analysis import error_stats
 from repro.analysis.error_stats import ErrorStatistics
+from repro.core.channel import Channel
 from repro.core.strand import Cluster, StrandPool
+from repro.data.nanopore import ground_truth_model
+from repro.exceptions import ConfigError
+from tests.test_alignment_oracle import statistics_fields
 
 
 def stats_for(reference: str, copies: list[str]) -> ErrorStatistics:
@@ -147,3 +154,60 @@ class TestPoolTally:
         statistics = ErrorStatistics()
         statistics.tally_pool(small_pool)
         assert statistics.pair_count == 6
+
+
+class TestEmptyReference:
+    def test_tally_pair_rejects_copy_of_empty_reference(self):
+        statistics = ErrorStatistics()
+        with pytest.raises(ConfigError, match=r"\('', 'ACG'\)") as raised:
+            statistics.tally_pair("", "ACG")
+        assert "\n" not in str(raised.value)
+        assert statistics.pair_count == 0
+
+    def test_tally_many_rejects_copy_of_empty_reference(self):
+        statistics = ErrorStatistics()
+        with pytest.raises(ConfigError, match=r"pair 1 \('', 'ACG'\)"):
+            statistics.tally_many([("ACGT", "AGT"), ("", "ACG")])
+        assert statistics_fields(statistics) == statistics_fields(ErrorStatistics())
+
+    def test_pool_with_copy_of_empty_reference_is_rejected(self):
+        pool = StrandPool([Cluster("", ["ACG"])])
+        with pytest.raises(ConfigError):
+            ErrorStatistics().tally_pool(pool)
+
+    @pytest.mark.parametrize("pair", [("", ""), ("ACGT", "")])
+    def test_empty_sides_still_tally(self, pair):
+        serial = ErrorStatistics()
+        serial.tally_pair(*pair)
+        lockstep = ErrorStatistics()
+        lockstep.tally_many([pair])
+        assert statistics_fields(lockstep) == statistics_fields(serial)
+        assert serial.pair_count == 1
+
+
+class TestTallyMany:
+    def test_blocks_keep_first_seen_order(self, monkeypatch):
+        """Pairs split across lockstep blocks tally as one loop."""
+        channel = Channel(ground_truth_model(), random.Random(3))
+        rng = random.Random(4)
+        pairs = []
+        for length in (40, 110, 70):
+            reference = "".join(rng.choice("ACGT") for _ in range(length))
+            pairs += [(reference, copy) for copy in channel.transmit_many(reference, 5)]
+        serial = ErrorStatistics()
+        for reference, copy in pairs:
+            serial.tally_pair(reference, copy)
+        monkeypatch.setattr(error_stats, "_TALLY_PAIRS", 4)
+        lockstep = ErrorStatistics()
+        lockstep.tally_many(pairs)
+        assert statistics_fields(lockstep) == statistics_fields(serial)
+
+    def test_seeded_pool_tally_keeps_the_scalar_loop(self, small_pool):
+        seeded = ErrorStatistics()
+        seeded.tally_pool(small_pool, rng=random.Random(0))
+        serial = ErrorStatistics()
+        rng = random.Random(0)
+        for cluster in small_pool:
+            for copy in cluster.copies:
+                serial.tally_pair(cluster.reference, copy, rng)
+        assert statistics_fields(seeded) == statistics_fields(serial)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import parallel
 from repro.core.profile import (
     ErrorProfile,
     SimulatorStage,
@@ -11,6 +12,7 @@ from repro.core.profile import (
 )
 from repro.core.spatial import HistogramSpatial, UniformSpatial
 from repro.core.strand import Cluster, StrandPool
+from tests.test_alignment_oracle import statistics_fields
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,28 @@ class TestStageModels:
         ]
         for rate in rates[1:]:
             assert rate == pytest.approx(rates[0], rel=0.15)
+
+
+class TestChunkedFit:
+    """Chunked fits merge lockstep tallies in chunk order: every count
+    and every key order equals the serial fit's."""
+
+    def test_from_clusters_batches_equal_serial(self, nanopore_pool):
+        serial = ErrorProfile.from_pool(nanopore_pool, 3, workers=1)
+        streamed = ErrorProfile.from_clusters(
+            iter(nanopore_pool.clusters), 3, workers=1, batch_size=3
+        )
+        assert statistics_fields(streamed.statistics) == statistics_fields(
+            serial.statistics
+        )
+
+    def test_pooled_fit_equals_serial(self, nanopore_pool, monkeypatch):
+        serial = ErrorProfile.from_pool(nanopore_pool, 3, workers=1)
+        monkeypatch.setenv(parallel.FORCE_ENV, "1")
+        pooled = ErrorProfile.from_pool(nanopore_pool, 3, workers=2)
+        assert statistics_fields(pooled.statistics) == statistics_fields(
+            serial.statistics
+        )
 
 
 class TestEmptyProfile:
