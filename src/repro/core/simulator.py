@@ -35,7 +35,7 @@ from repro.core.strand import Cluster, StrandPool
 from repro.exceptions import ConfigError
 from repro.observability import counter, span
 from repro.parallel import derive_seed, parallel_stream, stream_chunks
-from repro.sharding.plan import ShardPlan, resolve_shards
+from repro.sharding.plan import resolve_shards, split_contiguous
 
 
 class Simulator:
@@ -65,7 +65,7 @@ class Simulator:
         per_cluster_seeds: bool = False,
     ) -> None:
         if per_cluster_seeds and seed is None:
-            raise ValueError("per_cluster_seeds requires an explicit seed")
+            raise ConfigError("per_cluster_seeds requires an explicit seed")
         self.model = model
         self.coverage = coverage if coverage is not None else ConstantCoverage(5)
         self.seed = seed
@@ -141,19 +141,18 @@ class Simulator:
                 "streamed simulation requires per_cluster_seeds=True "
                 "(the default serial RNG stream cannot be partitioned)"
             )
-        coverage_rng = random.Random(derive_seed(self.seed, -1))
-        coverages = self.coverage.draw(len(references), coverage_rng)
-        plan = ShardPlan.contiguous(len(references), resolve_shards(shards))
-        per_shard = plan.split(
-            list(zip(range(len(references)), references, coverages))
+        coverages = draw_coverages(self.coverage, len(references), self.seed)
+        per_shard = split_contiguous(
+            list(zip(range(len(references)), references, coverages)),
+            resolve_shards(shards),
         )
         with span(
-            "simulate_stream", clusters=len(references), shards=plan.n_shards
+            "simulate_stream", clusters=len(references), shards=len(per_shard)
         ):
             counter("simulate.clusters").inc(len(references))
             yield from chain.from_iterable(
                 parallel_stream(
-                    partial(_transmit_chunk, self.model, self.seed),
+                    partial(transmit_chunk, self.model, self.seed),
                     per_shard,
                     workers,
                 )
@@ -167,17 +166,16 @@ class Simulator:
     ) -> StrandPool:
         """Per-cluster-seeded simulation (serial or process pool).
 
-        Coverages are drawn up front from a dedicated stream (index -1 of
-        the seed derivation) so coverage models that need the whole pool
-        at once (e.g. ``CustomCoverage``) keep working; each cluster's
-        transmissions then consume only its own derived stream, making
-        the result independent of chunking and worker count.
+        Coverages are drawn up front (:func:`draw_coverages`) so coverage
+        models that need the whole pool at once (e.g. ``CustomCoverage``)
+        keep working; each cluster's transmissions then consume only its
+        own derived stream, making the result independent of chunking
+        and worker count.
         """
-        coverage_rng = random.Random(derive_seed(self.seed, -1))
-        coverages = coverage_model.draw(len(references), coverage_rng)
+        coverages = draw_coverages(coverage_model, len(references), self.seed)
         items = list(zip(range(len(references)), references, coverages))
         per_chunk = stream_chunks(
-            partial(_transmit_chunk, self.model, self.seed), items, workers
+            partial(transmit_chunk, self.model, self.seed), items, workers
         )
         return StrandPool(list(chain.from_iterable(per_chunk)))
 
@@ -209,15 +207,48 @@ class Simulator:
         return self._simulate_seeded(reference_pool.references, coverages, workers)
 
 
-def _transmit_chunk(
+# The per-cluster seeding convention, shared by every per-cluster-seeded
+# generator (``per_cluster_seeds=True``, ``iter_nanopore_clusters``,
+# ``run_shard``): cluster ``i``'s noise comes from ``derive_seed(seed,
+# i)`` and the rest from negative stream indices, which no cluster can
+# collide with.  Each cluster is then a pure function of ``(seed, i)``,
+# so every shard and worker partitioning yields the same bytes.
+
+
+def draw_coverages(
+    coverage: CoverageModel, n_clusters: int, seed: int
+) -> list[int]:
+    """Every cluster's coverage, drawn up front in index order from
+    stream -1.
+
+    Raises:
+        ConfigError: when ``n_clusters`` is negative.
+    """
+    if n_clusters < 0:
+        raise ConfigError(f"n_clusters must be non-negative, got {n_clusters}")
+    return coverage.draw(n_clusters, random.Random(derive_seed(seed, -1)))
+
+
+def derived_reference(seed: int, strand_length: int, index: int) -> str:
+    """Cluster ``index``'s random reference strand, from stream -2."""
+    reference_seed = derive_seed(derive_seed(seed, -2), index)
+    return random_strand(strand_length, random.Random(reference_seed))
+
+
+def fault_seed(seed: int, index: int) -> int:
+    """The seed of cluster ``index``'s fault injector, from stream -3."""
+    return derive_seed(derive_seed(seed, -3), index)
+
+
+def transmit_chunk(
     model: ErrorModel,
-    base_seed: int,
-    chunk: list[tuple[int, str, int]],
+    seed: int,
+    chunk: Sequence[tuple[int, str, int]],
 ) -> list[Cluster]:
-    """Worker task for per-cluster-seeded simulation.
+    """Worker task for per-cluster-seeded generation.
 
     Transmits a chunk of ``(cluster_index, reference, coverage)`` items,
-    giving each cluster a fresh ``random.Random(derive_seed(base_seed,
+    giving each cluster a fresh ``random.Random(derive_seed(seed,
     cluster_index))`` so the output is a pure function of the item — the
     channel (and its per-length ladder cache) is shared across the chunk
     but its RNG is swapped per cluster.
@@ -225,6 +256,25 @@ def _transmit_chunk(
     channel = Channel(model)
     clusters: list[Cluster] = []
     for cluster_index, reference, coverage in chunk:
-        channel.rng = random.Random(derive_seed(base_seed, cluster_index))
+        channel.rng = random.Random(derive_seed(seed, cluster_index))
         clusters.append(channel.transmit_cluster(reference, coverage))
     return clusters
+
+
+def transmit_derived_chunk(
+    model: ErrorModel,
+    seed: int,
+    strand_length: int,
+    chunk: Sequence[tuple[int, int]],
+) -> list[Cluster]:
+    """:func:`transmit_chunk` over ``(cluster_index, coverage)`` items
+    whose references are :func:`derived_reference` strands, derived here
+    in the worker rather than serially in the parent."""
+    return transmit_chunk(
+        model,
+        seed,
+        [
+            (index, derived_reference(seed, strand_length, index), coverage)
+            for index, coverage in chunk
+        ],
+    )

@@ -43,8 +43,10 @@ from repro.core.errors import (
 )
 from repro.core.spatial import TerminalSkew, UniformSpatial
 from repro.core.strand import Cluster, StrandPool
-from repro.parallel import derive_seed, parallel_stream
-from repro.sharding.plan import ShardPlan, resolve_shards
+from repro.core.simulator import draw_coverages, transmit_derived_chunk
+from repro.exceptions import ConfigError
+from repro.parallel import parallel_stream
+from repro.sharding.plan import resolve_shards, split_contiguous
 
 #: Statistics of the real dataset, as reported in Section 3.2.
 PAPER_N_CLUSTERS = 10_000
@@ -196,7 +198,12 @@ def make_nanopore_dataset(
 
     Returns:
         A pseudo-clustered pool: references paired with their noisy reads.
+
+    Raises:
+        ConfigError: when ``n_clusters`` is negative.
     """
+    if n_clusters < 0:
+        raise ConfigError(f"n_clusters must be non-negative, got {n_clusters}")
     rng = random.Random(seed)
     references = [random_strand(strand_length, rng) for _ in range(n_clusters)]
     model = ground_truth_model(parameters)
@@ -206,33 +213,6 @@ def make_nanopore_dataset(
     else:
         coverage_model = ground_truth_coverage(mean_coverage, parameters)
     return channel.transmit_pool(references, coverage_model)
-
-
-def _generate_cluster_chunk(
-    model: ErrorModel,
-    seed: int,
-    reference_base: int,
-    strand_length: int,
-    chunk: list[tuple[int, int]],
-) -> list[Cluster]:
-    """Worker task for sharded dataset generation.
-
-    Builds every cluster of a chunk of ``(cluster_index, coverage)``
-    items as a pure function of the item: the reference comes from a
-    stream derived from ``(reference_base, index)`` and the channel noise
-    from ``(seed, index)`` (the same per-cluster convention as
-    ``Simulator(per_cluster_seeds=True)``), so the output is identical at
-    any shard and worker count.
-    """
-    channel = Channel(model)
-    clusters: list[Cluster] = []
-    for cluster_index, coverage in chunk:
-        reference = random_strand(
-            strand_length, random.Random(derive_seed(reference_base, cluster_index))
-        )
-        channel.rng = random.Random(derive_seed(seed, cluster_index))
-        clusters.append(channel.transmit_cluster(reference, coverage))
-    return clusters
 
 
 def iter_nanopore_clusters(
@@ -254,7 +234,8 @@ def iter_nanopore_clusters(
     written straight to disk in bounded memory.
 
     Unlike the serial generator, randomness is derived **per cluster**
-    from ``(seed, index)`` (references from a separate derived stream,
+    from ``(seed, index)`` by the convention of
+    :mod:`repro.core.simulator` (references derived in the workers,
     coverages drawn upfront in index order), so the stream is identical
     at any shard and worker count — but *not* to
     :func:`make_nanopore_dataset` with the same seed, which consumes one
@@ -272,52 +253,12 @@ def iter_nanopore_clusters(
         coverage_model: CoverageModel = ConstantCoverage(constant_coverage)
     else:
         coverage_model = ground_truth_coverage(mean_coverage, parameters)
-    coverage_rng = random.Random(derive_seed(seed, -1))
-    coverages = coverage_model.draw(n_clusters, coverage_rng)
-    reference_base = derive_seed(seed, -2)
-    plan = ShardPlan.contiguous(n_clusters, resolve_shards(shards))
-    items = list(enumerate(coverages))
-    per_shard = plan.split(items)
-    generate = partial(
-        _generate_cluster_chunk,
-        model,
-        seed,
-        reference_base,
-        strand_length,
+    per_shard = split_contiguous(
+        list(enumerate(draw_coverages(coverage_model, n_clusters, seed))),
+        resolve_shards(shards),
     )
+    generate = partial(transmit_derived_chunk, model, seed, strand_length)
     # One pool for the whole stream with at most `workers` shards in
     # flight: enough to keep the pool busy, few enough that peak memory
     # stays bounded by the shards in flight, not the pool.
     yield from chain.from_iterable(parallel_stream(generate, per_shard, workers))
-
-
-def make_sharded_nanopore_dataset(
-    n_clusters: int = 1_000,
-    strand_length: int = PAPER_STRAND_LENGTH,
-    mean_coverage: float = PAPER_MEAN_COVERAGE,
-    seed: int = 0,
-    parameters: NanoporeParameters | None = None,
-    constant_coverage: int | None = None,
-    shards: int | None = None,
-    workers: int | None = None,
-) -> StrandPool:
-    """Materialised convenience over :func:`iter_nanopore_clusters`.
-
-    Same per-cluster-seeded dataset as the streaming generator (identical
-    at any shard/worker count); use the generator itself when the pool
-    should never exist in memory at once.
-    """
-    return StrandPool(
-        list(
-            iter_nanopore_clusters(
-                n_clusters=n_clusters,
-                strand_length=strand_length,
-                mean_coverage=mean_coverage,
-                seed=seed,
-                parameters=parameters,
-                constant_coverage=constant_coverage,
-                shards=shards,
-                workers=workers,
-            )
-        )
-    )

@@ -6,8 +6,8 @@ stage's intermediate state at once is what kept the experiments at small
 default scales.  This package closes that gap:
 
 * :mod:`repro.sharding.plan` — deterministic shard assignment
-  (order-preserving contiguous ranges, :meth:`ShardPlan.contiguous`),
-  plus the ``REPRO_SHARDS``/``--shards`` default resolution;
+  (order-preserving contiguous ranges, :func:`split_contiguous`), plus
+  the ``REPRO_SHARDS``/``--shards`` default resolution;
 * :mod:`repro.sharding.runner` — the full-scale pipeline: per-shard
   generate → profile → reconstruct → score workers on
   :func:`repro.parallel.parallel_stream`, merged with the associative
@@ -26,11 +26,11 @@ keyword and ignore it.
 
 from repro.sharding.plan import (
     SHARDS_ENV,
-    ShardPlan,
     batched,
     default_shards,
     resolve_shards,
     set_default_shards,
+    split_contiguous,
 )
 
 #: Runner symbols resolved lazily (PEP 562): the runner pulls in the
@@ -58,11 +58,11 @@ def __getattr__(name: str):
 
 __all__ = [
     "SHARDS_ENV",
-    "ShardPlan",
     "batched",
     "default_shards",
     "resolve_shards",
     "set_default_shards",
+    "split_contiguous",
     "FullScalePlan",
     "FullScaleResult",
     "ShardConfig",

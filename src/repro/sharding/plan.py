@@ -1,7 +1,8 @@
 """Deterministic shard planning: which clusters a shard owns, and why.
 
 A *shard* is a contiguous, order-preserving range of a run's clusters
-small enough to simulate, profile, reconstruct, and score in memory.
+(:func:`split_contiguous`) small enough to simulate, profile,
+reconstruct, and score in memory.
 Shards are the unit of memory and of checkpointing, and only where that
 matters do they act:
 
@@ -33,9 +34,9 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from typing import TypeVar
 
+from repro.exceptions import ConfigError
 from repro.observability import get_logger
 
 Item = TypeVar("Item")
@@ -48,8 +49,8 @@ SHARDS_ENV = "REPRO_SHARDS"
 #: Process-wide override installed by the CLI's ``--shards`` flag.
 _default_shards_override: int | None = None
 
-#: Malformed ``REPRO_SHARDS`` values already warned about (one warning
-#: per distinct bad value, mirroring the worker-count resolver).
+#: Malformed or below-1 ``REPRO_SHARDS`` values already warned about (one
+#: warning per distinct bad value, mirroring the worker-count resolver).
 _warned_shard_values: set[str] = set()
 
 
@@ -62,7 +63,7 @@ def set_default_shards(shards: int | None) -> None:
     """
     global _default_shards_override
     if shards is not None and shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
+        raise ConfigError(f"shards must be >= 1, got {shards}")
     _default_shards_override = shards
 
 
@@ -71,7 +72,8 @@ def default_shards() -> int:
 
     Resolution order: :func:`set_default_shards` override, then the
     ``REPRO_SHARDS`` environment variable, then 1 (unsharded — exactly
-    the pre-sharding code path).
+    the pre-sharding code path).  A malformed or below-1 ``REPRO_SHARDS``
+    logs one ``invalid_shards_env`` warning and falls back to 1.
     """
     if _default_shards_override is not None:
         return _default_shards_override
@@ -79,76 +81,47 @@ def default_shards() -> int:
     try:
         shards = int(raw)
     except ValueError:
+        shards = 0
+    if shards < 1:
         if raw not in _warned_shard_values:
             _warned_shard_values.add(raw)
             _logger.warning(
                 "invalid_shards_env", variable=SHARDS_ENV, value=raw, fallback=1
             )
         return 1
-    return shards if shards >= 1 else 1
-
-
-def resolve_shards(shards: int | None) -> int:
-    """Normalise a ``shards`` argument: ``None`` -> default, floor 1."""
-    if shards is None:
-        return default_shards()
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     return shards
 
 
-@dataclass(frozen=True)
-class ShardPlan:
-    """A deterministic partition of ``n_items`` clusters into shards.
+def resolve_shards(shards: int | None) -> int:
+    """Normalise a ``shards`` argument: ``None`` -> default.
 
-    Attributes:
-        n_shards: number of shards (trailing shards may be empty when
-            there are fewer items than shards).
-        indices: per-shard tuples of original item indices.  Every index
-            in ``range(n_items)`` appears exactly once across all shards.
+    Raises:
+        ConfigError: when ``shards`` is below 1.
     """
+    if shards is None:
+        return default_shards()
+    if shards < 1:
+        raise ConfigError(f"shards must be >= 1, got {shards}")
+    return shards
 
-    n_shards: int
-    indices: tuple[tuple[int, ...], ...]
 
-    @classmethod
-    def contiguous(cls, n_items: int, n_shards: int) -> "ShardPlan":
-        """Order-preserving plan: near-equal contiguous index ranges.
+def split_contiguous(items: Sequence[Item], n_shards: int) -> list[list[Item]]:
+    """Partition ``items`` into ``n_shards`` near-equal contiguous runs.
 
-        Concatenating the shards restores ``range(n_items)`` exactly, so
-        a stream written shard by shard keeps the original item order at
-        any shard count.
-        """
-        if n_items < 0:
-            raise ValueError(f"n_items must be non-negative, got {n_items}")
-        if n_shards < 1:
-            raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        size = -(-n_items // n_shards) if n_items else 0
-        buckets = []
-        for shard in range(n_shards):
-            start = shard * size
-            buckets.append(tuple(range(start, min(start + size, n_items))))
-        return cls(n_shards, tuple(buckets))
+    Concatenating the shards restores ``items`` exactly, so a stream
+    written shard by shard keeps the original item order at any shard
+    count.  Trailing shards are empty when there are fewer items than
+    shards.
 
-    @property
-    def n_items(self) -> int:
-        return sum(len(bucket) for bucket in self.indices)
-
-    def shard_sizes(self) -> list[int]:
-        """Items per shard (diagnostic)."""
-        return [len(bucket) for bucket in self.indices]
-
-    def split(self, items: Sequence[Item]) -> list[list[Item]]:
-        """Partition ``items`` into per-shard lists, in shard order.
-
-        Raises:
-            ValueError: if ``items`` does not match the planned count.
-        """
-        if len(items) != self.n_items:
-            raise ValueError(
-                f"plan covers {self.n_items} items but {len(items)} given"
-            )
-        return [[items[index] for index in bucket] for bucket in self.indices]
+    Raises:
+        ConfigError: when ``n_shards`` is below 1.
+    """
+    if n_shards < 1:
+        raise ConfigError(f"n_shards must be >= 1, got {n_shards}")
+    size = -(-len(items) // n_shards)
+    return [
+        list(items[shard * size : (shard + 1) * size]) for shard in range(n_shards)
+    ]
 
 
 def batched(items: Iterable[Item], batch_size: int) -> Iterator[list[Item]]:

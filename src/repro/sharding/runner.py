@@ -21,27 +21,25 @@ by :func:`repro.parallel.parallel_stream` when collection is enabled.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import partial
 
 from repro.analysis.error_stats import ErrorStatistics
-from repro.core.alphabet import random_strand
-from repro.core.channel import Channel
 from repro.core.errors import ErrorModel
+from repro.core.simulator import draw_coverages, fault_seed, transmit_derived_chunk
 from repro.core.strand import Cluster, StrandPool
 from repro.exceptions import ConfigError
 from repro.robustness.faults import SEVERITY_LEVELS, FaultInjector
 from repro.metrics.accuracy import AccuracyReport, AccuracyTally
 from repro.observability import counter, span
-from repro.parallel import derive_seed, parallel_stream, resolve_workers
+from repro.parallel import parallel_stream, resolve_workers
 from repro.reconstruct.base import Reconstructor
 from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
 from repro.reconstruct.majority import PositionalMajority
-from repro.sharding.plan import ShardPlan, resolve_shards
+from repro.sharding.plan import resolve_shards, split_contiguous
 
 #: Algorithms the full-scale runner can score, by CLI name.  Positional
 #: majority is the default: at paper coverage (~27 copies per cluster)
@@ -61,19 +59,17 @@ class ShardConfig:
 
     ``fault_severity`` applies a seeded
     :class:`repro.robustness.FaultInjector` to each cluster's reads,
-    keyed by ``derive_seed(fault_seed_base, cluster_index)`` so faults
-    — like the channel noise — are a pure function of the cluster
-    index, preserving bit-identity at any shard/worker partitioning.
+    keyed by :func:`~repro.core.simulator.fault_seed` so faults — like
+    the channel noise — are a pure function of the cluster index,
+    preserving bit-identity at any shard/worker partitioning.
     """
 
     model: ErrorModel
     seed: int
-    reference_base: int
     strand_length: int
     max_copies: int | None
     algorithms: tuple[str, ...]
     fault_severity: str = "none"
-    fault_seed_base: int = 0
 
 
 #: One shard's mergeable summary: ``(statistics, tallies, n_reads)``.
@@ -94,7 +90,6 @@ class FullScalePlan:
     """
 
     config: ShardConfig
-    plan: ShardPlan
     #: Per-shard ``(cluster_index, coverage)`` work items.
     per_shard: tuple[tuple[tuple[int, int], ...], ...]
     n_clusters: int
@@ -103,7 +98,7 @@ class FullScalePlan:
 
     @property
     def n_shards(self) -> int:
-        return self.plan.n_shards
+        return len(self.per_shard)
 
     def shard_items(self) -> list[tuple[int, list[tuple[int, int]]]]:
         """The ``(shard_index, chunk)`` items :func:`run_shard` consumes."""
@@ -161,40 +156,34 @@ def run_shard(
     """One shard of the full pipeline, start to finish.
 
     ``item`` is ``(shard_index, [(cluster_index, coverage), ...])``.
-    Each cluster is a pure function of its index (reference from the
-    derived reference stream, noise from ``(seed, index)``), so shard
+    Each cluster is a pure function of its index (the per-cluster
+    seeding convention of :mod:`repro.core.simulator`), so shard
     results — and therefore the merged run — are identical at any
     partitioning.  Only the mergeable summaries leave the worker; the
     shard's clusters die with it, which is the whole memory story.
     """
     shard_index, chunk = item
-    inject_faults = config.fault_severity != "none"
     with span(
         "fullscale.shard", shard=shard_index, clusters=len(chunk)
     ) as shard_span:
-        channel = Channel(config.model)
-        clusters: list[Cluster] = []
-        n_reads = 0
-        for cluster_index, coverage in chunk:
-            reference = random_strand(
-                config.strand_length,
-                random.Random(derive_seed(config.reference_base, cluster_index)),
-            )
-            channel.rng = random.Random(derive_seed(config.seed, cluster_index))
-            cluster = channel.transmit_cluster(reference, coverage)
-            if inject_faults:
-                # One injector per cluster, seeded from the cluster
-                # index: faults never depend on which shard (or attempt)
-                # a cluster runs in.
-                injector = FaultInjector(
-                    config.fault_severity,
-                    seed=derive_seed(config.fault_seed_base, cluster_index),
+        clusters = transmit_derived_chunk(
+            config.model, config.seed, config.strand_length, chunk
+        )
+        if config.fault_severity != "none":
+            # One injector per cluster, seeded from the cluster index:
+            # faults never depend on which shard (or attempt) a cluster
+            # runs in.
+            clusters = [
+                Cluster(
+                    cluster.reference,
+                    FaultInjector(
+                        config.fault_severity,
+                        seed=fault_seed(config.seed, cluster_index),
+                    ).inject_reads(cluster.copies),
                 )
-                cluster = Cluster(
-                    cluster.reference, injector.inject_reads(cluster.copies)
-                )
-            clusters.append(cluster)
-            n_reads += cluster.coverage
+                for (cluster_index, _), cluster in zip(chunk, clusters)
+            ]
+        n_reads = sum(cluster.coverage for cluster in clusters)
         pool = StrandPool(clusters)
         statistics = ErrorStatistics()
         statistics.tally_pool(pool, config.max_copies)
@@ -238,7 +227,8 @@ def plan_fullscale(
     the shards (see :class:`ShardConfig`).
 
     Raises:
-        ConfigError: unknown algorithm or severity names.
+        ConfigError: unknown algorithm or severity names, or a negative
+            ``n_clusters``.
     """
     # Imported lazily: repro.data.nanopore imports this package's plan
     # module, so a module-level import here would be circular.
@@ -266,26 +256,20 @@ def plan_fullscale(
         mean_coverage = PAPER_MEAN_COVERAGE
     n_shards = resolve_shards(shards)
 
-    model = ground_truth_model(parameters)
-    coverage_model = ground_truth_coverage(mean_coverage, parameters)
-    coverage_rng = random.Random(derive_seed(seed, -1))
-    coverages = coverage_model.draw(n_clusters, coverage_rng)
-
-    plan = ShardPlan.contiguous(n_clusters, n_shards)
-    per_shard = plan.split(list(enumerate(coverages)))
+    coverages = draw_coverages(
+        ground_truth_coverage(mean_coverage, parameters), n_clusters, seed
+    )
+    per_shard = split_contiguous(list(enumerate(coverages)), n_shards)
     config = ShardConfig(
-        model=model,
+        model=ground_truth_model(parameters),
         seed=seed,
-        reference_base=derive_seed(seed, -2),
         strand_length=strand_length,
         max_copies=max_copies,
         algorithms=tuple(algorithms),
         fault_severity=fault_severity,
-        fault_seed_base=derive_seed(seed, -3),
     )
     return FullScalePlan(
         config=config,
-        plan=plan,
         per_shard=tuple(tuple(chunk) for chunk in per_shard),
         n_clusters=n_clusters,
         strand_length=strand_length,
@@ -332,7 +316,7 @@ def merge_shard_results(
         mean_coverage=n_reads / n_clusters if n_clusters else 0.0,
         aggregate_error_rate=statistics.aggregate_error_rate(),
         accuracy={name: tally.report() for name, tally in tallies.items()},
-        shard_sizes=fullscale_plan.plan.shard_sizes(),
+        shard_sizes=[len(chunk) for chunk in fullscale_plan.per_shard],
         statistics=statistics if keep_statistics else None,
     )
 

@@ -160,6 +160,27 @@ class TestErrorHandling:
         assert err.startswith("dnasim: error: [config]")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dataset", "{out}", "--clusters", "-5", "--stream"],
+            ["dataset", "{out}", "--clusters", "-5"],
+            ["experiment", "fullscale", "--clusters", "-5"],
+        ],
+        ids=["dataset-stream", "dataset", "fullscale"],
+    )
+    def test_negative_clusters_exits_with_config_message(
+        self, argv, tmp_path, capsys
+    ):
+        out = str(tmp_path / "out.txt")
+        code = main([arg.format(out=out) for arg in argv])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("dnasim: error: [config]")
+        assert "n_clusters" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "wrote" not in captured.out
+
     def test_debug_flag_reraises(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("ACGT\nACGA\n")

@@ -295,6 +295,23 @@ def test_malformed_workers_env_warns_once(monkeypatch):
     assert "fallback=1" in output
 
 
+@pytest.mark.parametrize("value", ["0", "-2", "abc"])
+def test_invalid_shards_env_warns_once(monkeypatch, value):
+    from repro.sharding import plan
+
+    stream = io.StringIO()
+    configure_logging(level="warning", stream=stream)
+    monkeypatch.setenv("REPRO_SHARDS", value)
+    monkeypatch.setattr(plan, "_warned_shard_values", set())
+    monkeypatch.setattr(plan, "_default_shards_override", None)
+    assert plan.default_shards() == 1
+    assert plan.default_shards() == 1
+    output = stream.getvalue()
+    assert output.count("event=invalid_shards_env") == 1
+    assert f"value={value}" in output
+    assert "fallback=1" in output
+
+
 # ------------------------------------------------------------------ #
 # Cross-process aggregation
 # ------------------------------------------------------------------ #

@@ -25,7 +25,6 @@ from repro.data.nanopore import (
     NanoporeParameters,
     ground_truth_model,
     iter_nanopore_clusters,
-    make_sharded_nanopore_dataset,
 )
 from repro.exceptions import ConfigError
 from repro.experiments import ext_reliability
@@ -36,12 +35,12 @@ from repro.pipeline.storage import DNAArchive
 from repro.reconstruct.majority import PositionalMajority
 from repro.robustness import RetryPolicy
 from repro.sharding import (
-    ShardPlan,
     batched,
     default_shards,
     resolve_shards,
     run_fullscale,
     set_default_shards,
+    split_contiguous,
 )
 
 
@@ -53,18 +52,22 @@ from repro.sharding import (
 class TestShardPlan:
     def test_contiguous_concatenation_restores_order(self):
         for n_items, n_shards in [(0, 3), (7, 3), (12, 4), (5, 8)]:
-            plan = ShardPlan.contiguous(n_items, n_shards)
-            flattened = [index for bucket in plan.indices for index in bucket]
+            shards = split_contiguous(list(range(n_items)), n_shards)
+            flattened = [index for bucket in shards for index in bucket]
             assert flattened == list(range(n_items))
 
     def test_shard_sizes_sum_to_items(self):
-        plan = ShardPlan.contiguous(31, 6)
-        assert sum(plan.shard_sizes()) == plan.n_items == 31
+        shards = split_contiguous(list(range(31)), 6)
+        assert sum(len(bucket) for bucket in shards) == 31
 
-    def test_split_rejects_wrong_length(self):
-        plan = ShardPlan.contiguous(4, 2)
-        with pytest.raises(ValueError, match="plan covers"):
-            plan.split([1, 2, 3])
+    def test_trailing_shards_are_empty(self):
+        shards = split_contiguous(list(range(5)), 8)
+        assert [len(bucket) for bucket in shards] == [1, 1, 1, 1, 1, 0, 0, 0]
+        assert [len(bucket) for bucket in split_contiguous([], 3)] == [0, 0, 0]
+
+    def test_split_rejects_nonpositive_shards(self):
+        with pytest.raises(ConfigError, match="n_shards"):
+            split_contiguous([1, 2, 3], 0)
 
 
 class TestBatched:
@@ -163,25 +166,33 @@ class TestPoolWriter:
 
 class TestShardedGeneration:
     def test_invariant_across_shard_counts(self):
-        base = make_sharded_nanopore_dataset(n_clusters=24, seed=11, shards=1)
+        base = StrandPool(
+            list(iter_nanopore_clusters(n_clusters=24, seed=11, shards=1))
+        )
         for shards in (2, 5):
-            other = make_sharded_nanopore_dataset(
-                n_clusters=24, seed=11, shards=shards
+            other = StrandPool(
+                list(iter_nanopore_clusters(n_clusters=24, seed=11, shards=shards))
             )
             assert other.references == base.references
             assert [c.copies for c in other] == [c.copies for c in base]
 
     def test_invariant_across_worker_counts(self, monkeypatch):
-        base = make_sharded_nanopore_dataset(n_clusters=16, seed=4, shards=2)
+        base = StrandPool(
+            list(iter_nanopore_clusters(n_clusters=16, seed=4, shards=2))
+        )
         monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-        parallel = make_sharded_nanopore_dataset(
-            n_clusters=16, seed=4, shards=2, workers=2
+        parallel = StrandPool(
+            list(
+                iter_nanopore_clusters(n_clusters=16, seed=4, shards=2, workers=2)
+            )
         )
         assert parallel.references == base.references
         assert [c.copies for c in parallel] == [c.copies for c in base]
 
     def test_iterator_matches_materialised(self):
-        pool = make_sharded_nanopore_dataset(n_clusters=12, seed=6, shards=3)
+        pool = StrandPool(
+            list(iter_nanopore_clusters(n_clusters=12, seed=6, shards=3))
+        )
         streamed = list(
             iter_nanopore_clusters(n_clusters=12, seed=6, shards=3)
         )
@@ -189,8 +200,8 @@ class TestShardedGeneration:
         assert [c.copies for c in streamed] == [c.copies for c in pool]
 
     def test_seed_changes_data(self):
-        a = make_sharded_nanopore_dataset(n_clusters=6, seed=1, shards=2)
-        b = make_sharded_nanopore_dataset(n_clusters=6, seed=2, shards=2)
+        a = StrandPool(list(iter_nanopore_clusters(n_clusters=6, seed=1, shards=2)))
+        b = StrandPool(list(iter_nanopore_clusters(n_clusters=6, seed=2, shards=2)))
         assert a.references != b.references
 
 
@@ -202,7 +213,9 @@ class TestShardedGeneration:
 @pytest.fixture(scope="module")
 def stage_pool() -> StrandPool:
     """A modest pool exercised by every stage-equivalence test below."""
-    return make_sharded_nanopore_dataset(n_clusters=30, seed=21, shards=1)
+    return StrandPool(
+        list(iter_nanopore_clusters(n_clusters=30, seed=21, shards=1))
+    )
 
 
 class TestStageEquivalence:
