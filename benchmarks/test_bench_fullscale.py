@@ -149,6 +149,7 @@ def test_bench_fullscale_streamed_memory_is_bounded(tmp_path):
             "strand_length": PAPER_STRAND_LENGTH,
             "shards": BENCH_SHARDS,
             "workers": 1,
+            "cpu_count": os.cpu_count(),
             "dataset_bytes": streamed_path.stat().st_size,
             "streamed": streamed,
             "in_memory": inmemory,

@@ -38,6 +38,9 @@ def validate_strand(sequence: str) -> str:
     Raises:
         AlphabetError: if any character is not one of A, C, G, T.
     """
+    if _BASE_SET.issuperset(sequence):
+        return sequence
+    # Only to name the first bad character and its position.
     for position, char in enumerate(sequence):
         if char not in _BASE_SET:
             raise AlphabetError(

@@ -16,13 +16,15 @@ so the hot loop does one ``random()`` call and one short scan per base.
 
 Two execution paths share that draw-order contract bit for bit: the
 reference loop below, and the sparse-event NumPy sweep in
-:mod:`repro.core.channel_backend`.  Every entry point funnels into
-:meth:`Channel.transmit_many`, which rejects non-ACGT references before
-any draw and then picks the path from the call's shape
-(:meth:`Channel._use_sweep`): bulk calls on a plain ``random.Random``
-run the sweep, everything else the loop.  Both consume the same uniform
-variates in the same order from ``self.rng``, so seeds give the same
-pools whichever path runs.
+:mod:`repro.core.channel_backend`.  Every serial-stream entry point
+funnels into :meth:`Channel.transmit_many`, which rejects non-ACGT
+references before any draw and then picks the path from the call's
+shape (:meth:`Channel._use_sweep`): bulk calls on a plain
+``random.Random`` run the sweep, everything else the loop.  Both consume
+the same uniform variates in the same order from ``self.rng``, so seeds
+give the same pools whichever path runs.  :meth:`Channel.transmit_seeded`
+is the per-cluster-seeded entry: it always runs the sweep, on a source
+seeded straight from the cluster's seed.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import weakref
 from collections.abc import Sequence
 
 from repro.core import channel_backend
-from repro.core.alphabet import _BASE_SET, BASES, validate_strand
+from repro.core.alphabet import BASES, validate_strand
 from repro.core.channel_backend import (
     ReferencePrep,
     UniformBulkSource,
@@ -81,6 +83,13 @@ def _shared_model_cache(model: ErrorModel) -> dict:
     return cache
 
 
+def _check_call(reference: str, coverage: int) -> None:
+    """Reject a transmit call's arguments before any draw."""
+    if coverage < 0:
+        raise ValueError(f"coverage must be non-negative, got {coverage}")
+    validate_strand(reference)
+
+
 class Channel:
     """A stochastic IDS channel parameterised by an :class:`ErrorModel`.
 
@@ -115,10 +124,7 @@ class Channel:
             AlphabetError: ``reference`` holds a character outside
                 ``{A, C, G, T}`` (checked before any draw).
         """
-        if coverage < 0:
-            raise ValueError(f"coverage must be non-negative, got {coverage}")
-        if not _BASE_SET.issuperset(reference):
-            validate_strand(reference)
+        _check_call(reference, coverage)
         with self.bulk_window(len(reference) * coverage) as bulk:
             if bulk is None:
                 return [self._transmit_python(reference) for _ in range(coverage)]
@@ -129,6 +135,30 @@ class Channel:
     def transmit_cluster(self, reference: str, coverage: int) -> Cluster:
         """Generate one cluster: the reference plus ``coverage`` noisy copies."""
         return Cluster(reference, self.transmit_many(reference, coverage))
+
+    def transmit_seeded(self, reference: str, coverage: int, seed: int) -> Cluster:
+        """One cluster from a fresh ``random.Random(seed)`` stream.
+
+        Returns exactly ``Channel(model, random.Random(seed))
+        .transmit_cluster(reference, coverage)``, on the sweep at any
+        size: the source is seeded straight from ``seed`` and nothing
+        reads its stream afterwards, so there is no state transplant for
+        :data:`~repro.core.channel_backend.AUTO_MIN_DRAWS` to amortise.
+        ``self.rng`` is neither read nor advanced.
+
+        Raises:
+            AlphabetError: ``reference`` holds a character outside
+                ``{A, C, G, T}`` (checked before any draw).
+        """
+        _check_call(reference, coverage)
+        source = UniformBulkSource(hint=len(reference) * coverage + 64, seed=seed)
+        try:
+            copies = transmit_batch(
+                self, reference, coverage, source, self._reference_prep(reference)
+            )
+        finally:
+            source.close()
+        return Cluster(reference, copies)
 
     def transmit_pool(
         self, references: Sequence[str], coverage_model: CoverageModel

@@ -15,7 +15,12 @@ touching a single draw*:
   transplants the channel RNG's state into a NumPy generator, draws
   uniforms thousands at a time (identical values, identical order), and
   on close replays the exact number consumed so the Python RNG lands on
-  the same state the serial loop would have left it in.
+  the same state the serial loop would have left it in.  A
+  per-cluster-seeded cluster owns a fresh ``random.Random(seed)``
+  stream that nothing reads afterwards, so its source skips both ends:
+  it seeds the NumPy generator the way ``random.seed(int)`` does
+  (``init_by_array`` over the seed's 32-bit words) and writes nothing
+  back on close.
 
 * **Sparse-event fast path.**  At paper rates ~94% of positions take no
   event: the roll is simply ``>=`` the position's cumulative ladder
@@ -48,11 +53,13 @@ it, while deletions and second-order errors consume exactly the one
 roll and leave it untouched.
 
 The channel picks the path from the call's shape, with no other
-selection: a call on a plain ``random.Random`` worth at least
-:data:`AUTO_MIN_DRAWS` uniform draws runs this sweep, and anything
-smaller — or any RNG whose state cannot be mirrored — runs the
-reference loop.  Both are bit-identical, so the choice is purely about
-speed.
+selection: a serial-stream call on a plain ``random.Random`` worth at
+least :data:`AUTO_MIN_DRAWS` uniform draws runs this sweep, and
+anything smaller — or any RNG whose state cannot be mirrored — runs
+the reference loop.  A per-cluster-seeded cluster
+(``Channel.transmit_seeded``) has no transplant to amortise and always
+runs the sweep.  Both paths are bit-identical, so the choice is purely
+about speed.
 """
 
 from __future__ import annotations
@@ -65,10 +72,13 @@ import numpy as np
 
 from repro.core.alphabet import BASES
 
-#: A call worth fewer uniform draws than this runs the reference loop: transplanting MT19937 state into NumPy and back costs
+#: A serial-stream call (``transmit_many``, ``transmit_pool``, a
+#: ``bulk_window``) worth fewer uniform draws than this runs the
+#: reference loop: transplanting MT19937 state into NumPy and back costs
 #: ~150 µs per open/close, and the reference loop clears ~5 draws/µs —
 #: the sweep only wins once the transplant amortises across a couple of
-#: thousand draws (a handful of paper-length transmissions).
+#: thousand draws (a handful of paper-length transmissions).  Seeded
+#: sources have no transplant, so ``Channel.transmit_seeded`` ignores it.
 AUTO_MIN_DRAWS = 2048
 
 #: Uniform variates drawn per buffer refill.
@@ -89,9 +99,9 @@ _HOT_DIVISOR = 8
 
 #: Reusable ``MT19937`` bit generators.  Constructing one runs ~130 µs
 #: of SeedSequence entropy mixing — pure waste here, since the state is
-#: overwritten by the transplant — so sources borrow from this pool on
-#: attach and return on close.  Bounded: concurrent sources beyond the
-#: cap simply construct (and drop) their own.
+#: overwritten by the transplant or the seeding — so sources borrow
+#: from this pool on open and return on close.  Bounded: concurrent
+#: sources beyond the cap simply construct (and drop) their own.
 _MT_FREELIST: list = []
 _MT_FREELIST_CAP = 16
 
@@ -140,6 +150,11 @@ class UniformBulkSource:
     transmissions, user code — sees the same stream the serial loop
     would have left behind.
 
+    Opened with ``seed=`` instead of an RNG, the source draws the stream
+    of a fresh ``random.Random(seed)`` that nothing reads afterwards:
+    no state to transplant in, and nothing for ``close()`` to write
+    back.  Such a source's stream ends at ``close()``.
+
     The walk reads ``values`` (a memoryview: zero-copy scalar access to
     the chunk), the paired candidate lists ``cand_idx``/``cand_val``
     (buffer indices with ``roll < t_cand``, plus their rolls, ending in
@@ -173,9 +188,18 @@ class UniformBulkSource:
         "_drawn",
     )
 
-    def __init__(self, rng: random.Random, hint: int | None = None) -> None:
+    def __init__(
+        self,
+        rng: random.Random | None = None,
+        hint: int | None = None,
+        *,
+        seed: int | None = None,
+    ) -> None:
         self.rng = rng
-        self._attach()
+        if rng is None:
+            self._seed(seed)
+        else:
+            self._attach()
         self._drawn = False
         # Chunks are sized to the caller's expected total consumption so
         # a short transmit_many neither pays for nor replays 8k draws;
@@ -193,9 +217,34 @@ class UniformBulkSource:
         self.t_cand: float | None = None
         self.t_hi: float | None = None
 
+    def _seed(self, seed: int) -> None:
+        """Seed a borrowed NumPy bit generator exactly as
+        ``random.Random(seed)`` seeds itself: ``init_by_array`` over
+        ``abs(seed)``'s little-endian 32-bit words, one zero word for 0.
+
+        The key goes to NumPy as a list, which always takes its
+        ``init_by_array`` path; an int seed below 2**32 would take
+        ``init_genrand`` instead, which CPython never runs for an int.
+        """
+        value = abs(seed)
+        key = [value & 0xFFFFFFFF]
+        value >>= 32
+        while value:
+            key.append(value & 0xFFFFFFFF)
+            value >>= 32
+        mt = _borrow_mt()
+        mt._legacy_seeding(key)
+        self._mt = mt
+        self._gen = np.random.Generator(mt)
+        self._gauss = None
+        self._anchor_state = None
+        self._anchor_behind = 0
+
     def _attach(self) -> None:
         """Transplant ``rng``'s Mersenne-Twister state into a borrowed
         NumPy bit generator positioned at the same stream point."""
+        if self.rng is None:
+            raise RuntimeError("a seeded source's stream ends at close()")
         state = self.rng.getstate()  # (3, 624 words + index, gauss_next)
         self._gauss = state[2]
         key = np.array(state[1][:624], dtype=np.uint32)
@@ -217,7 +266,7 @@ class UniformBulkSource:
         """Draw the next chunk (the previous one must be fully consumed)."""
         if self._gen is None:  # closed source: re-attach to the stream
             self._attach()
-        if self._anchor_behind >= _ANCHOR_SPAN:
+        if self.rng is not None and self._anchor_behind >= _ANCHOR_SPAN:
             self._anchor_state = self._mt.state
             self._anchor_behind = 0
         hint_left = self._hint_left
@@ -284,10 +333,11 @@ class UniformBulkSource:
         Replays the consumed prefix from the anchor state (vectorised,
         at most :data:`_ANCHOR_SPAN` draws), then installs the
         resulting state — bit-identical to having called
-        ``rng.random()`` once per consumed variate.
+        ``rng.random()`` once per consumed variate.  A seeded source has
+        no RNG behind it and only returns its generator to the pool.
         """
         mt = self._mt
-        if self._drawn and mt is not None:
+        if self._drawn and mt is not None and self.rng is not None:
             mt.state = self._anchor_state
             # Generated-but-unconsumed tail of the current chunk.
             overdraw = self.n - self.cursor

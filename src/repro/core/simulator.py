@@ -248,17 +248,16 @@ def transmit_chunk(
     """Worker task for per-cluster-seeded generation.
 
     Transmits a chunk of ``(cluster_index, reference, coverage)`` items,
-    giving each cluster a fresh ``random.Random(derive_seed(seed,
-    cluster_index))`` so the output is a pure function of the item — the
-    channel (and its per-length ladder cache) is shared across the chunk
-    but its RNG is swapped per cluster.
+    each from the stream of a fresh ``random.Random(derive_seed(seed,
+    cluster_index))`` (:meth:`Channel.transmit_seeded`), so the output is
+    a pure function of the item; the channel and its per-length tables
+    are shared across the chunk.
     """
     channel = Channel(model)
-    clusters: list[Cluster] = []
-    for cluster_index, reference, coverage in chunk:
-        channel.rng = random.Random(derive_seed(seed, cluster_index))
-        clusters.append(channel.transmit_cluster(reference, coverage))
-    return clusters
+    return [
+        channel.transmit_seeded(reference, coverage, derive_seed(seed, cluster_index))
+        for cluster_index, reference, coverage in chunk
+    ]
 
 
 def transmit_derived_chunk(

@@ -227,8 +227,9 @@ def plan_fullscale(
     the shards (see :class:`ShardConfig`).
 
     Raises:
-        ConfigError: unknown algorithm or severity names, or a negative
-            ``n_clusters``.
+        ConfigError: unknown algorithm or severity names, or
+            ``n_clusters`` below 1 (the bound :class:`repro.jobs.JobSpec`
+            enforces; a 0-cluster accuracy would read as total failure).
     """
     # Imported lazily: repro.data.nanopore imports this package's plan
     # module, so a module-level import here would be circular.
@@ -239,6 +240,8 @@ def plan_fullscale(
         ground_truth_model,
     )
 
+    if n_clusters < 1:
+        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
     for name in algorithms:
         if name not in RECONSTRUCTORS:
             raise ConfigError(

@@ -12,9 +12,13 @@ alignments, so every tie-break is exercised).  The ``channel`` entry
 runs the transmit loop against the vectorised sweep over the models of
 ``tests/test_channel_backend.py``, and
 :func:`test_channel_corpus_reaches_every_walk_branch` checks that those
-inputs reach every branch of the sweep's walk.  The ``bma_many`` entry
-runs the per-cluster BMA loop against the lockstep kernel over batches of
-clusters (:func:`bma_corpus`), for ``BMALookahead`` and ``DividerBMA``.
+inputs reach every branch of the sweep's walk.  The ``seeded_channel``
+entry runs ``transmit_cluster`` on the loop over a fresh
+``random.Random(seed)`` against :meth:`Channel.transmit_seeded`, the
+per-cluster-seeded sweep (:func:`seeded_channel_corpus`).  The
+``bma_many`` entry runs the per-cluster BMA loop against the lockstep
+kernel over batches of clusters (:func:`bma_corpus`), for
+``BMALookahead`` and ``DividerBMA``.
 The ``iterative_many`` entry does the same for the lockstep Iterative
 (:func:`iterative_corpus`).  The ``lane_packed`` entry runs the
 one-vs-many sweep, its lanes given as strings and as held compiled
@@ -62,7 +66,9 @@ from repro.cluster.qgram_index import (
     QGramIndex,
     reference_min_hashes,
 )
+from repro.core import channel_backend
 from repro.core.channel import Channel
+from repro.core.spatial import TerminalSkew
 from repro.core.strand import Cluster, StrandPool
 from repro.data.nanopore import ground_truth_model
 from repro.pipeline.gf256 import (
@@ -80,6 +86,8 @@ from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
 from repro.reconstruct.two_way import TwoWayIterative
 from tests.test_channel_backend import (
+    MODELS,
+    SEEDED_SOURCE_SEEDS,
     channel_inputs,
     fast_run,
     reference_run,
@@ -576,6 +584,51 @@ def iterative_many(variant: str, clusters: list[list[str]], length: int) -> list
     return [whole, singles]
 
 
+#: The ``seeded_channel`` models: no events, the paper's ground truth,
+#: and heavy terminal skew with bursts, long deletions and homopolymer
+#: scaling (most draws per copy beyond the one roll per base).
+SEEDED_MODELS = {
+    "zero_rate": MODELS["zero_rate"],
+    "ground_truth": MODELS["ground_truth"],
+    "skew_burst": replace(
+        ground_truth_model(),
+        spatial=TerminalSkew(start_boost=20.0, end_boost=40.0, decay=4.0),
+        burst_rate=0.02,
+        long_deletion_rate=0.01,
+        homopolymer_factor=1.5,
+    ),
+}
+
+
+def seeded_channel_corpus(seed: int) -> list[tuple[str, str, int, int]]:
+    """(model, reference, coverage, cluster seed) for every seeded-source
+    seed: an empty reference and two paper-length strands at coverages
+    0, 1, 5 and 30."""
+    rng = random.Random(seed + 5000)
+    references = ("", _strand(rng, 110), "AAAAACCCGT" * 11)
+    return [
+        (model_name, reference, coverage, cluster_seed)
+        for model_name in sorted(SEEDED_MODELS)
+        for reference in references
+        for coverage in (0, 1, 5, 30)
+        for cluster_seed in SEEDED_SOURCE_SEEDS
+    ]
+
+
+def seeded_loop(model_name: str, reference: str, coverage: int, cluster_seed: int):
+    """The reference loop over a fresh ``random.Random(cluster_seed)``."""
+    channel = Channel(SEEDED_MODELS[model_name], random.Random(cluster_seed))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_backend, "AUTO_MIN_DRAWS", 10**12)
+        return channel.transmit_cluster(reference, coverage)
+
+
+def seeded_sweep(model_name: str, reference: str, coverage: int, cluster_seed: int):
+    return Channel(SEEDED_MODELS[model_name]).transmit_seeded(
+        reference, coverage, cluster_seed
+    )
+
+
 class TextbookReedSolomon:
     """The scalar RS(n, k) decoder the log-domain one must reproduce:
     every field operation a :mod:`repro.pipeline.gf256` call, every
@@ -1053,6 +1106,12 @@ ORACLES = (
         reference=reference_run,
         fast=fast_run,
         inputs=channel_inputs,
+    ),
+    Oracle(
+        name="seeded_channel",
+        reference=seeded_loop,
+        fast=seeded_sweep,
+        inputs=seeded_channel_corpus,
     ),
     Oracle(
         name="bma_many",

@@ -55,6 +55,21 @@ class TestValidation:
     def test_is_valid_strand_false_for_bad_char(self):
         assert not is_valid_strand("ACGU")
 
+    @pytest.mark.parametrize(
+        "strand, message",
+        [
+            ("ACGTa", "invalid base 'a' at position 4 (expected one of ACGT)"),
+            ("ACNGT", "invalid base 'N' at position 2 (expected one of ACGT)"),
+            ("éACGT", "invalid base 'é' at position 0 (expected one of ACGT)"),
+            ("AC\ud800", "invalid base '\\ud800' at position 2 (expected one of ACGT)"),
+        ],
+        ids=["lowercase", "N", "non-ascii", "surrogate"],
+    )
+    def test_error_names_first_bad_base(self, strand, message):
+        with pytest.raises(AlphabetError) as caught:
+            validate_strand(strand + "acgtN")  # later bad bases are not named
+        assert str(caught.value) == message
+
 
 class TestRandomStrands:
     def test_random_strand_length(self, rng):

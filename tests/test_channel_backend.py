@@ -12,8 +12,9 @@ The per-model comparison of ``transmit``, ``transmit_many`` and
 ``tests/test_alignment_oracle.py``, built from :func:`reference_run` and
 :func:`fast_run` below.  This file keeps the per-model
 ``transmit_many`` / ``transmit_pool`` checks beside it, and adds the
-stream-level and simulator-level equivalences, path selection, and the
-canary for the MT19937 state transplant the sweep rests on.
+stream-level and simulator-level equivalences, path selection, the
+canary for the MT19937 state transplant the sweep rests on, and the
+canary for the seeded source that per-cluster-seeded clusters draw from.
 :func:`walk_reach` records which branches of the sweep's walk those
 oracle inputs reach; the oracle file asserts that every one is.
 """
@@ -40,15 +41,25 @@ from repro.core.channel_backend import (
 from repro.core.coverage import ConstantCoverage, NegativeBinomialCoverage
 from repro.core.errors import ErrorModel
 from repro.core.profile import ErrorProfile, SimulatorStage
-from repro.core.simulator import Simulator
+from repro.core.simulator import Simulator, derived_reference, draw_coverages
 from repro.core.strand import StrandPool
 from repro.data.nanopore import (
+    PAPER_STRAND_LENGTH,
+    ground_truth_coverage,
     ground_truth_model,
     iter_nanopore_clusters,
     make_nanopore_dataset,
 )
+from repro.parallel import derive_seed
 
 MAIN_SEED = 20260808
+
+#: Seeds a seeded source must open exactly as ``random.Random(seed)``:
+#: one-word keys (0, 1, 7, 2**32 - 1), the first two-word key, the
+#: largest 64-bit seed, and the per-cluster seeds of a ``--seed 2`` run.
+SEEDED_SOURCE_SEEDS = (0, 1, 7, 2**32 - 1, 2**32, 2**64 - 1) + tuple(
+    derive_seed(2, index) for index in range(4)
+)
 
 
 def _ground(**overrides) -> ErrorModel:
@@ -266,13 +277,41 @@ class TestAlphabetValidation:
             channel.transmit(reference)
         with pytest.raises(AlphabetError, match=message):
             channel.transmit_many(reference, 30)
+        with pytest.raises(AlphabetError, match=message):
+            channel.transmit_seeded(reference, 30, MAIN_SEED)
         assert rng.getstate() == random.Random(MAIN_SEED).getstate()
         with pytest.raises(AlphabetError, match=message):
             channel.transmit_pool(["ACGT" * 30, reference], ConstantCoverage(30))
 
 
+def loop_transmit_seeded(channel, reference, coverage, seed):
+    """``Channel.transmit_seeded`` on the reference loop, for patching in
+    where a test pins every channel call to the loop."""
+    return Channel(channel.model, LoopRandom(seed)).transmit_cluster(
+        reference, coverage
+    )
+
+
+def seeded_loop_clusters(model, seed, items) -> list[tuple[str, list[str]]]:
+    """Per-cluster-seeded ``(index, reference, coverage)`` items rebuilt
+    on the reference loop, each cluster over its own
+    ``Random(derive_seed(seed, index))`` stream."""
+    channel = Channel(model)
+    return _flatten(
+        StrandPool(
+            [
+                loop_transmit_seeded(
+                    channel, reference, coverage, derive_seed(seed, index)
+                )
+                for index, reference, coverage in items
+            ]
+        )
+    )
+
+
 class TestSimulatorEquivalence:
-    """Both RNG modes of the Simulator, plus the streamed generator."""
+    """Both RNG modes of the Simulator, plus the streamed generator, on
+    the sweep against the reference loop."""
 
     @pytest.fixture(scope="class")
     def profile(self) -> ErrorProfile:
@@ -293,35 +332,33 @@ class TestSimulatorEquivalence:
             pools[path] = _flatten(simulator.simulate(references))
         assert pools["vectorised"] == pools["python"], stage
 
-    def test_per_cluster_seeds_identical(self, force_path):
+    def test_per_cluster_seeds_identical(self):
         references = [
             random_strand(110, random.Random(MAIN_SEED + 6)) for _ in range(10)
         ]
-        pools = {}
-        for path in ("python", "vectorised"):
-            force_path(path)
-            simulator = Simulator(
-                ground_truth_model(),
-                coverage=ConstantCoverage(5),
-                seed=23,
-                per_cluster_seeds=True,
-            )
-            pools[path] = _flatten(
-                simulator.simulate(references, workers=1)
-            )
-        assert pools["vectorised"] == pools["python"]
+        simulator = Simulator(
+            ground_truth_model(),
+            coverage=ConstantCoverage(5),
+            seed=23,
+            per_cluster_seeds=True,
+        )
+        pool = _flatten(simulator.simulate(references, workers=1))
+        items = [(index, reference, 5) for index, reference in enumerate(references)]
+        assert pool == seeded_loop_clusters(simulator.model, 23, items)
 
-    def test_streamed_nanopore_identical(self, force_path):
-        clusters = {}
-        for path in ("python", "vectorised"):
-            force_path(path)
-            clusters[path] = [
-                (cluster.reference, list(cluster.copies))
-                for cluster in iter_nanopore_clusters(
-                    n_clusters=20, seed=MAIN_SEED, shards=3, workers=1
-                )
-            ]
-        assert clusters["vectorised"] == clusters["python"]
+    def test_streamed_nanopore_identical(self):
+        clusters = [
+            (cluster.reference, list(cluster.copies))
+            for cluster in iter_nanopore_clusters(
+                n_clusters=20, seed=MAIN_SEED, shards=3, workers=1
+            )
+        ]
+        coverages = draw_coverages(ground_truth_coverage(), 20, MAIN_SEED)
+        items = [
+            (index, derived_reference(MAIN_SEED, PAPER_STRAND_LENGTH, index), coverage)
+            for index, coverage in enumerate(coverages)
+        ]
+        assert clusters == seeded_loop_clusters(ground_truth_model(), MAIN_SEED, items)
 
 
 class TestFastMask:
@@ -379,3 +416,27 @@ class TestStateTransplantCanary:
         serial_rng = random.Random(MAIN_SEED)
         assert bulk == [serial_rng.random() for _ in range(draws)]
         assert bulk_rng.getstate() == serial_rng.getstate()
+
+
+class TestSeededSourceCanary:
+    """A seeded source assumes NumPy's ``MT19937._legacy_seeding`` over a
+    list of 32-bit words runs the same ``init_by_array`` as CPython's
+    ``random.seed(int)``, one-word keys included.  If a NumPy upgrade
+    changes that, this fails before any output byte does."""
+
+    @pytest.mark.parametrize("seed", SEEDED_SOURCE_SEEDS + (-(2**33 + 5),))
+    def test_seeded_doubles_match_cpython_stream(self, seed):
+        draws = 10_000
+        # A small hint: one short chunk, then 256-draw tail chunks.
+        source = UniformBulkSource(hint=300, seed=seed)
+        bulk = [source.random() for _ in range(draws)]
+        source.close()
+        serial_rng = random.Random(seed)
+        assert bulk == [serial_rng.random() for _ in range(draws)]
+
+    def test_stream_ends_at_close(self):
+        source = UniformBulkSource(seed=3)
+        source.random()
+        source.close()
+        with pytest.raises(RuntimeError, match="ends at close"):
+            source.random()

@@ -181,6 +181,23 @@ class TestErrorHandling:
         assert len(captured.err.strip().splitlines()) == 1
         assert "wrote" not in captured.out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["experiment", "fullscale", "--clusters", "0"],
+            ["jobs", "submit", "zero", "--jobs-dir", "{out}", "--clusters", "0"],
+        ],
+        ids=["fullscale", "jobs-submit"],
+    )
+    def test_zero_clusters_rejected_on_both_fullscale_paths(
+        self, argv, tmp_path, capsys
+    ):
+        code = main([arg.format(out=tmp_path / "jobs") for arg in argv])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "dnasim: error: [config] n_clusters must be >= 1, got 0\n"
+        )
+
     def test_debug_flag_reraises(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("ACGT\nACGA\n")

@@ -26,6 +26,7 @@ import sys
 import pytest
 
 from repro.core import channel_backend
+from repro.core.channel import Channel
 from repro.exceptions import ConfigError
 from repro.observability.bench import assert_stamped
 from repro.scenarios import (
@@ -42,6 +43,7 @@ from repro.scenarios import (
     run_sweep,
     sweep_status,
 )
+from tests.test_channel_backend import loop_transmit_seeded
 from tests.test_kernels import patch_reference_kernels
 
 # ----------------------------------------------------------------- #
@@ -522,12 +524,18 @@ class TestBackendPinning:
         patch_reference_kernels(monkeypatch)
         assert self._result(spec, tmp_path / "python") == default
 
-    def test_channel_backends_are_bit_identical(self, tmp_path, monkeypatch):
+    def test_channel_backends_are_bit_identical(self, tmp_path):
         """A cell computes the same result with every channel call on the
-        reference loop as with every call on the vectorised sweep."""
+        reference loop as with every call on the vectorised sweep.  The
+        per-cluster-seeded transmissions always run the sweep, so the
+        loop run routes them through the loop over each cluster's
+        ``Random(seed)``."""
         spec = tiny_spec(axes={"coverage": (4.0,), "algorithm": ("majority",)})
         results = {}
         for path, threshold in (("python", sys.maxsize), ("vectorised", 0)):
-            monkeypatch.setattr(channel_backend, "AUTO_MIN_DRAWS", threshold)
-            results[path] = self._result(spec, tmp_path / path)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(channel_backend, "AUTO_MIN_DRAWS", threshold)
+                if path == "python":
+                    patch.setattr(Channel, "transmit_seeded", loop_transmit_seeded)
+                results[path] = self._result(spec, tmp_path / path)
         assert results["python"] == results["vectorised"]

@@ -37,6 +37,7 @@ from repro.robustness import RetryPolicy
 from repro.sharding import (
     batched,
     default_shards,
+    plan_fullscale,
     resolve_shards,
     run_fullscale,
     set_default_shards,
@@ -470,6 +471,15 @@ class TestRunFullscale:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="algorithm"):
             run_fullscale(n_clusters=2, algorithms=("nope",))
+
+    @pytest.mark.parametrize("n_clusters", (0, -3))
+    def test_rejects_fewer_than_one_cluster(self, n_clusters):
+        """The bound ``JobSpec`` enforces, so a full-scale run and a job
+        accept the same parameters."""
+        with pytest.raises(
+            ConfigError, match=rf"^n_clusters must be >= 1, got {n_clusters}$"
+        ):
+            plan_fullscale(n_clusters=n_clusters)
 
     def test_custom_parameters_flow_through(self):
         quiet = NanoporeParameters(
