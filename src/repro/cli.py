@@ -260,6 +260,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         raise ConfigError(
             "--job-dir / --resume only apply to the 'fullscale' experiment"
         )
+    if args.clusters is not None and args.clusters < 1:
+        raise ConfigError(f"n_clusters must be >= 1, got {args.clusters}")
     names = EXPERIMENTS if args.name == "all" else (args.name,)
     exit_code = 0
     for name in names:

@@ -78,9 +78,8 @@ class JobError(ReproError, RuntimeError):
 class RetrievalError(DecodeError, RuntimeError):
     """A whole-file retrieval failed even after any configured retries.
 
-    :class:`repro.pipeline.storage.ArchiveError` and
-    :class:`repro.pipeline.fountain_archive.FountainArchiveError` are the
-    concrete archive-level subclasses.
+    :class:`repro.pipeline.storage.ArchiveError` is the concrete
+    archive-level subclass.
     """
 
     stage = "retrieve"

@@ -24,12 +24,12 @@ BENCH_SCHEMA_VERSION = 2
 STAMP_FIELDS = ("schema_version", "git_sha", "timestamp")
 
 
-def git_sha() -> str:
-    """The short SHA of the repository containing this file, or
-    ``"unknown"`` outside a git checkout (installed packages, tarballs)."""
+def _git(*args: str) -> str | None:
+    """``git <args>``'s stripped stdout in this file's checkout, or
+    ``None`` when git is missing, times out or exits non-zero."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             cwd=Path(__file__).resolve().parent,
             capture_output=True,
             text=True,
@@ -37,9 +37,20 @@ def git_sha() -> str:
             check=False,
         )
     except (OSError, subprocess.TimeoutExpired):
+        return None
+    return completed.stdout.strip() if completed.returncode == 0 else None
+
+
+def git_sha() -> str:
+    """The short SHA of the repository containing this file, suffixed
+    ``-dirty`` when tracked files differ from it, or ``"unknown"``
+    outside a git checkout (installed packages, tarballs)."""
+    sha = _git("rev-parse", "--short", "HEAD")
+    if not sha:
         return "unknown"
-    sha = completed.stdout.strip()
-    return sha if completed.returncode == 0 and sha else "unknown"
+    if _git("status", "--porcelain", "--untracked-files=no"):
+        return f"{sha}-dirty"
+    return sha
 
 
 def content_digest(payload: object) -> str:

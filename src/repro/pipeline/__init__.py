@@ -2,27 +2,12 @@
 processes, and the archival store (Fig. 1.1)."""
 
 from repro.pipeline.decay import DecayParameters, StorageDecay
-from repro.pipeline.fountain import (
-    Droplet,
-    FountainDecodeError,
-    FountainDecoder,
-    FountainEncoder,
-    fountain_decode,
-    fountain_encode,
-    robust_soliton,
-)
-from repro.pipeline.fountain_archive import (
-    FountainArchive,
-    FountainArchiveError,
-    FountainFile,
-)
 from repro.pipeline.encoding import (
     Basic2BitCodec,
     Codec,
     CodecError,
     GCBalancedCodec,
     RotationCodec,
-    get_codec,
 )
 from repro.pipeline.pcr import AmplifiedPool, PCRAmplifier, PCRParameters
 from repro.pipeline.primers import (
@@ -46,12 +31,6 @@ from repro.pipeline.storage import (
     StoredFile,
 )
 from repro.pipeline.synthesis import StrandLayout, StrandParseError, crc8
-from repro.pipeline.xor_redundancy import (
-    XorRecoveryError,
-    decode_groups,
-    encode_groups,
-    xor_bytes,
-)
 
 __all__ = [
     "AmplifiedPool",
@@ -61,13 +40,6 @@ __all__ = [
     "CodecError",
     "DNAArchive",
     "DecayParameters",
-    "Droplet",
-    "FountainArchive",
-    "FountainArchiveError",
-    "FountainDecodeError",
-    "FountainDecoder",
-    "FountainEncoder",
-    "FountainFile",
     "GCBalancedCodec",
     "PCRAmplifier",
     "PCRParameters",
@@ -82,19 +54,11 @@ __all__ = [
     "StoredFile",
     "StrandLayout",
     "StrandParseError",
-    "XorRecoveryError",
     "crc8",
-    "decode_groups",
     "default_sequencing_model",
     "default_staged_channel",
     "default_synthesis_model",
-    "encode_groups",
-    "fountain_decode",
-    "fountain_encode",
     "generate_primer_library",
-    "get_codec",
     "is_valid_primer",
     "match_primer",
-    "robust_soliton",
-    "xor_bytes",
 ]

@@ -230,24 +230,3 @@ class GCBalancedCodec(Codec):
                 )
             position += 1 + len(block)
         return self._inner.decode("".join(raw))
-
-
-#: Registry used by the CLI and the archive's metadata.
-CODECS: dict[str, Codec] = {
-    codec.name: codec
-    for codec in (Basic2BitCodec(), RotationCodec(), GCBalancedCodec())
-}
-
-
-def get_codec(name: str) -> Codec:
-    """Look up a codec by name.
-
-    Raises:
-        KeyError: for unknown codec names (message lists the options).
-    """
-    try:
-        return CODECS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown codec {name!r}; available: {sorted(CODECS)}"
-        ) from None

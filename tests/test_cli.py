@@ -181,6 +181,16 @@ class TestErrorHandling:
         assert len(captured.err.strip().splitlines()) == 1
         assert "wrote" not in captured.out
 
+    @pytest.mark.parametrize("clusters", ["0", "-5"])
+    def test_bad_clusters_prints_nothing_to_stdout(self, clusters, capsys):
+        code = main(["experiment", "fullscale", "--clusters", clusters])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"dnasim: error: [config] n_clusters must be >= 1, got {clusters}\n"
+        )
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,4 +1,4 @@
-"""Property-based round-trip tests for the archive's redundancy codecs.
+"""Property-based round-trip tests for the archive's Reed-Solomon code.
 
 Each property runs across many randomised trials derived from one fixed
 master seed — deterministic in CI, but covering a broad slice of the
@@ -6,13 +6,9 @@ input space (lengths, parity budgets, erasure patterns).  Every
 assertion message carries the per-trial seed so a failure is
 reproducible with ``random.Random(seed)`` in isolation.
 
-The properties encode each codec's *design margin*:
-
-* Reed-Solomon corrects up to ``n_parity // 2`` unknown errors, up to
-  ``n_parity`` known erasures, and mixtures with ``2t + e <= n_parity``;
-* XOR redundancy survives any single loss per 3-strand group;
-* the fountain code decodes after droplet losses within its configured
-  overhead.
+The properties encode the code's *design margin*: Reed-Solomon corrects
+up to ``n_parity // 2`` unknown errors, up to ``n_parity`` known
+erasures, and mixtures with ``2t + e <= n_parity``.
 """
 
 from __future__ import annotations
@@ -21,13 +17,7 @@ import random
 
 import pytest
 
-from repro.pipeline.fountain import fountain_decode, fountain_encode
 from repro.pipeline.reed_solomon import ReedSolomon, ReedSolomonError
-from repro.pipeline.xor_redundancy import (
-    XorRecoveryError,
-    decode_groups,
-    encode_groups,
-)
 
 MASTER_SEED = 20260805
 
@@ -111,126 +101,3 @@ class TestReedSolomonRoundtrip:
         codeword = rs.encode(b"hello world")
         with pytest.raises(ReedSolomonError, match="erasures exceed"):
             rs.decode(codeword, erasure_positions=[0, 1, 2, 3, 4])
-
-
-# --------------------------------------------------------------------- #
-# XOR redundancy
-# --------------------------------------------------------------------- #
-
-
-class TestXorRoundtrip:
-    @staticmethod
-    def _payloads(rng: random.Random) -> list[bytes]:
-        length = rng.randrange(1, 40)
-        return [
-            bytes(rng.randrange(256) for _ in range(length))
-            for _ in range(rng.randrange(1, 12))
-        ]
-
-    @pytest.mark.parametrize("seed", _trial_seeds("xor-loss"))
-    def test_survives_one_loss_per_group(self, seed):
-        rng = random.Random(seed)
-        payloads = self._payloads(rng)
-        encoded = encode_groups(payloads)
-        received: list[bytes | None] = list(encoded)
-        # Knock out one random strand in every 3-strand group (and at
-        # most one of the trailing replicated pair).
-        n_pairs = len(payloads) // 2
-        for group in range(n_pairs):
-            received[group * 3 + rng.randrange(3)] = None
-        if len(payloads) % 2 == 1:
-            received[n_pairs * 3 + rng.randrange(2)] = None
-        decoded = decode_groups(received, len(payloads))
-        assert decoded == payloads, f"seed={seed} n={len(payloads)}"
-
-    @pytest.mark.parametrize("seed", _trial_seeds("xor-clean"))
-    def test_lossless_roundtrip(self, seed):
-        rng = random.Random(seed)
-        payloads = self._payloads(rng)
-        decoded = decode_groups(encode_groups(payloads), len(payloads))
-        assert decoded == payloads, f"seed={seed}"
-
-    def test_two_losses_in_a_group_fail(self):
-        payloads = [b"aaaa", b"bbbb"]
-        received: list[bytes | None] = list(encode_groups(payloads))
-        received[0] = received[1] = None
-        with pytest.raises(XorRecoveryError, match="two of three"):
-            decode_groups(received, len(payloads))
-
-
-# --------------------------------------------------------------------- #
-# Fountain code
-# --------------------------------------------------------------------- #
-
-
-class TestFountainRoundtrip:
-    """A fountain code's margin is probabilistic: decoding succeeds iff
-    the received droplets span the chunk space over GF(2).  The decoder
-    property asserted per trial is therefore *optimality* — decode must
-    succeed whenever the droplet equations have full rank — and the
-    margin property is aggregate: at the archive's design overhead,
-    rank-deficient trials must stay rare."""
-
-    #: Rank-deficient trials allowed out of N_TRIALS.  Per-trial
-    #: deficiency probability at these overheads is a few percent, so 3
-    #: of 25 bounds the fixed-seed draws with margin while still failing
-    #: if the degree distribution or droplet generation regresses.
-    MAX_RANK_DEFICIENT = 3
-
-    @staticmethod
-    def _has_full_rank(droplets, n_chunks: int) -> bool:
-        """GF(2) rank check of the received droplets' equations."""
-        from repro.pipeline.fountain import _neighbours, robust_soliton
-
-        distribution = robust_soliton(n_chunks)
-        pivots: dict[int, int] = {}
-        for droplet in droplets:
-            mask = 0
-            for index in _neighbours(droplet.seed, n_chunks, distribution):
-                mask |= 1 << index
-            while mask:
-                low = (mask & -mask).bit_length() - 1
-                if low not in pivots:
-                    pivots[low] = mask
-                    break
-                mask ^= pivots[low]
-        return len(pivots) == n_chunks
-
-    def _run_trials(self, tag: str, overhead: float, drop_half_surplus: bool):
-        deficient = []
-        for seed in _trial_seeds(tag):
-            rng = random.Random(seed)
-            data = bytes(
-                rng.randrange(256) for _ in range(rng.randrange(40, 400))
-            )
-            chunk_size = rng.randrange(4, 33)
-            droplets, n_chunks = fountain_encode(
-                data, chunk_size, overhead=overhead, seed=seed
-            )
-            kept = list(droplets)
-            if drop_half_surplus:
-                for _ in range((len(droplets) - n_chunks) // 2):
-                    kept.pop(rng.randrange(len(kept)))
-            if self._has_full_rank(kept, n_chunks):
-                decoded = fountain_decode(kept, n_chunks, chunk_size, len(data))
-                assert decoded == data, (
-                    f"full-rank droplets failed to decode: seed={seed} "
-                    f"chunks={n_chunks} droplets={len(kept)}"
-                )
-            else:
-                deficient.append(seed)
-        assert len(deficient) <= self.MAX_RANK_DEFICIENT, (
-            f"rank-deficient droplet sets in {len(deficient)}/{N_TRIALS} "
-            f"trials (seeds {deficient})"
-        )
-
-    def test_lossless_decodes_whenever_droplets_span(self):
-        self._run_trials("fountain-clean", overhead=0.4, drop_half_surplus=False)
-
-    def test_decodes_after_erasures_at_design_overhead(self):
-        """At the archive's design overhead (1.2), dropping half the
-        surplus droplets must leave the data decodable in every
-        full-rank trial."""
-        self._run_trials(
-            "fountain-erasures", overhead=1.2, drop_half_surplus=True
-        )

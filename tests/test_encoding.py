@@ -12,12 +12,10 @@ from repro.pipeline.encoding import (
     CodecError,
     GCBalancedCodec,
     RotationCodec,
-    get_codec,
-    CODECS,
 )
 
 payloads = st.binary(max_size=64)
-ALL_CODECS = list(CODECS.values())
+ALL_CODECS = (Basic2BitCodec(), RotationCodec(), GCBalancedCodec())
 
 
 @pytest.mark.parametrize("codec", ALL_CODECS, ids=lambda c: c.name)
@@ -90,12 +88,3 @@ class TestGCBalanced:
     def test_decode_rejects_bare_flag(self):
         with pytest.raises(CodecError):
             GCBalancedCodec().decode("A")
-
-
-class TestRegistry:
-    def test_get_codec_by_name(self):
-        assert get_codec("rotation").name == "rotation"
-
-    def test_unknown_codec_lists_options(self):
-        with pytest.raises(KeyError, match="basic"):
-            get_codec("morse")

@@ -8,6 +8,7 @@ import json
 import math
 import pickle
 import random
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from repro.experiments import cache as context_cache
 from repro.observability.bench import (
     BENCH_SCHEMA_VERSION,
     assert_stamped,
+    git_sha,
     stamp_record,
 )
 from repro.observability.logs import configure_logging, get_logger
@@ -664,6 +666,33 @@ def test_stamp_record_and_assert_stamped():
         assert_stamped({"payload": 1})
     with pytest.raises(AssertionError):
         assert_stamped({**record, "schema_version": BENCH_SCHEMA_VERSION + 1})
+
+
+@pytest.mark.parametrize(
+    ("status", "expected"), [("", "abc1234"), (" M src/x.py", "abc1234-dirty")]
+)
+def test_git_sha_marks_a_modified_tree(monkeypatch, status, expected):
+    outputs = {"rev-parse": "abc1234\n", "status": status}
+
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 0, stdout=outputs[argv[1]])
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert git_sha() == expected
+
+
+def test_git_sha_outside_a_checkout_is_unknown(monkeypatch):
+    def fake_run(argv, **kwargs):
+        return subprocess.CompletedProcess(argv, 128, stdout="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    assert git_sha() == "unknown"
+
+    def missing_git(argv, **kwargs):
+        raise FileNotFoundError("git")
+
+    monkeypatch.setattr(subprocess, "run", missing_git)
+    assert git_sha() == "unknown"
 
 
 @pytest.mark.parametrize(
