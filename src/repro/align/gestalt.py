@@ -26,7 +26,7 @@ same recursion on each pair's view for the smaller regions (DESIGN
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -122,7 +122,7 @@ def matching_blocks_many(
                     pending.append(index)
         if _obs_state.registry is not None:
             kernels._count_kernel_call("gestalt", len(pending))
-        for block in _blocks(pairs, pending):
+        for block in pair_blocks(pairs, pending):
             runs = kernels.block_runs([pairs[index] for index in block])
             _, rows, columns = runs.shape
             caps = kernels.run_caps(rows - 1, columns - 1, runs.dtype)
@@ -147,12 +147,14 @@ def matching_blocks_many(
         return results
 
 
-def _blocks(
-    pairs: Sequence[tuple[str, str]], indices: list[int]
+def pair_blocks(
+    pairs: Sequence[tuple[str, str]], indices: Iterable[int]
 ) -> Iterator[list[int]]:
     """``indices`` in order, cut into blocks whose padded run tables
     hold at most :data:`_BLOCK_CELLS` cells (a pair larger than that is
-    a block of its own)."""
+    a block of its own).  The Hamming curve cuts its blocks here too:
+    a block's ``(pairs, longer side)`` arrays are never larger than its
+    run table."""
     block: list[int] = []
     height = width = 0
     for index in indices:

@@ -29,6 +29,8 @@ There is one code-chosen path per input shape:
 * the gestalt recursion's longest-common-substring queries are answered
   from a :class:`RunTable`: one per pair for a single pair, and views
   of one :func:`block_runs` array for a block of pairs.
+* the Hamming curve's positional errors come from one padded
+  code-point compare per block of pairs (:func:`block_mismatches`).
 
 The reference DPs (:func:`_python_distance`, :func:`_python_banded`,
 :func:`longest_common_substring`) are the seed implementations, verbatim;
@@ -497,6 +499,29 @@ def block_runs(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
         np.add(runs[:, row, :-1], 1, out=current)
         current *= match[:, row]
     return runs
+
+
+def block_mismatches(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
+    """The Hamming errors of a block of string pairs, in one bool array.
+
+    ``errors[p, i]`` is True when position ``i`` of pair ``p`` is a
+    Hamming error: ``i < max(len(first), len(second))`` and the two
+    strings differ there, one of them ending before ``i`` included.  The
+    array is ``(len(pairs), longest side)``; both sides are padded with
+    :func:`block_runs`' pads, which match no character and no other pad,
+    and the columns at or past each pair's longer length are masked.
+    """
+    firsts = [first for first, _ in pairs]
+    seconds = [second for _, second in pairs]
+    first_lengths = np.array([len(first) for first in firsts])
+    second_lengths = np.array([len(second) for second in seconds])
+    spans = np.maximum(first_lengths, second_lengths)
+    width = int(spans.max())
+    errors = _padded_codes(firsts, first_lengths, width, _FIRST_PAD) != _padded_codes(
+        seconds, second_lengths, width, _SECOND_PAD
+    )
+    errors &= np.arange(width)[None, :] < spans[:, None]
+    return errors
 
 
 # ------------------------------------------------------------------ #

@@ -55,11 +55,41 @@ def is_valid_strand(sequence: str) -> bool:
     return all(char in _BASE_SET for char in sequence)
 
 
+#: :func:`random_strand`'s ``bytes.translate`` table: the top byte of an
+#: accepted Mersenne-Twister word (below 0x80) is the base
+#: ``BASES[top >> 5]``, as ``choice(BASES)`` reads ``getrandbits(3)``.
+_TOP_BYTE_BASES = bytes(ord(BASES[top >> 5 & 3]) for top in range(256))
+
+#: Top bytes ``choice(BASES)`` rejects: ``getrandbits(3)`` of 4 to 7.
+_REJECTED_TOP_BYTES = bytes(range(0x80, 0x100))
+
+
 def random_strand(length: int, rng: random.Random) -> str:
-    """Draw a uniformly random strand of ``length`` bases."""
+    """Draw a uniformly random strand of ``length`` bases.
+
+    The strand, and the state ``rng`` is left in, are exactly those of
+    ``"".join(rng.choice(BASES) for _ in range(length))``.  That loop
+    takes one ``getrandbits(3)`` per try: the top 3 bits of one 32-bit
+    word, a base when they are below 4, else a rejected word.  A plain
+    ``random.Random`` (the guard of
+    :func:`~repro.core.channel_backend.rng_supports_bulk`) instead draws
+    the ``need`` words the loop must still consume as one
+    ``getrandbits(32 * need)``, least significant word first, keeps the
+    accepted top bytes in order with one ``bytes.translate``, and repeats
+    until no base is missing (DESIGN §13).  Any other RNG runs the loop.
+    """
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    return "".join(rng.choice(BASES) for _ in range(length))
+    if type(rng) is not random.Random:
+        return "".join(rng.choice(BASES) for _ in range(length))
+    planes = []
+    need = length
+    while need:
+        tops = rng.getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+        accepted = tops.translate(_TOP_BYTE_BASES, _REJECTED_TOP_BYTES)
+        planes.append(accepted)
+        need -= len(accepted)
+    return b"".join(planes).decode("ascii")
 
 
 def random_strand_gc_balanced(

@@ -11,6 +11,14 @@ Every figure in the paper's evaluation is one of these two curves:
 
 Curves can be computed pre-reconstruction (every noisy copy against its
 reference) or post-reconstruction (each estimate against its reference).
+
+Both curves run over blocks of pairs cut by one cell cap
+(:func:`~repro.align.gestalt.pair_blocks`): the Hamming curve sums the
+columns of one padded code-point compare per block
+(:func:`~repro.align.kernels.block_mismatches`), and the gestalt curve
+decomposes each block from one run table (DESIGN §18).  Both give
+exactly the curves of the per-pair references they are checked
+against.
 """
 
 from __future__ import annotations
@@ -18,43 +26,38 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from itertools import accumulate
 
-from repro.align.gestalt import matching_blocks_many
-from repro.align.hamming import hamming_error_positions
+import numpy as np
+
+from repro.align import kernels
+from repro.align.gestalt import matching_blocks_many, pair_blocks
 from repro.core.strand import StrandPool
 from repro.parallel import stream_chunks
-
-
-def _accumulate(
-    positions_per_pair: Sequence[list[int]], length: int
-) -> list[int]:
-    curve = [0] * length
-    for positions in positions_per_pair:
-        for position in positions:
-            if position < length:
-                curve[position] += 1
-            else:
-                curve.extend([0] * (position - length + 1))
-                curve[position] += 1
-                length = len(curve)
-    return curve
 
 
 def hamming_error_curve(
     references: Sequence[str], others: Sequence[str]
 ) -> list[int]:
     """Positional histogram of Hamming errors over all (reference, other)
-    pairs.  The curve may be longer than the reference length when copies
-    overshoot it (the paper's curves drop sharply after position 110)."""
+    pairs: position ``i`` counts every pair for which
+    :func:`~repro.align.hamming.hamming_error_positions` holds ``i``.
+
+    The pairs are compared in blocks (:func:`~repro.align.gestalt.pair_blocks`,
+    the gestalt half's cell cap), each one padded code-point compare
+    (:func:`~repro.align.kernels.block_mismatches`) whose columns are
+    summed.  The curve is as long as the longest reference, or longer
+    when copies overshoot it with errors past its end (the paper's
+    curves drop sharply after position 110)."""
     if len(references) != len(others):
         raise ValueError(f"{len(references)} references but {len(others)} strands")
     length = max((len(reference) for reference in references), default=0)
-    return _accumulate(
-        [
-            hamming_error_positions(reference, other)
-            for reference, other in zip(references, others)
-        ],
-        length,
-    )
+    pairs = list(zip(references, others))
+    span = max((len(other) for other in others), default=0)
+    curve = np.zeros(max(length, span), dtype=np.int64)
+    for block in pair_blocks(pairs, range(len(pairs))):
+        errors = kernels.block_mismatches([pairs[index] for index in block])
+        curve[: errors.shape[1]] += errors.sum(axis=0)
+    errors_end = int(np.flatnonzero(curve)[-1]) + 1 if curve.any() else 0
+    return curve[: max(length, errors_end)].tolist()
 
 
 def gestalt_error_curve(

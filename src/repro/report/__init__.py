@@ -1,7 +1,12 @@
 """Figure/report generation: a dependency-free SVG renderer, an HTML
 report that regenerates every table and figure of the paper, and a
 self-contained observability dashboard (bench trajectory, flame rollups,
-metrics, run health) built from the same primitives."""
+metrics, run health) built from the same primitives.
+
+The report (:mod:`repro.report.report`) runs every experiment, so it is
+not re-exported here: importing the package, or the dashboard, loads no
+experiment module.  Import ``ReportBuilder`` and ``generate_report``
+from :mod:`repro.report.report`."""
 
 from repro.report.charts import (
     bar_chart,
@@ -24,13 +29,11 @@ from repro.report.history import (
     load_history,
     read_history_file,
 )
-from repro.report.report import ReportBuilder, generate_report
 from repro.report.svg import PALETTE, SVGCanvas
 
 __all__ = [
     "HISTORY_DIR_NAME",
     "PALETTE",
-    "ReportBuilder",
     "SECTION_IDS",
     "SVGCanvas",
     "append_record",
@@ -39,7 +42,6 @@ __all__ = [
     "curve_chart",
     "flame_rollup",
     "format_shard_timeline",
-    "generate_report",
     "grouped_bar_chart",
     "history_path",
     "line_chart",

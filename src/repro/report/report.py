@@ -9,7 +9,6 @@ original figures.  Also exposed as ``dnasim report``.
 from __future__ import annotations
 
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from repro.core.profile import SimulatorStage
 from repro.experiments import (
@@ -33,6 +32,7 @@ from repro.experiments import (
     table_3_2,
 )
 from repro.report.charts import bar_chart, curve_chart, grouped_bar_chart, line_chart
+from repro.report.svg import escape
 
 _STYLE = """
 body { font-family: Helvetica, Arial, sans-serif; margin: 2em auto;

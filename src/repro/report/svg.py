@@ -8,9 +8,9 @@ and text.  Everything is plain SVG 1.1 markup.
 
 from __future__ import annotations
 
+import html
 import math
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 #: Default category colours (colour-blind-safe-ish palette).
 PALETTE = (
@@ -23,6 +23,12 @@ PALETTE = (
     "#17becf",
     "#7f7f7f",
 )
+
+
+def escape(text: str) -> str:
+    """``text`` as markup content: ``&``, ``<`` and ``>`` as entities,
+    quotes as they are (the report and the dashboard use it too)."""
+    return html.escape(text, quote=False)
 
 
 @dataclass

@@ -33,6 +33,16 @@ built here from the :mod:`repro.pipeline.gf256` field calls, against the
 log-domain :class:`~repro.pipeline.reed_solomon.ReedSolomon` over
 parities 1 to 254, codeword lengths n_parity to 255, and errors and
 erasures at the correction budget and one past it (:func:`rs_corpus`).
+The ``random_strand`` entry runs the seed's ``choice(BASES)`` loop
+against :func:`~repro.core.alphabet.random_strand`'s byte-plane
+sampling, the strand and the RNG state it leaves behind, over lengths
+0 to 1000 and twenty seeds, and holds two ``random.Random`` subclasses
+(one overriding ``random()``, one ``getrandbits``) to the loop
+(:func:`strand_corpus`).  CI runs it on CPython 3.10 to 3.12, which
+pins the ``choice`` -> ``getrandbits(3)`` contract the sampling relies
+on.  The ``hamming_curve`` entry runs ``hamming_error_positions``
+tallied pair by pair against the block
+:func:`~repro.metrics.curves.hamming_error_curve` (:func:`hamming_corpus`).
 """
 
 from __future__ import annotations
@@ -66,11 +76,14 @@ from repro.cluster.qgram_index import (
     QGramIndex,
     reference_min_hashes,
 )
+from repro.align.hamming import hamming_error_positions
 from repro.core import channel_backend
+from repro.core.alphabet import BASES, random_strand
 from repro.core.channel import Channel
 from repro.core.spatial import TerminalSkew
 from repro.core.strand import Cluster, StrandPool
 from repro.data.nanopore import ground_truth_model
+from repro.metrics.curves import hamming_error_curve
 from repro.pipeline.gf256 import (
     GENERATOR,
     gf_div,
@@ -1041,6 +1054,132 @@ def tally_fast(
     return [statistics_fields(statistics) for statistics in (pooled, whole, halves)]
 
 
+#: Strand lengths of the ``random_strand`` entry: empty, the first few
+#: bases, both sides of a 32-base plane, the paper's 110 and a long one.
+STRAND_LENGTHS = (0, 1, 2, 3, 31, 32, 33, 110, 1000)
+
+#: ``random_strand`` draws per oracle seed, each from its own seed.
+STRAND_SEEDS_PER_CORPUS_SEED = 20
+
+
+class RandomOverride(random.Random):
+    """Overrides ``random()`` only, so ``choice`` draws floats
+    (``_randbelow_without_getrandbits``) instead of ``getrandbits(3)``."""
+
+    def random(self):
+        return super().random()
+
+
+class GetrandbitsOverride(random.Random):
+    """Overrides ``getrandbits`` and records every ``k`` it is asked for:
+    a path that skips the ``choice`` loop shows in :attr:`calls`."""
+
+    def __init__(self, seed):
+        self.calls: list[int] = []
+        super().__init__(seed)
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        return super().getrandbits(k)
+
+
+STRAND_RNGS = {
+    "Random": random.Random,
+    "random_override": RandomOverride,
+    "getrandbits_override": GetrandbitsOverride,
+}
+
+
+def strand_corpus(seed: int) -> list[tuple[str, int, int]]:
+    """``(rng kind, rng seed, length)`` over every length of
+    :data:`STRAND_LENGTHS`, for 20 seeds each of a plain ``random.Random``
+    and for two seeds each of both subclasses."""
+    first = seed * STRAND_SEEDS_PER_CORPUS_SEED
+    inputs = [
+        ("Random", strand_seed, length)
+        for strand_seed in range(first, first + STRAND_SEEDS_PER_CORPUS_SEED)
+        for length in STRAND_LENGTHS
+    ]
+    inputs += [
+        (kind, strand_seed, length)
+        for kind in ("random_override", "getrandbits_override")
+        for strand_seed in (first, first + 1)
+        for length in STRAND_LENGTHS
+    ]
+    return inputs
+
+
+def _strand_outcome(kind: str, strand_seed: int, draw) -> tuple:
+    """The strand ``draw(rng)`` returns, the state it leaves ``rng`` in,
+    and the ``getrandbits`` calls of a recording RNG."""
+    rng = STRAND_RNGS[kind](strand_seed)
+    strand = draw(rng)
+    return strand, rng.getstate(), getattr(rng, "calls", None)
+
+
+def strand_loop(kind: str, strand_seed: int, length: int) -> tuple:
+    """The seed's ``random_strand``: one ``choice(BASES)`` per base."""
+    return _strand_outcome(
+        kind, strand_seed, lambda rng: "".join(rng.choice(BASES) for _ in range(length))
+    )
+
+
+def strand_fast(kind: str, strand_seed: int, length: int) -> tuple:
+    return _strand_outcome(kind, strand_seed, lambda rng: random_strand(length, rng))
+
+
+def hamming_corpus(seed: int) -> list[tuple[list[str], list[str]]]:
+    """``(references, others)`` curve inputs: the shared corpus both ways
+    round, no pairs, empty pairs only, copies longer and shorter than
+    their references (some past the longest one, some empty), and more
+    110-nt channel pairs than one block holds, mixed with long pairs
+    that make blocks of their own."""
+    rng = random.Random(seed)
+    pairs = shared_corpus(seed)
+    inputs = [
+        ([first for first, _ in pairs], [second for _, second in pairs]),
+        ([second for _, second in pairs], [first for first, _ in pairs]),
+        ([], []),
+        ([""], [""]),
+        (["", ""], ["", ""]),
+        (["", "ACGT"], ["AC", ""]),
+    ]
+    references = [_strand(rng, rng.choice((5, 40, 110))) for _ in range(30)]
+    others = [
+        reference[: rng.randrange(len(reference) + 1)] + _strand(rng, rng.randrange(8))
+        if index % 3
+        else reference + _strand(rng, rng.choice((0, 1, 150)))
+        for index, reference in enumerate(references)
+    ]
+    others[0] = ""
+    inputs.append((references, others))
+    channel = Channel(ground_truth_model(), random.Random(seed + 1000))
+    straddle = []
+    for index in range(300):
+        reference = _strand(rng, 110)
+        straddle.append((reference, channel.transmit(reference) if index % 5 else reference))
+    long_strand = _strand(rng, 1000)
+    straddle[70:70] = [(long_strand, _mutate(rng, long_strand, "ACGT", 30)), ("", _strand(rng, 600))]
+    straddle[200:200] = [(_strand(rng, 500), "ACG\ud800" * 10), ("αβγδ" * 30, "αβγδ" * 29)]
+    inputs.append(([first for first, _ in straddle], [second for _, second in straddle]))
+    return inputs
+
+
+def hamming_loop(references: list[str], others: list[str]) -> list[int]:
+    """The seed's curve: ``hamming_error_positions`` per pair, tallied on
+    a curve as long as the longest reference that grows when a position
+    falls past its end."""
+    length = max((len(reference) for reference in references), default=0)
+    curve = [0] * length
+    for reference, other in zip(references, others):
+        for position in hamming_error_positions(reference, other):
+            if position >= length:
+                curve.extend([0] * (position - length + 1))
+                length = len(curve)
+            curve[position] += 1
+    return curve
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One fast path and the reference it must reproduce exactly on
@@ -1132,6 +1271,18 @@ ORACLES = (
         inputs=tally_corpus,
     ),
     Oracle(
+        name="random_strand",
+        reference=strand_loop,
+        fast=strand_fast,
+        inputs=strand_corpus,
+    ),
+    Oracle(
+        name="hamming_curve",
+        reference=hamming_loop,
+        fast=hamming_error_curve,
+        inputs=hamming_corpus,
+    ),
+    Oracle(
         name="reed_solomon",
         reference=reference_rs,
         fast=fast_rs,
@@ -1213,7 +1364,7 @@ def test_corpus_covers_its_regions():
     assert any(first == second and first for first, second in gestalt_pairs)
     assert any(len({len(first) for first, _ in block}) > 5 for block in gestalt_blocks)
     assert any(
-        len(list(gestalt._blocks(block, _table_pairs(block)))) > 1
+        len(list(gestalt.pair_blocks(block, _table_pairs(block)))) > 1
         for block in gestalt_blocks
     ), "no block the cell budget splits"
     for symbol in ("N", "a", "é", "\ud800", "\udc00"):
@@ -1227,6 +1378,28 @@ def test_corpus_covers_its_regions():
     assert any(
         _cut_by_wrapped_cap(first, second) for second, first in gestalt_pairs
     ), "no tall pair with the long side second"
+    hamming_inputs = hamming_corpus(0)
+    assert any(
+        len(list(gestalt.pair_blocks(list(zip(*curve_input)), range(len(curve_input[0]))))) > 1
+        for curve_input in hamming_inputs
+    ), "no curve input the cell budget splits"
+    assert ([], []) in hamming_inputs
+    hamming_pairs = [pair for references, others in hamming_inputs for pair in zip(references, others)]
+    assert any(not other and reference for reference, other in hamming_pairs)
+    assert any(
+        max(map(len, others), default=0) > max(map(len, references), default=0)
+        for references, others in hamming_inputs
+    ), "no copy past the longest reference"
+    assert any(len(other) < len(reference) and other for reference, other in hamming_pairs)
+    for symbol in ("N", "é", "\ud800"):
+        assert any(symbol in other for _, other in hamming_pairs), symbol
+    strand_inputs = strand_corpus(0)
+    assert {kind for kind, _, _ in strand_inputs} == set(STRAND_RNGS)
+    for kind in STRAND_RNGS:
+        assert {length for rng_kind, _, length in strand_inputs if rng_kind == kind} == set(
+            STRAND_LENGTHS
+        ), kind
+    assert len({seed for kind, seed, _ in strand_inputs if kind == "Random"}) >= 20
     rs_cases = rs_corpus(0)
     for n_parity in RS_PARITIES:
         mixes = set()
