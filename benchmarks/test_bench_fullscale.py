@@ -21,7 +21,10 @@ bounds, and the record keeps each measurement's median, min and max.
 
 Scale defaults to ``REPRO_N_CLUSTERS`` like every bench; the committed
 record is produced at the paper's 10,000 clusters with
-``REPRO_BENCH_FULLSCALE_CLUSTERS=10000``.  The memory assertion is
+``REPRO_BENCH_FULLSCALE_CLUSTERS=10000``, and only a run with that
+variable set writes ``BENCH_fullscale.json`` and its
+``bench_history/fullscale.jsonl`` line; any other run writes both under
+its ``tmp_path``.  The memory assertion is
 scale-aware: at small CI scales interpreter baseline dominates both
 numbers, so only a loose ceiling is enforced; at paper scale the
 streamed variant must stay strictly below the in-memory one.
@@ -44,7 +47,8 @@ from repro.observability.bench import assert_stamped, stamp_record
 from repro.report.dashboard import committed_floor
 from repro.report.history import append_record
 
-#: Where the record lands (the repo root, next to the other BENCH files).
+#: Where a record run's record lands (the repo root, next to the other
+#: BENCH files).
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_fullscale.json"
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -101,6 +105,16 @@ def _scale() -> int:
     if explicit:
         return int(explicit)
     return int(os.environ.get("REPRO_N_CLUSTERS", "200"))
+
+
+def _record_root(tmp_path: Path) -> Path:
+    """Where the record and its history line go: the repo root when
+    ``REPRO_BENCH_FULLSCALE_CLUSTERS`` asks for a record run, else
+    ``tmp_path``, so a run at the default scale never replaces the
+    committed paper-scale record."""
+    if os.environ.get("REPRO_BENCH_FULLSCALE_CLUSTERS"):
+        return BENCH_JSON.parent
+    return tmp_path
 
 
 def _run_variant(argv: list[str], tmp_path: Path, name: str) -> dict:
@@ -208,8 +222,9 @@ def test_bench_fullscale_streamed_memory_is_bounded(tmp_path):
         }
     )
     assert_stamped(record)
-    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
-    append_record(record, "fullscale", root=BENCH_JSON.parent)
+    record_root = _record_root(tmp_path)
+    (record_root / BENCH_JSON.name).write_text(json.dumps(record, indent=2) + "\n")
+    append_record(record, "fullscale", root=record_root)
     streamed, inmemory = record["streamed"], record["in_memory"]
     print(
         f"\nfullscale ({n_clusters} clusters, median of {REPEATS}): streamed "

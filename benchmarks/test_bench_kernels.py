@@ -46,6 +46,7 @@ from repro.align.kernels import (
     edit_distances_one_to_many,
 )
 from repro.align.operations import edit_operations
+from repro.cluster import greedy
 from repro.cluster.greedy import GreedyClusterer
 from repro.core.channel import Channel
 from repro.data.nanopore import ground_truth_model
@@ -93,10 +94,18 @@ def _reference_lanes(
     return [kernels._python_banded(lane.text, text, band) for lane in lanes]
 
 
+def _no_prefetch(
+    strings: list[str], lanes: dict[int, list[int]], band: int
+) -> dict[int, dict[int, int]]:
+    return {}
+
+
 def _patch_reference_kernels(patch: pytest.MonkeyPatch) -> dict[str, int]:
     """Route every distance through the seed's DPs: the clustering
     baseline the floor compares against.  Each lane of a one-vs-many
-    sweep goes through the reference DP behind the same short-circuits.
+    sweep goes through the reference DP behind the same short-circuits,
+    and greedy clustering's lockstep prefetch is off, so every pair its
+    sweep compares takes that path.
     Returns a count of reference banded-DP calls, so the caller can check
     the baseline really ran them."""
     calls = {"banded": 0}
@@ -106,6 +115,7 @@ def _patch_reference_kernels(patch: pytest.MonkeyPatch) -> dict[str, int]:
         calls["banded"] += 1
         return python_banded(first, second, band)
 
+    patch.setattr(greedy, "_lane_table", _no_prefetch)
     patch.setattr(kernels, "_python_banded", counted_banded)
     patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
     patch.setattr(kernels, "_bitparallel_banded", counted_banded)

@@ -2,12 +2,12 @@
 
 Every layer of the harness above the channel ultimately bottoms out in a
 handful of single-pair string kernels: Levenshtein distance (clustering,
-reconstruction-quality scoring), its banded variant (the
-:class:`~repro.cluster.greedy.GreedyClusterer` hot path — one read
-against all its candidate representatives), and the
-longest-common-substring recursion behind gestalt matching (the Fig.
-3.2b/3.4 error-position analyses).  This module makes those kernels fast
-while keeping the original pure-Python dynamic programs as plain
+reconstruction-quality scoring), its banded variant (one string against
+many: consensus scoring, and the pairs greedy clustering's lockstep
+prefetch, :func:`repro.align.lockstep.lane_distances`, did not fetch),
+and the longest-common-substring recursion behind gestalt matching (the
+Fig. 3.2b/3.4 error-position analyses).  This module makes those kernels
+fast while keeping the original pure-Python dynamic programs as plain
 reference functions for the differential oracles.
 
 There is one code-chosen path per input shape:

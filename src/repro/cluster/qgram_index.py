@@ -120,8 +120,8 @@ def _batched_min_hashes(
             values ^= flat[window_starts + offset]
             values *= prime
         minima = np.minimum.reduceat(values, bounds[:-1], axis=1)
-        for column, position in enumerate(long_positions):
-            results[position] = [int(value) for value in minima[:, column]]
+        for position, signature in zip(long_positions, minima.T.tolist()):
+            results[position] = signature
     return results  # type: ignore[return-value]
 
 
@@ -165,6 +165,8 @@ class QGramIndex:
     """
 
     def __init__(self, q: int = 11, bands: int = 4) -> None:
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
         if bands < 1:
             raise ValueError(f"bands must be >= 1, got {bands}")
         self.q = q

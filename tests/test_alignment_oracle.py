@@ -43,6 +43,15 @@ pins the ``choice`` -> ``getrandbits(3)`` contract the sampling relies
 on.  The ``hamming_curve`` entry runs ``hamming_error_positions``
 tallied pair by pair against the block
 :func:`~repro.metrics.curves.hamming_error_curve` (:func:`hamming_corpus`).
+The ``lane_distances`` entry runs the seed's exact and banded DPs per
+lane against the lockstep distance-only forward pass, dense and keyed Eq
+tables both, at the default lane cap and at one that splits a pattern's
+texts across groups (:func:`lane_distance_corpus`).  The ``greedy_prefetch``
+entry runs a read-by-read greedy sweep and merge pass, written out here,
+against the default clusterer with the default and with small prefetch
+blocks and with the prefetch off, every ``GreedyClusteringResult`` field
+(:func:`greedy_corpus`).  The ``majority_many`` entry runs the
+per-cluster Majority loop against the block vote (:func:`majority_corpus`).
 """
 
 from __future__ import annotations
@@ -54,7 +63,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from repro.align import gestalt, kernels
+from repro.align import gestalt, kernels, lockstep
 from repro.analysis.error_stats import ErrorStatistics
 from repro.align.edit_distance import (
     edit_distance,
@@ -63,6 +72,7 @@ from repro.align.edit_distance import (
 )
 from repro.align.gestalt import matching_blocks
 from repro.align.kernels import CompiledPattern, edit_distances_one_to_many
+from repro.align.lockstep import lane_distances
 from repro.align.operations import (
     EditOp,
     OpKind,
@@ -71,6 +81,8 @@ from repro.align.operations import (
     edit_operations,
     error_operations,
 )
+from repro.cluster import greedy
+from repro.cluster.greedy import GreedyClusterer, GreedyClusteringResult
 from repro.cluster.qgram_index import (
     EMPTY_SIGNATURE,
     QGramIndex,
@@ -94,9 +106,12 @@ from repro.pipeline.gf256 import (
     poly_mul,
 )
 from repro.pipeline.reed_solomon import ReedSolomon, ReedSolomonError
+from repro.reconstruct import majority
+from repro.reconstruct.base import BLOCK_CLUSTERS
 from repro.reconstruct.bma import BMALookahead, bma_forward_pass
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
+from repro.reconstruct.majority import PositionalMajority
 from repro.reconstruct.two_way import TwoWayIterative
 from tests.test_channel_backend import (
     MODELS,
@@ -408,6 +423,123 @@ def packed_lanes(texts: list[str], lanes: list[str]) -> list[list[int]]:
             for band in _lane_bands(texts, lanes):
                 results[use_held].append(sweep.banded_distances(others, band))
     return [results[False], results[True]]
+
+
+def lane_distance_corpus(seed: int) -> list[tuple[list[str], list[list[str]]]]:
+    """``(patterns, texts_lists)`` blocks of the lockstep distance pass:
+    the shared corpus's pairs both ways round, one text each (empty
+    sides, word-boundary lengths, ``N``, lowercase, non-ASCII and lone
+    surrogates); each lane-corpus lane against all its texts, with a
+    pattern that has no text; astral and surrogate patterns with so wide
+    an alphabet that the Eq table keys its symbols, and non-ASCII and
+    ``N`` ones, each against texts of symbols its pattern lacks; the
+    wide patterns again against ASCII texts only; empty patterns only;
+    and multi-word homopolymers."""
+    rng = random.Random(seed)
+    pairs = shared_corpus(seed)
+    inputs = [
+        ([first for first, _ in pairs], [[second] for _, second in pairs]),
+        ([second for _, second in pairs], [[first] for first, _ in pairs]),
+    ]
+    for texts, lanes in lane_corpus(seed)[:2]:
+        inputs.append((lanes + ["ACGT"], [texts] * len(lanes) + [[]]))
+    wide = "".join(chr(0x4E00 + index) for index in range(800)) + "\U0001F600\ud800\udc00é"
+    for alphabet, count in ((wide, 12), ("αβγδé\ud800", 4), ("ACGTN", 4)):
+        patterns = [_strand(rng, rng.choice((30, 64, 65, 129)), alphabet) for _ in range(count)]
+        texts_lists = [
+            [
+                _mutate(rng, pattern, alphabet, 4),
+                _mutate(rng, pattern, "ACGT", 2),
+                _shifted(pattern),
+                "",
+            ]
+            for pattern in patterns
+        ]
+        inputs.append((patterns, texts_lists))
+        if alphabet == wide:
+            inputs.append(
+                (patterns, [[_strand(rng, 70), "ACGTN", ""] for _ in patterns])
+            )
+    inputs.append((["", "", "", "", "", ""], [["ACG"], [""], ["é" * 70], [], ["\ud800"], ["A"]]))
+    # Homopolymers: the add's carry crosses a whole word of a lane.
+    inputs.append(
+        (
+            ["A" * 129, "G" * 64 + "A" * 64 + "ACGAAA", "ACGT" * 50],
+            [["A" * 150, "A" * 129 + "C"], ["G", "G" * 30 + "A" * 20], ["ACGT" * 49]],
+        )
+    )
+    return inputs
+
+
+def _shifted(text: str) -> str:
+    """Each symbol one code point down: mostly symbols its pattern
+    lacks, each sorting just below one it has."""
+    return "".join(chr(ord(char) - 1) for char in text)
+
+
+def _lane_distance_bands(patterns: list[str], texts_lists: list[list[str]]) -> tuple[int, ...]:
+    """Bands 0, 1 and 3, greedy's threshold 25, and one at least as wide
+    as every string (the exact distance)."""
+    texts = [text for texts in texts_lists for text in texts]
+    return (0, 1, 3, 25, max(map(len, patterns + texts)))
+
+
+#: A lane cap of the ``lane_distances`` entry that splits most blocks,
+#: and the texts of one pattern, across groups.
+SMALL_LANE_CAP = 3
+
+
+def reference_lane_distances(
+    patterns: list[str], texts_lists: list[list[str]]
+) -> list[list[int]]:
+    """The seed's exact DP per lane, then its banded DP behind the
+    length-difference lower bound under each band; once per lane cap."""
+    lanes = [(pattern, text) for pattern, texts in zip(patterns, texts_lists) for text in texts]
+    results = [[kernels._python_distance(pattern, text) for pattern, text in lanes]]
+    for band in _lane_distance_bands(patterns, texts_lists):
+        results.append(
+            [
+                band + 1
+                if abs(len(pattern) - len(text)) > band
+                else kernels._python_banded(text, pattern, band)
+                for pattern, text in lanes
+            ]
+        )
+    return results * 2
+
+
+def fast_lane_distances(
+    patterns: list[str], texts_lists: list[list[str]]
+) -> list[list[int]]:
+    """:func:`~repro.align.lockstep.lane_distances`: under the widest band
+    (exact), then under each band; with the default lane cap, then with
+    :data:`SMALL_LANE_CAP`."""
+    bands = _lane_distance_bands(patterns, texts_lists)
+    results = []
+    for cap in (lockstep._DISTANCE_LANES, SMALL_LANE_CAP):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lockstep, "_DISTANCE_LANES", cap)
+            results += [
+                lane_distances(patterns, texts_lists, band).tolist()
+                for band in (bands[-1],) + bands
+            ]
+    return results
+
+
+def _texts_ascii(texts_lists: list[list[str]]) -> bool:
+    return "".join(text for texts in texts_lists for text in texts).isascii()
+
+
+def _keyed_eq_table(patterns: list[str], texts_lists: list[list[str]]) -> bool:
+    """Whether a block keys each (pattern, symbol) pair of its Eq table:
+    its texts are not all ASCII, or its alphabet is too wide for the
+    dense table."""
+    if not _texts_ascii(texts_lists):
+        return True
+    alphabet = len(set("".join(patterns)))
+    return len(patterns) * (alphabet + 1) > lockstep._DENSE_SLOTS * (
+        sum(map(len, patterns)) + 1
+    )
 
 
 #: ``(q, bands)`` of the q-gram entry: the clusterer's default and the
@@ -1180,6 +1312,220 @@ def hamming_loop(references: list[str], others: list[str]) -> list[int]:
     return curve
 
 
+#: Greedy thresholds of the ``greedy_prefetch`` entry: exact duplicates
+#: only, the default, and one that joins unrelated reads.
+GREEDY_THRESHOLDS = (0, 25, 60)
+
+#: Prefetch block sizes the ``greedy_prefetch`` entry also runs with, so
+#: that its read-outs cross several blocks of every size.
+SMALL_BLOCKS = (4, 16)
+
+
+def greedy_corpus(seed: int) -> list[tuple[int, list[str]]]:
+    """``(threshold, reads)`` read-outs: paper-rate channel copies of a
+    few references, shuffled, with exact duplicates, empty reads, reads
+    shorter than ``q``, ``N``, non-ASCII and lone-surrogate reads, and a
+    chain of three reads whose last needs a pair no prefetch round
+    fetched."""
+    rng = random.Random(seed)
+    channel = Channel(ground_truth_model(), random.Random(seed + 5000))
+    references = [_strand(rng, 110) for _ in range(12)]
+    reads = [channel.transmit(reference) for reference in references for _ in range(8)]
+    reads += [reads[3], reads[3], references[0], references[0], "", "", "ACG", "ACGTAC"]
+    reads += [_mutate(rng, references[1], "ACGTN", 3), "ACGé" * 20, "AC\ud800G" * 20]
+    rng.shuffle(reads)
+    # A chain no guess foresees: ``joined`` shares buckets with both
+    # halves and, at threshold 60, joins ``left``'s cluster; ``right``
+    # names only ``joined``, so its distance to ``left`` is computed on
+    # demand.
+    left, right = _strand(rng, 40), _strand(rng, 40)
+    reads[:0] = [left, left + right, right]
+    # Two ties at threshold 25: a read as far from two founders whose
+    # cluster ids differ by 8, so in a small set they share a hash slot
+    # and the order the read's candidates arrive in picks the winner.
+    ties = []
+    for _ in range(2):
+        first, second, read = _tie(rng)
+        ties += [first] + [_strand(rng, 110) for _ in range(7)] + [second, read]
+    reads[:0] = ties
+    return [(threshold, reads) for threshold in GREEDY_THRESHOLDS]
+
+
+def _tie(rng: random.Random) -> tuple[str, str, str]:
+    """``(first, second, read)``: ``read`` is as far from ``first`` as
+    from ``second``, within 25 edits, and they are more than 25 apart."""
+    while True:
+        left, right = _strand(rng, 55), _strand(rng, 55)
+        first = left + _substituted(rng, right, 14)
+        second = _substituted(rng, left, 14) + right
+        read = left + right
+        distance = kernels._python_distance(read, first)
+        if (
+            distance == kernels._python_distance(read, second) <= 25
+            and kernels._python_distance(first, second) > 25
+        ):
+            return first, second, read
+
+
+def _substituted(rng: random.Random, text: str, count: int) -> str:
+    """``text`` with ``count`` positions substituted by other bases."""
+    chars = list(text)
+    for position in rng.sample(range(len(chars)), count):
+        chars[position] = rng.choice([base for base in "ACGT" if base != chars[position]])
+    return "".join(chars)
+
+
+def _clustering(
+    threshold: int, reads: list[str], patch_blocks: bool
+) -> GreedyClusteringResult:
+    with pytest.MonkeyPatch.context() as patch:
+        if patch_blocks:
+            patch.setattr(greedy, "FIRST_BLOCK", SMALL_BLOCKS[0])
+            patch.setattr(greedy, "LAST_BLOCK", SMALL_BLOCKS[1])
+        return GreedyClusterer(distance_threshold=threshold).cluster(reads)
+
+
+def serial_greedy(threshold: int, reads: list[str]) -> list:
+    """The read-by-read sweep the prefetch must reproduce, once per
+    fast-path call shape: each read's candidates from the q-gram index as
+    it stands, one banded one-vs-many call against every candidate
+    cluster's founder, the first minimum within the threshold or a new
+    cluster; then the merge pass, one call per representative against its
+    candidates, unioning those within the threshold."""
+    clusterer = GreedyClusterer(distance_threshold=threshold)
+    index = QGramIndex(q=clusterer.q, bands=clusterer.bands)
+    assignments: list[int] = []
+    representatives: list[CompiledPattern] = []
+    comparisons = 0
+    for position, read in enumerate(reads):
+        clusters = list({assignments[candidate] for candidate in index.candidates(read)})
+        comparisons += len(clusters)
+        distances = CompiledPattern(read).banded_distances(
+            [representatives[cluster] for cluster in clusters], threshold
+        )
+        best, best_distance = -1, threshold + 1
+        for cluster, distance in zip(clusters, distances):
+            if distance < best_distance:
+                best, best_distance = cluster, distance
+        if best < 0:
+            best = len(representatives)
+            representatives.append(CompiledPattern(read))
+        assignments.append(best)
+        index.add(position, read)
+    parent = list(range(len(representatives)))
+
+    def find(node: int) -> int:
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    merge_index = QGramIndex(q=clusterer.q, bands=clusterer.bands)
+    merge_comparisons = 0
+    for cluster, representative in enumerate(representatives):
+        candidates = list(merge_index.candidates(representative.text))
+        distances = representative.banded_distances(
+            [representatives[candidate] for candidate in candidates], threshold
+        )
+        for candidate, distance in zip(candidates, distances):
+            root, other = find(cluster), find(candidate)
+            if root != other:
+                merge_comparisons += 1
+                if distance <= threshold:
+                    parent[root] = other
+        merge_index.add(cluster, representative.text)
+    dense: dict[int, int] = {}
+    for cluster in range(len(representatives)):
+        dense.setdefault(find(cluster), len(dense))
+    merged = [dense[find(cluster)] for cluster in assignments]
+    members: list[list[int]] = [[] for _ in dense]
+    for position, cluster in enumerate(merged):
+        members[cluster].append(position)
+    result = GreedyClusteringResult(
+        assignments=merged,
+        representatives=[representatives[root].text for root in dense],
+        comparisons=comparisons + merge_comparisons,
+        members=members,
+    )
+    return [result, result, result]
+
+
+def greedy_with_prefetch(threshold: int, reads: list[str]) -> list:
+    """The default clusterer, with the default blocks, with
+    :data:`SMALL_BLOCKS`, and with the prefetch off (every pair computed
+    on demand): every ``GreedyClusteringResult`` field."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy, "_lane_table", lambda strings, lanes, band: {})
+        without_prefetch = _clustering(threshold, reads, patch_blocks=False)
+    return [
+        _clustering(threshold, reads, patch_blocks=False),
+        _clustering(threshold, reads, patch_blocks=True),
+        without_prefetch,
+    ]
+
+
+def _greedy_traffic(threshold: int, reads: list[str]) -> tuple[int, int]:
+    """Pairs the :data:`SMALL_BLOCKS` clusterer takes from its lockstep
+    prefetch and pairs it computes on demand."""
+    traffic = [0, 0]
+    lane_table = greedy._lane_table
+    banded_distances = CompiledPattern.banded_distances
+
+    def counted_table(strings, lanes, band):
+        traffic[0] += sum(map(len, lanes.values()))
+        return lane_table(strings, lanes, band)
+
+    def counted_distances(pattern, others, band):
+        traffic[1] += len(others)
+        return banded_distances(pattern, others, band)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(greedy, "_lane_table", counted_table)
+        patch.setattr(CompiledPattern, "banded_distances", counted_distances)
+        _clustering(threshold, reads, patch_blocks=True)
+    return traffic[0], traffic[1]
+
+
+def majority_corpus(seed: int) -> list[tuple[list[list[str]], int]]:
+    """``(clusters, strand_length)`` batches: paper-rate channel clusters
+    at strand lengths 0, 1, 5 and 110, more clusters than one block, with
+    empty clusters, empty copies, copies longer than the strand, every
+    position tied two ways, ``N``, non-ASCII, astral and lone-surrogate
+    symbols; and a block whose alphabet is too wide to vote at once."""
+    rng = random.Random(seed)
+    channel = Channel(ground_truth_model(), random.Random(seed + 6000))
+    inputs = []
+    for length in (0, 1, 5, 110):
+        clusters = []
+        for _ in range(70):
+            reference = _strand(rng, length)
+            clusters.append([channel.transmit(reference) for _ in range(rng.randint(0, 6))])
+        clusters[3] = []
+        clusters[5] = ["", "", ""]
+        clusters[7] = ["AC" * 80, "CA" * 80]
+        clusters[9] = [_strand(rng, 2 * length + 3) for _ in range(3)]
+        clusters[11] = ["\U0001F600é\ud800N" * 40, "\ud800N\U0001F600" * 40, "a"]
+        inputs.append((clusters, length))
+    wide = "".join(chr(0x100 + index) for index in range(100))
+    inputs.append(([[_strand(rng, 110, wide) for _ in range(5)] for _ in range(64)], 110))
+    inputs.append(([], 110))
+    return inputs
+
+
+def majority_loop(clusters: list[list[str]], length: int) -> list[list[str]]:
+    """The per-cluster ``reconstruct`` loop, once per fast-path call shape."""
+    estimates = [PositionalMajority().reconstruct(copies, length) for copies in clusters]
+    return [estimates, estimates]
+
+
+def majority_many(clusters: list[list[str]], length: int) -> list[list[str]]:
+    """``reconstruct_many`` on the whole batch and on singleton batches."""
+    voter = PositionalMajority()
+    return [
+        voter.reconstruct_many(clusters, length),
+        [voter.reconstruct_many([copies], length)[0] for copies in clusters],
+    ]
+
+
 @dataclass(frozen=True)
 class Oracle:
     """One fast path and the reference it must reproduce exactly on
@@ -1233,6 +1579,24 @@ ORACLES = (
         reference=reference_lanes,
         fast=packed_lanes,
         inputs=lane_corpus,
+    ),
+    Oracle(
+        name="lane_distances",
+        reference=reference_lane_distances,
+        fast=fast_lane_distances,
+        inputs=lane_distance_corpus,
+    ),
+    Oracle(
+        name="greedy_prefetch",
+        reference=serial_greedy,
+        fast=greedy_with_prefetch,
+        inputs=greedy_corpus,
+    ),
+    Oracle(
+        name="majority_many",
+        reference=majority_loop,
+        fast=majority_many,
+        inputs=majority_corpus,
     ),
     Oracle(
         name="qgram_signatures",
@@ -1329,6 +1693,48 @@ def test_corpus_covers_its_regions():
     )
     for symbol in ("N", "a", "é", "\ud800"):
         assert any(symbol in "".join(lanes) for _, lanes in lane_inputs), symbol
+    lane_blocks = lane_distance_corpus(0)
+    lane_patterns = [pattern for patterns, _ in lane_blocks for pattern in patterns]
+    assert {0, 1, 63, 64, 65, 127, 128, 129} <= set(map(len, lane_patterns))
+    keyed = {
+        (_keyed_eq_table(patterns, texts_lists), _texts_ascii(texts_lists))
+        for patterns, texts_lists in lane_blocks
+    }
+    assert keyed == {(True, True), (True, False), (False, True)}
+    assert any([] in texts_lists for _, texts_lists in lane_blocks)
+    assert any(
+        len(texts) > SMALL_LANE_CAP for _, texts_lists in lane_blocks for texts in texts_lists
+    ), "no pattern whose texts a small lane cap splits"
+    for symbol in ("N", "a", "é", "\U0001F600", "\ud800"):
+        assert any(symbol in pattern for pattern in lane_patterns), symbol
+    traffic = []
+    for threshold, reads in greedy_corpus(0):
+        assert len(reads) > SMALL_BLOCKS[0] + 3 * SMALL_BLOCKS[1]
+        assert "" in reads and any(0 < len(read) < 8 for read in reads)
+        assert len(set(reads)) < len(reads) - 2
+        traffic.append(_greedy_traffic(threshold, reads))
+    assert all(prefetched for prefetched, _ in traffic)
+    assert any(on_demand for _, on_demand in traffic), "no pair computed on demand"
+    vote_batches = majority_corpus(0)
+    assert {0, 1, 5, 110} <= {length for _, length in vote_batches}
+    assert any(len(clusters) > BLOCK_CLUSTERS for clusters, _ in vote_batches)
+    vote_clusters = [copies for clusters, _ in vote_batches for copies in clusters]
+    assert [] in vote_clusters and ["", "", ""] in vote_clusters
+    assert ["AC" * 80, "CA" * 80] in vote_clusters
+    assert any(
+        len(copy) > length
+        for clusters, length in vote_batches
+        if length
+        for copies in clusters
+        for copy in copies
+    )
+    assert any(
+        len(clusters[:BLOCK_CLUSTERS]) * length * len(set("".join(sum(clusters, []))))
+        > majority._VOTE_CELLS
+        for clusters, length in vote_batches
+    ), "no block too wide to vote at once"
+    for symbol in ("N", "é", "\U0001F600", "\ud800"):
+        assert any(symbol in copy for copies in vote_clusters for copy in copies), symbol
     for q, _, pool in qgram_corpus(0):
         assert {0, 1, q - 1, q, q + 1, 63, 64, 65, 110, 128} <= set(map(len, pool))
         for symbol in ("N", "a", "é", "\U0001F600", "\ud800"):
@@ -1518,3 +1924,29 @@ def test_run_dtype_boundaries():
     assert kernels.run_dtype(65_536) is np.uint32
     assert kernels.block_runs([("A" * 300, "A" * 255)]).dtype == np.uint8
     assert kernels.block_runs([("A" * 256, "C" * 10), ("G", "A" * 256)]).dtype == np.uint16
+
+
+def test_lane_distance_groups_stay_within_the_cap(monkeypatch):
+    """:func:`lane_distances` runs as few equal groups as keep each within
+    its lane cap, splitting a pattern's texts where the cap falls."""
+    groups = []
+    group_distances = lockstep._group_distances
+
+    def counted(patterns, texts_lists, band):
+        groups.append(sum(map(len, texts_lists)))
+        return group_distances(patterns, texts_lists, band)
+
+    monkeypatch.setattr(lockstep, "_group_distances", counted)
+    monkeypatch.setattr(lockstep, "_DISTANCE_LANES", 4)
+    patterns = ["ACGT", "AC", "", "GGA"]
+    texts_lists = [["ACG", "A", "CGT"], [], ["T", "", "AC", "G", "GA"], ["GGA"]]
+    distances = lane_distances(patterns, texts_lists, 25).tolist()
+    assert groups == [3, 3, 3]
+    assert distances == [
+        kernels._python_distance(pattern, text)
+        for pattern, texts in zip(patterns, texts_lists)
+        for text in texts
+    ]
+    groups.clear()
+    assert lane_distances(patterns, [[]] * 4, 25).tolist() == []
+    assert groups == []

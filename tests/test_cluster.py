@@ -86,6 +86,11 @@ class TestQGramIndex:
         with pytest.raises(ValueError):
             QGramIndex(bands=0)
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_invalid_q_raises(self, q):
+        with pytest.raises(ValueError, match=f"q must be >= 1, got {q}"):
+            QGramIndex(q=q)
+
     def test_empty_reads_never_collide(self):
         """Regression: empty reads used to sign bucket 0 in every band,
         colliding with each other and with any read whose min-hash was
@@ -158,6 +163,21 @@ class TestGreedyClusterer:
     def test_invalid_threshold(self):
         with pytest.raises(ValueError):
             GreedyClusterer(distance_threshold=-1)
+
+    @pytest.mark.parametrize(
+        ("parameters", "message"),
+        [
+            ({"q": 0}, "q must be >= 1, got 0"),
+            ({"q": -1}, "q must be >= 1, got -1"),
+            ({"bands": 0}, "bands must be >= 1, got 0"),
+            ({"bands": -2}, "bands must be >= 1, got -2"),
+        ],
+    )
+    def test_invalid_index_parameters(self, parameters, message):
+        """Rejected at construction, before any read is clustered (``q=0``
+        used to make every read a candidate of every other)."""
+        with pytest.raises(ValueError, match=message):
+            GreedyClusterer(**parameters)
 
 
 class TestPseudoHelpers:

@@ -25,6 +25,7 @@ from repro.align.gestalt import clear_block_cache, matching_blocks
 from repro.align.kernels import CompiledPattern, edit_distances_one_to_many
 from repro.align.operations import OpKind, apply_operations, edit_operations
 from repro.cli import main
+from repro.cluster import greedy
 from repro.cluster.greedy import GreedyClusterer
 
 
@@ -68,10 +69,21 @@ def _reference_lanes(
     return [kernels._python_banded(lane.text, text, band) for lane in lanes]
 
 
+def _no_prefetch(
+    strings: list[str], lanes: dict[int, list[int]], band: int
+) -> dict[int, dict[int, int]]:
+    """Greedy clustering's lockstep prefetch, turned off: every pair the
+    sweep and the merge pass compare is then computed on demand."""
+    return {}
+
+
 def patch_reference_kernels(patch: pytest.MonkeyPatch) -> None:
     """Route every distance through the seed's DPs, so a run computes
     what the reference kernels would: the pairwise kernels, the pairwise
-    ``CompiledPattern`` methods, and each lane of the one-vs-many sweep."""
+    ``CompiledPattern`` methods, and each lane of the one-vs-many sweep.
+    Greedy clustering's lockstep prefetch is off, so its every pair takes
+    the on-demand one-vs-many path and thus the reference DP."""
+    patch.setattr(greedy, "_lane_table", _no_prefetch)
     patch.setattr(kernels, "_bitparallel_distance", kernels._python_distance)
     patch.setattr(kernels, "_bitparallel_banded", kernels._python_banded)
     patch.setattr(CompiledPattern, "distance", _reference_distance)
