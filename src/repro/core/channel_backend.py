@@ -27,12 +27,24 @@ touching a single draw*:
   total, and the reference base is copied through.  Each copy is one
   walk with two stop-finders and one event handler.  In the interior
   the finder jumps between candidate sites, which come from one
-  vectorised ``rolls < t_cand`` comparison per buffer refill; in the
-  high-threshold terminal positions (the paper's end-of-strand skew) it
-  scans a second, coarser comparison plane with C-speed ``bytes.find``.
-  Only the finders' stops run the exact per-position comparison, the
-  error-free runs between events are copied as whole string slices, and
-  only actual events run the serial loop's ladder scan and event code.
+  vectorised ``rolls < t_cand`` comparison per buffer refill.  The
+  paper's terminal skew puts high thresholds at both strand ends, so
+  the few hottest positions there form two *hot zones* (a head zone
+  and a tail zone, under one shared budget), where the finder tests
+  each roll against its own position's exact threshold.  ``t_cand``
+  then only bounds the flat interior, and the walk stops only where the
+  serial loop takes an event (or at an interior candidate that misses
+  its exact threshold).  The error-free runs between events are copied
+  as whole string slices.
+
+* **Resolved per-reference ladders.**  Each reference carries its
+  per-position ladders with every rung resolved to an integer action
+  and, for the events that draw again (substitution and insertion
+  bases, long-deletion lengths), the precomputed cumulative draw table.
+  An event costs one list index, one ``bisect`` and an integer
+  dispatch; its extra draw is read inline from the buffer, and only a
+  draw at the buffer end, or a burst, runs the serial loop's own event
+  code.
 
 * **Exact effective thresholds.**  The serial loop shrinks the roll at
   homopolymer positions (``roll / factor``) before comparing against
@@ -42,15 +54,15 @@ touching a single draw*:
   ``fl(T / factor) >= total`` — making ``roll < T`` decide the event
   exactly as the serial loop does, to the last ulp.
 
-Both planes are alignment-independent (``rolls < t_cand`` does not
-depend on which reference position a roll lands on), so the candidate
-index built per refill stays valid no matter how many extra draws
-earlier events consumed — no re-vectorisation at event sites.  The walk
-tracks the draw-to-position alignment as one integer offset, which the
-finders re-derive each time the walk enters them; events that consume
-extra draws (substitutions, insertions, long deletions, bursts) shift
-it, while deletions and second-order errors consume exactly the one
-roll and leave it untouched.
+The candidate filter is alignment-independent (``rolls < t_cand`` does
+not depend on which reference position a roll lands on), so the
+candidate index built per refill stays valid no matter how many extra
+draws earlier events consumed — no re-vectorisation at event sites.
+The walk tracks the draw-to-position alignment as one integer offset,
+which the finders re-derive each time the walk enters them; events
+that consume extra draws (substitutions, insertions, long deletions,
+bursts) shift it, while deletions and second-order errors consume
+exactly the one roll and leave it untouched.
 
 The channel picks the path from the call's shape, with no other
 selection: a serial-stream call on a plain ``random.Random`` worth at
@@ -90,10 +102,11 @@ _CHUNK = 8192
 _ANCHOR_SPAN = 8 * _CHUNK
 
 #: Per strand length, at most ``max(_HOT_MIN, length // _HOT_DIVISOR)``
-#: terminal positions are routed to the coarse-plane scan; the interior
-#: candidate filter threshold only has to cover the remaining
-#: positions, keeping the candidate rate near the true event rate even
-#: under heavy terminal skew.
+#: positions at the two strand ends form the hot zones, where each roll
+#: meets its own exact threshold; the interior candidate filter
+#: threshold only has to cover the remaining positions, keeping the
+#: candidate rate near the true event rate even under heavy terminal
+#: skew.
 _HOT_MIN = 8
 _HOT_DIVISOR = 8
 
@@ -156,11 +169,9 @@ class UniformBulkSource:
     back.  Such a source's stream ends at ``close()``.
 
     The walk reads ``values`` (a memoryview: zero-copy scalar access to
-    the chunk), the paired candidate lists ``cand_idx``/``cand_val``
+    the chunk) and the paired candidate lists ``cand_idx``/``cand_val``
     (buffer indices with ``roll < t_cand``, plus their rolls, ending in
-    an ``(n, 2.0)`` sentinel), and the coarse byte plane ``hi_plane``
-    (``roll < t_hi`` as ``\\x01`` bytes, scanned with ``bytes.find`` in
-    the terminal zone).  :func:`transmit_batch` keeps these in locals,
+    an ``(n, 2.0)`` sentinel).  :func:`transmit_batch` keeps these in locals,
     writes ``cursor``/``cand_ptr`` back before any scalar draw it hands
     to the source and on return, and reloads them after every refill or
     scalar draw.  This is a
@@ -176,9 +187,7 @@ class UniformBulkSource:
         "cand_idx",
         "cand_val",
         "cand_ptr",
-        "hi_plane",
         "t_cand",
-        "t_hi",
         "_mt",
         "_gen",
         "_anchor_state",
@@ -213,9 +222,7 @@ class UniformBulkSource:
         self.cand_idx: list[int] = [0]
         self.cand_val: list[float] = [2.0]
         self.cand_ptr = 0
-        self.hi_plane = b""
         self.t_cand: float | None = None
-        self.t_hi: float | None = None
 
     def _seed(self, seed: int) -> None:
         """Seed a borrowed NumPy bit generator exactly as
@@ -262,7 +269,7 @@ class UniformBulkSource:
         self._gen = np.random.Generator(mt)
         self._anchor_behind = 0  # draws generated since the anchor
 
-    def refill(self, t_cand: float | None = None, t_hi: float | None = None) -> None:
+    def refill(self, t_cand: float | None = None) -> None:
         """Draw the next chunk (the previous one must be fully consumed)."""
         if self._gen is None:  # closed source: re-attach to the stream
             self._attach()
@@ -283,19 +290,17 @@ class UniformBulkSource:
         self.n = size
         self.cursor = 0
         self.t_cand = t_cand
-        self.t_hi = t_hi
-        self._index(array, 0, t_cand, t_hi)
+        self._index(array, 0, t_cand)
 
-    def recandidate(self, t_cand: float | None, t_hi: float | None) -> None:
-        """Rebuild the candidate structures for different filter
-        thresholds (the strand length — and so the prepared tables —
-        changed mid-buffer)."""
+    def recandidate(self, t_cand: float | None) -> None:
+        """Rebuild the candidate lists for a different filter threshold
+        (the strand length — and so the prepared tables — changed
+        mid-buffer)."""
         self.t_cand = t_cand
-        self.t_hi = t_hi
         if self.array is not None:
-            self._index(self.array, self.cursor, t_cand, t_hi)
+            self._index(self.array, self.cursor, t_cand)
 
-    def _index(self, array, start: int, t_cand, t_hi) -> None:
+    def _index(self, array, start: int, t_cand) -> None:
         if t_cand is not None and t_cand > 0.0:
             if start:
                 hits = np.flatnonzero(array[start:] < t_cand) + start
@@ -311,10 +316,6 @@ class UniformBulkSource:
         self.cand_idx = idx
         self.cand_val = val
         self.cand_ptr = 0
-        if t_hi is not None and t_hi > 0.0:
-            self.hi_plane = (array < t_hi).tobytes()
-        else:
-            self.hi_plane = b""  # no terminal zone (or zero-rate model)
 
     def random(self) -> float:
         """Scalar shim: the next uniform variate, exactly as
@@ -322,7 +323,7 @@ class UniformBulkSource:
         (:meth:`Channel._apply_event`, model draw helpers) receives the
         source in place of the RNG."""
         if self.cursor >= self.n:
-            self.refill(self.t_cand, self.t_hi)
+            self.refill(self.t_cand)
         value = self.values[self.cursor]
         self.cursor += 1
         return value
@@ -364,7 +365,6 @@ class UniformBulkSource:
         self.cand_idx = [0]
         self.cand_val = [2.0]
         self.cand_ptr = 0
-        self.hi_plane = b""
 
 
 # ------------------------------------------------------------------ #
@@ -408,8 +408,8 @@ def _cumulative_draw_table(weights: dict) -> tuple[float, list, list] | None:
     trailing duplicate of the last key: the reference helper falls
     through to the last key when floating-point accumulation leaves
     ``point`` at or past the top of the ladder.  Returns ``None`` for
-    all-zero weights — the reference raises before drawing, and the
-    caller must do the same.
+    all-zero weights: ``ErrorModel`` rejects a positive rate over such a
+    table, so no ladder has a rung that draws from it.
     """
     total = sum(weights.values())
     if total <= 0:
@@ -450,34 +450,66 @@ def homopolymer_mask_fast(reference: str) -> list | None:
     return mask.tolist()
 
 
+#: Rung actions of a resolved ladder.  The three draw actions read one
+#: more uniform for a key from their rung's cumulative draw table (a
+#: substitution base, an inserted base, a long-deletion length);
+#: ``_EMIT`` appends its rung's fixed text and moves one position on
+#: (a deletion emits nothing, a second-order error its replacement, the
+#: floating-point edge above the top rung the base itself); ``_CALL``
+#: runs the serial loop's own event code (bursts).
+_SUB, _INS, _LONG, _EMIT, _CALL = range(5)
+
+_DRAW_CODES = {"substitution": _SUB, "insertion": _INS, "long_deletion": _LONG}
+
+
+def _resolve_rung(event: tuple, base: str, draws: dict) -> tuple:
+    """One ladder rung as the walk's ``(code, payload, event)`` action."""
+    tag = event[0]
+    if tag == "deletion":
+        return (_EMIT, "", event)
+    if tag == "second_order":
+        error = event[1]
+        if error.kind == "insertion":
+            return (_EMIT, base + error.replacement, event)
+        return (_EMIT, error.replacement, event)  # "" for a deletion
+    if tag == "burst":
+        return (_CALL, None, event)
+    return (_DRAW_CODES[tag], draws[tag, base], event)
+
+
 class VectorTables:
-    """Per-(model, length) threshold tables for the vectorised walk.
+    """Per-(model, length) tables for the vectorised walk.
 
     Built once per strand length and shared through the model-keyed
     channel cache (the same cache that shares the event ladders), so
     every ``Channel`` over the same model object — including the fresh
     per-cluster channels of ``per_cluster_seeds`` workers — reuses them.
 
-    The strand splits into two zones: the *interior* ``[0,
-    tail_start)``, covered by the candidate filter at ``t_cand`` (the
-    maximum effective threshold any base can have at any interior
-    position, masked or not), and the *terminal zone* ``[tail_start,
-    length)`` — the contiguous run of high-threshold positions at the
-    strand end where the paper's terminal skew concentrates events —
-    scanned through the coarser ``t_hi`` byte plane.
+    The strand splits into three zones.  The *head zone* ``[0,
+    head_end)`` and the *tail zone* ``[tail_start, length)`` are the
+    contiguous runs of hottest positions at the two strand ends, where
+    the paper's terminal skew concentrates events; together they hold at
+    most ``max(_HOT_MIN, length // _HOT_DIVISOR)`` positions, and the
+    walk tests every roll there against its position's exact threshold.
+    The *interior* ``[head_end, tail_start)`` is covered by the candidate
+    filter at ``t_cand``, the maximum effective threshold any base can
+    have at any interior position, masked or not.  A strand no longer
+    than the budget is one hot zone (``head_end == tail_start == 0``).
+
+    ``totals_mat``/``masked_mat`` hold the exact effective thresholds
+    and ``ladder_mat`` the resolved ladders, both per (base, position),
+    for :class:`ReferencePrep` to gather per reference.
     """
 
     __slots__ = (
         "length",
         "factor",
         "t_cand",
-        "t_hi",
+        "head_end",
         "tail_start",
         "totals_mat",
         "masked_mat",
-        "flat",
-        "sub_draws",
-        "ins_draw",
+        "ladder_mat",
     )
 
     def __init__(self, model, tables, length: int) -> None:
@@ -504,53 +536,61 @@ class VectorTables:
         # Upper bound of any reference's effective threshold per position.
         upper = upper_mat.max(axis=0).tolist() if length else []
         hot_budget = max(_HOT_MIN, length // _HOT_DIVISOR)
+        head_end = tail_start = 0  # short strand: all one hot zone
         if hot_budget < length:
+            # At most ``hot_budget`` positions lie strictly above the
+            # cut, so both runs stop short of each other.
             cut = sorted(upper, reverse=True)[hot_budget]
-        else:
-            cut = -1.0  # short strand: the whole strand is terminal zone
-        tail_start = length
-        while tail_start > 0 and upper[tail_start - 1] > cut:
-            tail_start -= 1
+            tail_start = length
+            while upper[tail_start - 1] > cut:
+                tail_start -= 1
+            while upper[head_end] > cut:
+                head_end += 1
+        self.head_end = head_end
         self.tail_start = tail_start
-        # Exact interior bound: positions whose threshold exceeds the
-        # budget cut but sit away from the end are folded into the
-        # filter rate rather than the terminal zone.
-        interior = upper[:tail_start]
-        self.t_cand = max(interior) if interior else 0.0
-        # The coarse plane is only scanned inside the terminal zone;
-        # zero it when that zone is empty so refills skip building it.
-        self.t_hi = max(upper) if tail_start < length else 0.0
-        # Ladders flattened for C-speed rung selection: per (base,
-        # position), parallel cum-threshold and event lists.  The
-        # reference scans for the first ``roll < cum``;
-        # ``bisect_right(cums, roll)`` lands on the same rung, and the
-        # trailing ``None`` covers the floating-point edge where the
-        # roll beats the total but no rung (base survives).
-        self.flat = {
-            base: [
-                (
-                    [cum for cum, _ in ladder],
-                    [event for _, event in ladder] + [None],
-                )
-                for _, ladder in rungs
-            ]
-            for base, rungs in tables.items()
+        self.t_cand = max(upper[head_end:tail_start], default=0.0)
+        # Ladders resolved for the walk: per (base, position), the rung
+        # cums and one action per rung.  The reference scans for the
+        # first ``roll < cum``; ``bisect_right(cums, roll)`` lands on the
+        # same rung, and the trailing action keeps the base for the
+        # floating-point edge where the roll beats the total but no rung.
+        draws = {
+            ("substitution", base): _cumulative_draw_table(row)
+            for base, row in model.substitution_matrix.items()
         }
-        self.sub_draws = {
-            base: _cumulative_draw_table(model.substitution_matrix[base])
-            for base in model.substitution_matrix
-        }
-        self.ins_draw = _cumulative_draw_table(model.insertion_base_probs)
+        insertion = _cumulative_draw_table(model.insertion_base_probs)
+        lengths = _cumulative_draw_table(model.long_deletion_lengths)
+        for base in BASES:
+            draws[("insertion", base)] = insertion
+            draws[("long_deletion", base)] = lengths
+        # A base's ladders repeat one event sequence at almost every
+        # position (the tag tuples, and the ``SecondOrderError`` behind
+        # each second-order rung), so each sequence is resolved once and
+        # its action list shared.
+        resolved: dict = {}
+        ladders = []
+        for base in BASES:
+            for _, ladder in tables[base]:
+                key = (base, *[id(event[-1]) for _, event in ladder])
+                actions = resolved.get(key)
+                if actions is None:
+                    actions = resolved[key] = [
+                        _resolve_rung(event, base, draws) for _, event in ladder
+                    ] + [(_EMIT, base, None)]
+                ladders.append(([cum for cum, _ in ladder], actions))
+        self.ladder_mat = np.fromiter(
+            ladders, dtype=object, count=len(ladders)
+        ).reshape(len(BASES), length)
 
 
 class ReferencePrep:
     """Per-reference view of :class:`VectorTables`: the exact effective
-    threshold per position of one strand, plus the walk's working set
-    bundled for a single tuple unpack.  ``reference`` must already be
-    validated (``Channel.transmit_many`` rejects non-ACGT strands before
-    any draw)."""
+    threshold and the resolved ladder per position of one strand, plus
+    the walk's working set bundled for a single tuple unpack.
+    ``reference`` must already be validated (``Channel.transmit_many``
+    rejects non-ACGT strands before any draw)."""
 
-    __slots__ = ("reference", "vector", "thr", "mask", "bundle")
+    __slots__ = ("reference", "vector", "thr", "ladders", "mask", "bundle")
 
     def __init__(self, reference: str, vector: VectorTables, mask) -> None:
         self.reference = reference
@@ -568,17 +608,17 @@ class ReferencePrep:
                     thr,
                 )
             self.thr = thr.tolist()
+            self.ladders = vector.ladder_mat[rows, cols].tolist()
         else:
             self.thr = []
+            self.ladders = []
         self.bundle = (
             self.thr,
+            self.ladders,
             self.mask,
             vector.factor,
-            vector.flat,
-            vector.sub_draws,
-            vector.ins_draw,
             vector.t_cand,
-            vector.t_hi,
+            vector.head_end,
             vector.tail_start,
         )
 
@@ -598,7 +638,6 @@ def _walk_state(source: UniformBulkSource) -> tuple:
         source.cand_idx,
         source.cand_val,
         source.cand_ptr,
-        source.hi_plane.find,
     )
 
 
@@ -613,15 +652,17 @@ def transmit_batch(
     serial loop on the same draw stream.
 
     Each copy is one walk with two stop-finders and one event handler.
-    In the *interior* ``[0, tail_start)`` the finder jumps straight
-    between candidate rolls (``roll < t_cand``, indexed per buffer
-    refill); in the *terminal zone* — the high-threshold positions at
-    the strand end — it scans the coarser ``t_hi`` byte plane with
-    C-speed ``bytes.find``.  Either finder stops at the first roll below
-    its position's exact effective threshold, where the serial loop
-    would take an event, and hands it to the handler: the serial ladder
-    scan via ``bisect``, the error-free run before it copied as one
-    string slice, then the event code, drawing through the source.
+    In the *interior* ``[head_end, tail_start)`` the finder jumps
+    straight between candidate rolls (``roll < t_cand``, indexed per
+    buffer refill); in the two *hot zones* at the strand ends it tests
+    each roll against its position's exact threshold.  Either finder
+    stops at the first roll below its position's exact effective
+    threshold, where the serial loop would take an event, and hands it
+    to the handler: the rung via ``bisect`` over the position's resolved
+    ladder, the error-free run before it copied as one string slice,
+    then the rung's action — a fixed emit, or a key drawn inline from
+    the rung's cumulative draw table.  A draw at the buffer end, or a
+    burst, runs the serial loop's event code, drawing through the source.
 
     The draw-to-position alignment is one integer ``offset``; the
     finders re-derive it (and the candidate pointer, and the zone or
@@ -636,13 +677,11 @@ def transmit_batch(
         return []
     if length == 0:
         return [""] * coverage
-    thr, mask, factor, flat, sub_draws, ins_draw, t_cand, t_hi, tail_start = (
-        prep.bundle
-    )
+    thr, ladders, mask, factor, t_cand, head_end, tail_start = prep.bundle
     bisect = bisect_right
-    if source.t_cand != t_cand or source.t_hi != t_hi:
-        source.recandidate(t_cand, t_hi)
-    values, n, cursor, cand_idx, cand_val, ci, hi_find = _walk_state(source)
+    if source.t_cand != t_cand:
+        source.recandidate(t_cand)
+    values, n, cursor, cand_idx, cand_val, ci = _walk_state(source)
     outputs: list[str] = []
     for _ in range(coverage):
         out: list[str] = []
@@ -651,57 +690,53 @@ def transmit_batch(
         run_start = 0
         while True:
             # ---- find the next event: roll < thr[j + offset] ---- #
-            if position < tail_start:
+            if position < tail_start and position >= head_end:
                 # Interior: walk the candidate list.
-                while cand_idx[ci] < cursor:
+                j = cand_idx[ci]
+                while j < cursor:
                     ci += 1  # candidates swallowed by earlier draws
+                    j = cand_idx[ci]
                 offset = position - cursor
-                limit = cursor + (tail_start - position)
+                limit = tail_start - offset
                 if limit > n:
                     limit = n
-                while True:
-                    j = cand_idx[ci]
-                    if j >= limit:
-                        break
+                while j < limit:
                     roll = cand_val[ci]
                     ci += 1
                     if roll < thr[j + offset]:
                         break
-                if j >= limit:
+                    j = cand_idx[ci]
+                else:
                     # Error-free up to the zone or the buffer end.
                     position = limit + offset
                     cursor = limit
                     if position < tail_start:
-                        source.refill(t_cand, t_hi)
-                        values, n, cursor, cand_idx, cand_val, ci, hi_find = (
-                            _walk_state(source)
+                        source.refill(t_cand)
+                        values, n, cursor, cand_idx, cand_val, ci = _walk_state(
+                            source
                         )
                     continue
             elif position < length:
-                # Terminal zone: scan the coarse byte plane.
+                # A hot zone: every roll against its exact threshold.
+                zone_end = head_end if position < head_end else length
                 offset = position - cursor
-                end = cursor + (length - position)
+                end = zone_end - offset
                 if end > n:
                     end = n
-                while True:
-                    j = hi_find(1, cursor, end)
-                    if j < 0:
+                for roll in values[cursor:end]:
+                    if roll < thr[position]:
                         break
-                    cursor = j + 1
-                    roll = values[j]
-                    if roll < thr[j + offset]:
-                        break
-                if j < 0:
-                    # False alarms advanced ``cursor`` without touching
-                    # ``position``; derive it from the alignment instead.
-                    position = end + offset
+                    position += 1
+                else:
+                    # Error-free up to the zone or the buffer end.
                     cursor = end
-                    if position < length:
-                        source.refill(t_cand, t_hi)
-                        values, n, cursor, cand_idx, cand_val, ci, hi_find = (
-                            _walk_state(source)
+                    if position < zone_end:
+                        source.refill(t_cand)
+                        values, n, cursor, cand_idx, cand_val, ci = _walk_state(
+                            source
                         )
                     continue
+                j = position - offset
             else:
                 break
             # ---- the event at position j + offset, roll drawn at j ---- #
@@ -709,51 +744,33 @@ def transmit_batch(
             cursor = j + 1
             if mask is not None and mask[position]:
                 roll = roll / factor if factor > 0.0 else 2.0
-            cums, rungs = flat[reference[position]][position]
-            event = rungs[bisect(cums, roll)]
-            if event is None:
-                position += 1
-                continue  # fp edge at the ladder top: the run extends
+            cums, actions = ladders[position]
+            code, payload, event = actions[bisect(cums, roll)]
             if position > run_start:
                 append(reference[run_start:position])
-            tag = event[0]
-            if tag == "substitution":
-                table = sub_draws.get(reference[position])
-            elif tag == "insertion":
-                table = ins_draw
-            else:
-                table = None
-            if table is not None and cursor < n:
-                # The base draw sits in the buffer: inline it.
-                if tag == "insertion":
-                    append(reference[position])
-                point = values[cursor] * table[0]
+            if code == _EMIT:
+                append(payload)
+                position += 1
+            elif code != _CALL and cursor < n:
+                # The rung's extra draw sits in the buffer: inline it.
+                key = payload[2][bisect(payload[1], values[cursor] * payload[0])]
                 cursor += 1
-                append(table[2][bisect(table[1], point)])
-                position += 1
-            elif tag == "deletion":
-                position += 1
-            elif tag == "second_order":
-                error = event[1]
-                kind = error.kind
-                if kind == "substitution":
-                    append(error.replacement)
-                elif kind == "insertion":
-                    append(reference[position])
-                    append(error.replacement)
-                position += 1
+                if code == _LONG:
+                    position += key
+                else:
+                    if code == _INS:
+                        append(reference[position])
+                    append(key)
+                    position += 1
             else:
-                # A base draw at the buffer end, long deletions and
-                # bursts: the serial loop's own event code, drawing
-                # through the source.
+                # A draw at the buffer end, or a burst: the serial loop's
+                # own event code, drawing through the source.
                 source.cursor = cursor
                 source.cand_ptr = ci
                 position = channel._apply_event(
                     event, reference, position, out, source
                 )
-                values, n, cursor, cand_idx, cand_val, ci, hi_find = (
-                    _walk_state(source)
-                )
+                values, n, cursor, cand_idx, cand_val, ci = _walk_state(source)
             run_start = position
         if length > run_start:
             append(reference[run_start:length])

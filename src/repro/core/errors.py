@@ -21,11 +21,13 @@ DNASimulator baseline, and the ground-truth wetlab substitute.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 
 from repro.core.alphabet import BASES
 from repro.core.spatial import SpatialDistribution, UniformSpatial
+from repro.exceptions import ConfigError
 
 #: Error kinds used by second-order errors (string-valued to keep
 #: second-order specs literal and serialisable).
@@ -42,6 +44,22 @@ def _as_base_rates(value: float | dict[str, float], name: str) -> dict[str, floa
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"{name}[{base}] must be in [0, 1], got {rate}")
     return rates
+
+
+def _draw_total(weights: dict, name: str) -> float:
+    """The total of a draw table's weights, which must each be finite and
+    non-negative: the channel's sweep picks a key by bisecting the
+    running sums, which matches the loop's linear scan only while they
+    never decrease."""
+    for key, weight in weights.items():
+        if not 0.0 <= weight < math.inf:
+            raise ConfigError(
+                f"{name}[{key!r}] must be a finite non-negative weight, got {weight!r}"
+            )
+    total = sum(weights.values())
+    if total == math.inf:
+        raise ConfigError(f"{name} weights overflow to an infinite total")
+    return total
 
 
 def uniform_substitution_matrix() -> dict[str, dict[str, float]]:
@@ -184,6 +202,12 @@ class ErrorModel:
             probability ``burst_continue``.
         burst_deletion_fraction: fraction of bursts that delete the run
             (the rest substitute every base in the run).
+
+    Raises:
+        ConfigError: a draw table (a ``substitution_matrix`` row,
+            ``insertion_base_probs``, ``long_deletion_lengths``) holds a
+            negative or non-finite weight, or a positive rate's event
+            has nothing to draw from.
     """
 
     insertion_rate: dict[str, float]
@@ -238,9 +262,47 @@ class ErrorModel:
             raise ValueError("burst_continue must be in [0, 1)")
         if not 0.0 <= self.burst_deletion_fraction <= 1.0:
             raise ValueError("burst_deletion_fraction must be in [0, 1]")
+        self._check_draw_tables()
         object.__setattr__(
             self, "second_order_errors", tuple(self.second_order_errors)
         )
+
+    def _check_draw_tables(self) -> None:
+        """Reject a draw table with a bad weight, and a positive rate
+        whose event would have nothing to draw from."""
+        row_totals = {
+            base: _draw_total(row, f"substitution_matrix[{base!r}]")
+            for base, row in self.substitution_matrix.items()
+        }
+        insertion_total = _draw_total(
+            self.insertion_base_probs, "insertion_base_probs"
+        )
+        length_total = _draw_total(
+            self.long_deletion_lengths, "long_deletion_lengths"
+        )
+        for base in BASES:
+            if row_totals.get(base, 0.0) > 0:
+                continue
+            if self.substitution_rate[base] > 0:
+                raise ConfigError(
+                    f"substitution_rate[{base!r}] is positive but "
+                    f"substitution_matrix[{base!r}] has no positive weight"
+                )
+            if self.burst_rate > 0:
+                raise ConfigError(
+                    "burst_rate is positive (bursts substitute every base) but "
+                    f"substitution_matrix[{base!r}] has no positive weight"
+                )
+        if insertion_total <= 0 and any(self.insertion_rate.values()):
+            raise ConfigError(
+                "insertion_rate is positive but insertion_base_probs "
+                "has no positive weight"
+            )
+        if length_total <= 0 and self.long_deletion_rate > 0:
+            raise ConfigError(
+                "long_deletion_rate is positive but long_deletion_lengths "
+                "has no positive weight"
+            )
 
     # ---------------------------------------------------------------- #
     # Factories for the paper's model stages

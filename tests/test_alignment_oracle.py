@@ -15,8 +15,10 @@ runs the transmit loop against the vectorised sweep over the models of
 inputs reach every branch of the sweep's walk.  The ``seeded_channel``
 entry runs ``transmit_cluster`` on the loop over a fresh
 ``random.Random(seed)`` against :meth:`Channel.transmit_seeded`, the
-per-cluster-seeded sweep (:func:`seeded_channel_corpus`).  The
-``bma_many`` entry runs the per-cluster BMA loop against the lockstep
+per-cluster-seeded sweep (:func:`seeded_channel_corpus`), and
+:func:`test_channel_corpora_reach_hot_zones_and_long_deletion_draws`
+checks that both channel corpora reach the walk's head zone and both
+long-deletion draw paths.  The ``bma_many`` entry runs the per-cluster BMA loop against the lockstep
 kernel over batches of clusters (:func:`bma_corpus`), for
 ``BMALookahead`` and ``DividerBMA``.
 The ``iterative_many`` entry does the same for the lockstep Iterative
@@ -118,6 +120,7 @@ from tests.test_channel_backend import (
     SEEDED_SOURCE_SEEDS,
     channel_inputs,
     fast_run,
+    hot_zone_reach,
     reference_run,
     walk_reach,
 )
@@ -730,11 +733,14 @@ def iterative_many(variant: str, clusters: list[list[str]], length: int) -> list
 
 
 #: The ``seeded_channel`` models: no events, the paper's ground truth,
-#: and heavy terminal skew with bursts, long deletions and homopolymer
-#: scaling (most draws per copy beyond the one roll per base).
+#: heavy terminal skew with bursts, long deletions and homopolymer
+#: scaling (most draws per copy beyond the one roll per base), the
+#: fitted profile's head spike, and dense long deletions.
 SEEDED_MODELS = {
     "zero_rate": MODELS["zero_rate"],
     "ground_truth": MODELS["ground_truth"],
+    "head_spike": MODELS["head_spike"],
+    "long_deletion_dense": MODELS["long_deletion_dense"],
     "skew_burst": replace(
         ground_truth_model(),
         spatial=TerminalSkew(start_boost=20.0, end_boost=40.0, decay=4.0),
@@ -747,10 +753,11 @@ SEEDED_MODELS = {
 
 def seeded_channel_corpus(seed: int) -> list[tuple[str, str, int, int]]:
     """(model, reference, coverage, cluster seed) for every seeded-source
-    seed: an empty reference and two paper-length strands at coverages
-    0, 1, 5 and 30."""
+    seed: an empty reference, two paper-length strands and one as long
+    as the hot-zone budget, at coverages 0, 1, 5 and 30."""
     rng = random.Random(seed + 5000)
     references = ("", _strand(rng, 110), "AAAAACCCGT" * 11)
+    references += (_strand(rng, channel_backend._HOT_MIN),)
     return [
         (model_name, reference, coverage, cluster_seed)
         for model_name in sorted(SEEDED_MODELS)
@@ -1873,6 +1880,26 @@ def test_channel_corpus_reaches_every_walk_branch(seed):
         "no interior",
         "no terminal zone",
     }
+
+
+@pytest.mark.parametrize("seed", CORPUS_SEEDS)
+def test_channel_corpora_reach_hot_zones_and_long_deletion_draws(seed):
+    """The ``channel`` and ``seeded_channel`` inputs each reach the
+    walk's head zone (an event there and a buffer refill mid-zone) and
+    both long-deletion paths: the length drawn inline from the buffer,
+    and drawn at a buffer end through the serial loop's event code."""
+    expected = {
+        "event in head zone",
+        "refill in head zone",
+        "inline long-deletion draw",
+        "long-deletion draw at buffer end",
+    }
+    assert hot_zone_reach(
+        lambda: [fast_run(*args) for args in channel_inputs(seed)]
+    ) == expected
+    assert hot_zone_reach(
+        lambda: [seeded_sweep(*args) for args in seeded_channel_corpus(seed)]
+    ) == expected
 
 
 def test_iterative_corpus_meets_its_ties(monkeypatch):

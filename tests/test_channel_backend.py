@@ -16,7 +16,9 @@ stream-level and simulator-level equivalences, path selection, the
 canary for the MT19937 state transplant the sweep rests on, and the
 canary for the seeded source that per-cluster-seeded clusters draw from.
 :func:`walk_reach` records which branches of the sweep's walk those
-oracle inputs reach; the oracle file asserts that every one is.
+oracle inputs reach, and :func:`hot_zone_reach` which head-zone and
+long-deletion branches a run reaches; the oracle file asserts that
+every one is.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from repro.core.coverage import ConstantCoverage, NegativeBinomialCoverage
 from repro.core.errors import ErrorModel
 from repro.core.profile import ErrorProfile, SimulatorStage
 from repro.core.simulator import Simulator, derived_reference, draw_coverages
+from repro.core.spatial import PaperTerminalSkew, TerminalSkew
 from repro.core.strand import StrandPool
 from repro.data.nanopore import (
     PAPER_STRAND_LENGTH,
@@ -76,6 +79,25 @@ MODELS = {
     "long_deletion_heavy": _ground(long_deletion_rate=0.05),
     "homopolymer_factor_zero": _ground(homopolymer_factor=0.0),
     "no_homopolymer_scaling": _ground(homopolymer_factor=1.0),
+    # The fitted SECOND_ORDER profile's shape: positions 0-1 at ~3x the
+    # interior and the last one at ~9x, so both hot zones are non-empty.
+    "head_spike": _ground(
+        spatial=PaperTerminalSkew(start_multiplier=3.0, end_multiplier=9.0),
+        homopolymer_factor=1.0,
+        burst_rate=0.0,
+    ),
+    # An event at most positions, each insertion and long deletion
+    # drawing once more: copies outrun a seeded source's sized first
+    # chunk, so buffer ends land on long-deletion rolls (their length
+    # draws fall back to the serial loop's event code) and, under the
+    # wide start skew, inside the head zone.
+    "long_deletion_dense": ErrorModel(
+        insertion_rate=0.5,
+        deletion_rate=0.1,
+        substitution_rate=0.0,
+        long_deletion_rate=0.4,
+        spatial=TerminalSkew(start_boost=8.0, end_boost=0.0, decay=4.0),
+    ),
 }
 
 #: The bulk entry points the oracle compares.
@@ -94,9 +116,11 @@ def _flatten(pool: StrandPool) -> list[tuple[str, list[str]]]:
 
 def _references(rng: random.Random) -> list[str]:
     """Degenerate shapes beside paper-shaped strands: empty, length-1,
-    all-homopolymer, and mixed lengths straddling the chunk maths."""
+    all-homopolymer, mixed lengths straddling the chunk maths, and one
+    exactly as long as the hot-zone budget (a single hot zone)."""
     strands = ["", "A", "A" * 110, "ACGT" * 30]
     strands += [random_strand(length, rng) for length in (5, 110, 110, 333)]
+    strands.append(random_strand(channel_backend._HOT_MIN, rng))
     return strands
 
 
@@ -188,6 +212,55 @@ def walk_reach(seed: int) -> set[str]:
         patch.setattr(Channel, "_apply_event", spy_event)
         for args in channel_inputs(seed):
             fast_run(*args)
+    return reached
+
+
+def hot_zone_reach(run) -> set[str]:
+    """The head-zone and long-deletion branches of the sweep's walk that
+    ``run()`` reaches, read off spies on the walk's ``bisect_right``
+    calls (rung picks and inline draws), buffer refills and scalar event
+    code."""
+    reached: set[str] = set()
+    walk_code = channel_backend.transmit_batch.__code__
+    bisect = channel_backend.bisect_right
+    refill = UniformBulkSource.refill
+    apply_event = Channel._apply_event
+
+    def walk_locals():
+        frame = sys._getframe(2)
+        return frame.f_locals if frame.f_code is walk_code else None
+
+    def spy_bisect(table, point):
+        walk = walk_locals()
+        if walk is not None:
+            if table is walk["cums"] and walk["position"] < walk["head_end"]:
+                reached.add("event in head zone")
+            payload = walk.get("payload")
+            if (
+                walk.get("code") == channel_backend._LONG
+                and isinstance(payload, tuple)
+                and table is payload[1]
+            ):
+                reached.add("inline long-deletion draw")
+        return bisect(table, point)
+
+    def spy_refill(source, *args):
+        walk = walk_locals()
+        if walk is not None and 0 < walk["position"] < walk["head_end"]:
+            reached.add("refill in head zone")
+        return refill(source, *args)
+
+    def spy_event(channel, event, reference, position, output, rng):
+        walk = walk_locals()
+        if walk is not None and event[0] == "long_deletion" and rng.cursor >= rng.n:
+            reached.add("long-deletion draw at buffer end")
+        return apply_event(channel, event, reference, position, output, rng)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(channel_backend, "bisect_right", spy_bisect)
+        patch.setattr(UniformBulkSource, "refill", spy_refill)
+        patch.setattr(Channel, "_apply_event", spy_event)
+        run()
     return reached
 
 

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import random
+
 import pytest
 
+from repro.baselines.dnasimulator import DNASimulatorBaseline
+from repro.core.channel import Channel
 from repro.core.errors import (
     PAPER_LONG_DELETION_LENGTHS,
     ErrorModel,
@@ -11,7 +17,14 @@ from repro.core.errors import (
     transition_biased_substitution_matrix,
     uniform_substitution_matrix,
 )
+from repro.core.profile import ErrorProfile, SimulatorStage
 from repro.core.spatial import TerminalSkew, UniformSpatial
+from repro.data.nanopore import (
+    NanoporeParameters,
+    ground_truth_model,
+    make_nanopore_dataset,
+)
+from repro.exceptions import ConfigError
 
 
 class TestSubstitutionMatrices:
@@ -189,3 +202,108 @@ class TestErrorModel:
                 substitution_rate=0.0,
                 burst_continue=1.0,
             )
+
+
+def _ground(**overrides) -> ErrorModel:
+    return dataclasses.replace(ground_truth_model(), **overrides)
+
+
+def _row(base: str, row: dict) -> dict:
+    return {**transition_biased_substitution_matrix(), base: row}
+
+
+#: Each bad draw-table weight, with the one-line message it raises.
+BAD_WEIGHTS = {
+    "negative-row": (
+        {"substitution_matrix": _row("A", {"C": 0.5, "G": -0.2, "T": 0.7})},
+        "substitution_matrix['A']['G'] must be a finite non-negative weight, "
+        "got -0.2",
+    ),
+    "infinite-row": (
+        {"substitution_matrix": _row("C", {"A": math.inf, "G": 1.0})},
+        "substitution_matrix['C']['A'] must be a finite non-negative weight, "
+        "got inf",
+    ),
+    "nan-insertion": (
+        {"insertion_base_probs": {"A": 0.5, "C": math.nan}},
+        "insertion_base_probs['C'] must be a finite non-negative weight, got nan",
+    ),
+    "negative-length": (
+        {"long_deletion_lengths": {2: 1.0, 3: -0.1}},
+        "long_deletion_lengths[3] must be a finite non-negative weight, got -0.1",
+    ),
+    "overflow": (
+        {"insertion_base_probs": {"A": 1e308, "C": 1e308}},
+        "insertion_base_probs weights overflow to an infinite total",
+    ),
+}
+
+#: Each positive rate whose event has nothing to draw from.
+NOTHING_TO_DRAW = {
+    "long-deletion": (
+        {"long_deletion_rate": 0.05, "long_deletion_lengths": {}},
+        "long_deletion_rate is positive but long_deletion_lengths "
+        "has no positive weight",
+    ),
+    "insertion": (
+        {"insertion_base_probs": {base: 0.0 for base in "ACGT"}},
+        "insertion_rate is positive but insertion_base_probs "
+        "has no positive weight",
+    ),
+    "substitution": (
+        {"substitution_matrix": _row("G", {"A": 0.0, "C": 0.0})},
+        "substitution_rate['G'] is positive but substitution_matrix['G'] "
+        "has no positive weight",
+    ),
+    "burst": (
+        {"substitution_matrix": {"A": {"G": 1.0}}, "substitution_rate": {"A": 0.01}},
+        "burst_rate is positive (bursts substitute every base) but "
+        "substitution_matrix['C'] has no positive weight",
+    ),
+}
+
+
+class TestDrawTables:
+    """A draw table the channel cannot draw from the same way on the loop
+    and the sweep is a one-line ``[config]`` error at construction."""
+
+    @pytest.mark.parametrize("case", sorted(BAD_WEIGHTS))
+    def test_bad_weight_rejected(self, case):
+        overrides, message = BAD_WEIGHTS[case]
+        with pytest.raises(ConfigError) as caught:
+            _ground(**overrides)
+        assert str(caught.value) == message
+        assert caught.value.tagged() == f"[config] {message}"
+
+    @pytest.mark.parametrize("case", sorted(NOTHING_TO_DRAW))
+    def test_positive_rate_with_nothing_to_draw_rejected(self, case):
+        overrides, message = NOTHING_TO_DRAW[case]
+        with pytest.raises(ConfigError) as caught:
+            _ground(**overrides)
+        assert str(caught.value) == message
+
+    def test_zero_rate_needs_no_table(self):
+        model = ErrorModel(
+            insertion_rate=0.0,
+            deletion_rate=0.01,
+            substitution_rate={"A": 0.02},
+            substitution_matrix={"A": {"G": 1.0}},
+            insertion_base_probs={},
+            long_deletion_lengths={},
+        )
+        copies = Channel(model, random.Random(3)).transmit_many("ACGT" * 30, 30)
+        assert len(copies) == 30
+
+    def test_every_model_the_repo_builds_constructs(self):
+        """The profile stages, the DNASimulator baseline, a scenario
+        preset's ground truth, and each of them scaled to zero."""
+        profile = ErrorProfile.from_pool(make_nanopore_dataset(n_clusters=30, seed=4))
+        models = [profile.model_for_stage(stage) for stage in SimulatorStage]
+        models.append(profile.generalized_model())
+        models.append(profile.skew_model(three_position=False))
+        baseline = DNASimulatorBaseline.from_error_statistics(profile.statistics)
+        models.append(baseline.as_error_model())
+        preset = NanoporeParameters(transition_probability=1.0)
+        models.append(ground_truth_model(preset))
+        models += [model.scaled(0.0) for model in models]
+        assert all(isinstance(model, ErrorModel) for model in models)
