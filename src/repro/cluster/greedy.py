@@ -119,25 +119,28 @@ class GreedyClusterer:
 
     def _cluster(self, reads: Sequence[str]) -> GreedyClusteringResult:
         index = QGramIndex(q=self.q, bands=self.bands)
-        # One pool-wide FNV-1a sweep for every read's q-gram signature
-        # up front — the sweep then reuses each signature twice (candidate
-        # lookup and bucket registration) instead of hashing per call.
-        signatures = index.signatures(list(reads))
         assignments: list[int] = []
-        # The founding read of each cluster (its representative), and
-        # its pattern compiled once for the distances the prefetch did
-        # not fill.
+        # The founding read of each cluster (its representative), its
+        # q-gram signature for the merge pass, and its pattern compiled
+        # once for the distances the prefetch did not fill.
         founders: list[int] = []
+        founder_signatures: list[list[int]] = []
         compiled: list[CompiledPattern] = []
         comparisons = 0
         for block_start, block_stop in _blocks(len(reads)):
+            # One FNV-1a sweep signs the block's reads as the sweep
+            # reaches it, so the signing arrays follow the block and not
+            # the read-out; each signature then serves twice (candidate
+            # lookup and bucket registration).  A read's signature does
+            # not depend on the reads signed with it.
+            signatures = index.signatures(reads[block_start:block_stop])
             # The index grows one read at a time, as in a read-by-read
             # sweep, and hands each read the very candidate set that
             # sweep would see: every read before it.  Only cluster
             # decisions wait for the sweep below.
             block_candidates = []
-            for read_position in range(block_start, block_stop):
-                read, signature = reads[read_position], signatures[read_position]
+            for read_position, signature in enumerate(signatures, block_start):
+                read = reads[read_position]
                 block_candidates.append(index.candidates(read, signature=signature))
                 index.add(read_position, read, signature=signature)
             # Distances depend only on the two strings, so filling them
@@ -172,11 +175,14 @@ class GreedyClusterer:
                 if best_cluster < 0:
                     best_cluster = len(founders)
                     founders.append(read_position)
+                    founder_signatures.append(signatures[read_position - block_start])
                     compiled.append(pattern)
                 assignments.append(best_cluster)
 
         merged_assignments, merged_representatives, merge_comparisons = (
-            self._merge_fragments(reads, signatures, assignments, founders, compiled)
+            self._merge_fragments(
+                reads, founder_signatures, assignments, founders, compiled
+            )
         )
         merged_members: list[list[int]] = [
             [] for _ in range(len(merged_representatives))
@@ -249,13 +255,14 @@ class GreedyClusterer:
     def _merge_fragments(
         self,
         reads: Sequence[str],
-        signatures: list[list[int]],
+        founder_signatures: list[list[int]],
         assignments: list[int],
         founders: list[int],
         compiled: list[CompiledPattern],
     ) -> tuple[list[int], list[str], int]:
         """Union clusters whose founding reads are within the threshold
-        (``compiled`` holds each founder's sweep-time pattern)."""
+        (``founder_signatures`` and ``compiled`` hold each founder's
+        sweep-time signature and pattern, by cluster)."""
         n_clusters = len(founders)
         parent = list(range(n_clusters))
 
@@ -274,7 +281,8 @@ class GreedyClusterer:
         representative_index = QGramIndex(q=self.q, bands=self.bands)
         candidate_lists: dict[int, list[int]] = {}
         for cluster_index, founder in enumerate(founders):
-            representative, signature = reads[founder], signatures[founder]
+            representative = reads[founder]
+            signature = founder_signatures[cluster_index]
             candidates = representative_index.candidates(
                 representative, signature=signature
             )

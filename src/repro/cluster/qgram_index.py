@@ -71,17 +71,18 @@ def reference_min_hashes(sequence: str, q: int, bands: int) -> list[int]:
 def _batched_min_hashes(
     sequences: Sequence[str], q: int, bands: int
 ) -> list[list[int]]:
-    """Min-hash signatures for a whole pool of sequences in one sweep.
+    """Min-hash signatures for a block of sequences in one sweep.
 
     Every sequence of length >= ``q`` contributes its sliding q-gram
     windows to one flat code array; the FNV-1a recurrence then runs over
     a single ``(bands, total_windows)`` uint32 matrix — ``q`` XOR/multiply
-    steps for the entire pool — and ``np.minimum.reduceat`` collapses the
+    steps for the whole block — and ``np.minimum.reduceat`` collapses the
     window hashes back to one minimum per (band, sequence).  Sequences
     shorter than ``q`` hash themselves as their only gram (matching
     :func:`qgrams`) and are handled per-read; empty sequences sign
     :data:`EMPTY_SIGNATURE`.  Bit-identical to calling
-    :func:`_vectorised_min_hashes` per sequence.
+    :func:`_vectorised_min_hashes` per sequence, so a pool signed in
+    blocks matches the pool signed at once.
     """
     results: list[list[int] | None] = [None] * len(sequences)
     long_positions: list[int] = []
@@ -188,13 +189,17 @@ class QGramIndex:
         return _vectorised_min_hashes(sequence, self.q, self.bands)
 
     def signatures(self, sequences: Sequence[str]) -> list[list[int]]:
-        """Signatures for a whole pool of reads at once.
+        """Signatures for a block of reads at once.
 
-        One flat FNV-1a sweep over every q-gram window in the pool
+        One flat FNV-1a sweep over every q-gram window in the block
         instead of one :func:`_vectorised_min_hashes` call per read —
         the per-read path pays NumPy dispatch overhead per sequence,
         which dominates at paper-scale read counts.  Bit-identical to
-        ``[self.signature(s) for s in sequences]``.
+        ``[self.signature(s) for s in sequences]``, whatever the block.
+        The sweep's arrays grow with the block (a uint32 per band and a
+        few int64 words per q-gram window), so a caller that signs a
+        large read-out passes it in blocks, as greedy clustering does
+        with its sweep blocks.
         """
         return _batched_min_hashes(sequences, self.q, self.bands)
 
@@ -207,8 +212,8 @@ class QGramIndex:
         """Register a read under its signature buckets (empty reads are
         counted but never bucketed — they match nothing).
 
-        ``signature`` lets callers that precomputed pool-wide signatures
-        via :meth:`signatures` skip recomputing them here.
+        ``signature`` lets callers that precomputed signatures via
+        :meth:`signatures` skip recomputing them here.
         """
         if signature is None:
             signature = self.signature(sequence)

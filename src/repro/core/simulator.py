@@ -21,6 +21,8 @@ accuracy compared against the real data's (Section 3.1, metric 4).
 
 from __future__ import annotations
 
+import multiprocessing
+import pickle
 import random
 from collections.abc import Iterator, Sequence
 from functools import partial
@@ -240,6 +242,40 @@ def fault_seed(seed: int, index: int) -> int:
     return derive_seed(derive_seed(seed, -3), index)
 
 
+#: The model the last :func:`transmit_chunk` call in this pool worker
+#: ran, and its pickled state.  A worker unpickles a fresh copy of the
+#: model for every task, and the copy misses the ladder cache, which is
+#: keyed by model object (:mod:`repro.core.channel`).  Holding the last
+#: model keeps its cache entry alive for the next task with the same
+#: state.
+_last_model: tuple[ErrorModel, bytes] | None = None
+
+
+def _reused_model(model: ErrorModel) -> ErrorModel:
+    """In a pool worker, the last model :func:`transmit_chunk` ran if
+    ``model`` pickles to the same state; else ``model``.
+
+    Pickled state, not ``==``: spatial distributions compare by
+    identity, so two copies of one model are never ``==``; and dict
+    ``==`` ignores key order, which the ladders' draw tables follow.  A
+    model that does not pickle runs as given.  The main process passes
+    its caller's own model object, whose cache lives as long as the
+    caller holds it; holding it here too would keep a finished run's
+    ladders alive through later stages.
+    """
+    global _last_model
+    if multiprocessing.parent_process() is None:
+        return model
+    try:
+        state = pickle.dumps(model)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return model
+    if _last_model is not None and _last_model[1] == state:
+        return _last_model[0]
+    _last_model = (model, state)
+    return model
+
+
 def transmit_chunk(
     model: ErrorModel,
     seed: int,
@@ -251,9 +287,10 @@ def transmit_chunk(
     each from the stream of a fresh ``random.Random(derive_seed(seed,
     cluster_index))`` (:meth:`Channel.transmit_seeded`), so the output is
     a pure function of the item; the channel and its per-length tables
-    are shared across the chunk.
+    are shared across the chunk, and across chunks of one model
+    (:func:`_reused_model`).
     """
-    channel = Channel(model)
+    channel = Channel(_reused_model(model))
     return [
         channel.transmit_seeded(reference, coverage, derive_seed(seed, cluster_index))
         for cluster_index, reference, coverage in chunk

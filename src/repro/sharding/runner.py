@@ -42,8 +42,9 @@ from repro.reconstruct.majority import PositionalMajority
 from repro.sharding.plan import resolve_shards, split_contiguous
 
 #: Algorithms the full-scale runner can score, by CLI name.  Positional
-#: majority is the default: at paper coverage (~27 copies per cluster)
-#: it is both the fastest algorithm and highly accurate, which keeps the
+#: majority is the default for speed, not accuracy: at paper scale it
+#: recovers 0.15% of strands and 76.55% of characters, against BMA's
+#: 81.67% and 93.93%, but it is the fastest algorithm, which keeps the
 #: full-scale wall time dominated by simulation rather than scoring.
 RECONSTRUCTORS: dict[str, type[Reconstructor]] = {
     "majority": PositionalMajority,

@@ -26,7 +26,8 @@ The ``iterative_many`` entry does the same for the lockstep Iterative
 one-vs-many sweep, its lanes given as strings and as held compiled
 patterns, straight against the seed DPs (:func:`lane_corpus`).  The
 ``qgram_signatures`` entry runs the per-gram min-hash loop against the
-per-read and pool-wide vectorised signatures (:func:`qgram_corpus`).
+per-read and pool-wide vectorised signatures, and the pool signed in
+greedy clustering's sweep blocks (:func:`qgram_corpus`).
 The ``tally_many`` entry runs the scalar ``tally_pair`` loop against the
 lockstep profile-fit tally, every ``ErrorStatistics`` field and its key
 order (:func:`tally_corpus`).
@@ -554,7 +555,9 @@ def qgram_corpus(seed: int) -> list[tuple[int, int, list[str]]]:
     """``(q, bands, pool)`` inputs: lengths 0, 1, q - 1, q, q + 1, the
     word boundaries, 110, 111 and 500 in ``ACGT``, ``N``, lowercase,
     non-ASCII and lone-surrogate alphabets, random lengths up to 120,
-    and paper-rate IDS reads from the ground-truth channel."""
+    and paper-rate IDS reads from the ground-truth channel.  Each pool
+    crosses two of greedy's sweep-block boundaries, with an empty read
+    and one shorter than ``q`` just after the first."""
     rng = random.Random(seed)
     channel = Channel(ground_truth_model(), random.Random(seed + 3000))
     inputs = []
@@ -566,6 +569,8 @@ def qgram_corpus(seed: int) -> list[tuple[int, int, list[str]]]:
         pool += [_strand(rng, rng.randint(0, 120)) for _ in range(60)]
         for _ in range(4):
             pool += channel.transmit_many(_strand(rng, 110), 10)
+        pool += channel.transmit_many(_strand(rng, 110), 2 * greedy.FIRST_BLOCK)
+        pool[greedy.FIRST_BLOCK : greedy.FIRST_BLOCK] = ["", _strand(rng, q - 1)]
         inputs.append((q, bands, pool))
     return inputs
 
@@ -579,14 +584,24 @@ def reference_signatures(q: int, bands: int, pool: list[str]) -> list[list[list[
         else [EMPTY_SIGNATURE] * bands
         for sequence in pool
     ]
-    return [signatures, signatures]
+    return [signatures, signatures, signatures]
 
 
 def fast_signatures(q: int, bands: int, pool: list[str]) -> list[list[list[int]]]:
-    """Per-read :meth:`QGramIndex.signature` and the pool-wide
-    :meth:`QGramIndex.signatures` sweep over the whole pool."""
+    """Per-read :meth:`QGramIndex.signature`, the pool-wide
+    :meth:`QGramIndex.signatures` sweep over the whole pool, and one
+    sweep per greedy sweep block, concatenated."""
     index = QGramIndex(q=q, bands=bands)
-    return [[index.signature(sequence) for sequence in pool], index.signatures(pool)]
+    blocked = [
+        signature
+        for start, stop in greedy._blocks(len(pool))
+        for signature in index.signatures(pool[start:stop])
+    ]
+    return [
+        [index.signature(sequence) for sequence in pool],
+        index.signatures(pool),
+        blocked,
+    ]
 
 
 #: Design lengths of the BMA corpus: word boundaries and the paper's 110.
@@ -1746,6 +1761,9 @@ def test_corpus_covers_its_regions():
         assert {0, 1, q - 1, q, q + 1, 63, 64, 65, 110, 128} <= set(map(len, pool))
         for symbol in ("N", "a", "é", "\U0001F600", "\ud800"):
             assert any(symbol in sequence for sequence in pool), symbol
+        blocks = greedy._blocks(len(pool))
+        assert len(blocks) > 2, "the pool crosses fewer than two block boundaries"
+        assert pool[blocks[1][0]] == "" and 0 < len(pool[blocks[1][0] + 1]) < q
     bma_batches = bma_corpus(0)
     assert set(BMA_LENGTHS) <= {length for _, _, length in bma_batches}
     clusters = [copies for _, batch, _ in bma_batches for copies in batch]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,7 @@ from repro.cluster.qgram_index import QGramIndex, build_index, qgrams
 from repro.core.errors import ErrorModel
 from repro.core.simulator import Simulator
 from repro.core.coverage import ConstantCoverage
+from repro.data.nanopore import make_nanopore_dataset
 
 
 class TestQGrams:
@@ -178,6 +180,24 @@ class TestGreedyClusterer:
         used to make every read a candidate of every other)."""
         with pytest.raises(ValueError, match=message):
             GreedyClusterer(**parameters)
+
+    def test_memory_follows_the_block_not_the_readout(self):
+        """Greedy signs each sweep block as it reaches it, so its peak
+        memory on 4x the reads stays under 3x: the blocks stop growing
+        at ``LAST_BLOCK`` reads.  Signing the whole read-out up front
+        read 4.0x here (9.9 MB at 1,500 reads, 39.7 MB at 6,000)."""
+        pool = make_nanopore_dataset(n_clusters=260, seed=2)
+        reads = shuffle_reads(flatten_with_labels(pool), random.Random(2))
+        sequences = [read.sequence for read in reads]
+        peaks = []
+        for n_reads in (1_500, 6_000):
+            tracemalloc.start()
+            try:
+                GreedyClusterer().cluster(sequences[:n_reads])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 3 * peaks[0], peaks
 
 
 class TestPseudoHelpers:

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
+from repro.core import simulator as simulator_module
+from repro.core.channel import Channel
 from repro.core.coverage import ConstantCoverage
 from repro.core.errors import ErrorModel
 from repro.core.profile import ErrorProfile, SimulatorStage
-from repro.core.simulator import Simulator
+from repro.core.simulator import Simulator, transmit_chunk
+from repro.core.spatial import UniformSpatial
+from repro.data.nanopore import ground_truth_model
+from repro.parallel import derive_seed
 
 
 class TestSimulator:
@@ -65,3 +73,93 @@ class TestSimulator:
         pool = simulator.simulate(nanopore_pool.references[:10])
         assert len(pool) == 10
         assert pool.coverages() == [2] * 10
+
+
+def _direct(model: ErrorModel, seed: int, chunk) -> list[list[str]]:
+    """Each item's copies from a channel over ``model`` itself."""
+    return [
+        Channel(model).transmit_seeded(reference, coverage, derive_seed(seed, index)).copies
+        for index, reference, coverage in chunk
+    ]
+
+
+class TestTransmitChunkModelReuse:
+    """A pool worker unpickles a fresh model copy for every task;
+    :func:`transmit_chunk` runs a copy with the last model's pickled
+    state on that model, whose ladders are already built.  The tests
+    run in the main process, so those that check a worker's reuse patch
+    in a parent process."""
+
+    CHUNK = [(index, "ACGT" * 25 + "ACGTACGTAC", 4) for index in range(5)]
+
+    @staticmethod
+    def _count_builds(monkeypatch, in_worker: bool = True) -> list[int]:
+        monkeypatch.setattr(simulator_module, "_last_model", None)
+        if in_worker:
+            monkeypatch.setattr(
+                simulator_module.multiprocessing, "parent_process", object
+            )
+        builds: list[int] = []
+        build = Channel._build_tables
+
+        def counted(self, length):
+            builds.append(length)
+            return build(self, length)
+
+        monkeypatch.setattr(Channel, "_build_tables", counted)
+        return builds
+
+    def test_equal_copies_build_tables_once(self, monkeypatch):
+        state = pickle.dumps(ground_truth_model())
+        first, second = pickle.loads(state), pickle.loads(state)
+        builds = self._count_builds(monkeypatch)
+        first_copies = [cluster.copies for cluster in transmit_chunk(first, 3, self.CHUNK)]
+        second_copies = [cluster.copies for cluster in transmit_chunk(second, 3, self.CHUNK)]
+        assert builds == [110]
+        assert first_copies == second_copies == _direct(second, 3, self.CHUNK)
+
+    def test_reordered_model_is_not_swapped(self, monkeypatch):
+        """Dict ``==`` ignores key order, but the draw tables follow it:
+        a model ``==`` the last one, with its substitution rows
+        reordered, runs as itself."""
+        model = ErrorModel.naive(0.05, 0.05, 0.05)
+        reordered = replace(
+            model,
+            substitution_matrix={
+                base: dict(reversed(row.items()))
+                for base, row in model.substitution_matrix.items()
+            },
+        )
+        assert reordered == model
+        builds = self._count_builds(monkeypatch)
+        copies = [cluster.copies for cluster in transmit_chunk(model, 3, self.CHUNK)]
+        reordered_copies = [
+            cluster.copies for cluster in transmit_chunk(reordered, 3, self.CHUNK)
+        ]
+        assert builds == [110, 110]
+        assert reordered_copies == _direct(reordered, 3, self.CHUNK) != copies
+
+    def test_unpicklable_model_runs_as_given(self, monkeypatch):
+        """A model that cannot be pickled (a local spatial class) runs
+        as given, and is not held."""
+
+        class Local(UniformSpatial):
+            pass
+
+        model = replace(ErrorModel.naive(0.05, 0.05, 0.05), spatial=Local())
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(model)
+        self._count_builds(monkeypatch)
+        copies = [cluster.copies for cluster in transmit_chunk(model, 3, self.CHUNK)]
+        assert copies == _direct(model, 3, self.CHUNK)
+        assert simulator_module._last_model is None
+
+    def test_main_process_holds_no_model(self, monkeypatch):
+        """The main process's caller holds its own model, so nothing
+        keeps a finished run's ladders alive."""
+        builds = self._count_builds(monkeypatch, in_worker=False)
+        model = ErrorModel.naive(0.05, 0.05, 0.05)
+        transmit_chunk(model, 3, self.CHUNK)
+        transmit_chunk(model, 3, self.CHUNK)
+        assert builds == [110]
+        assert simulator_module._last_model is None
