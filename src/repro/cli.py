@@ -11,15 +11,11 @@ Subcommands:
 * ``report``      — HTML reporting: ``figures`` regenerates every paper
   table/figure, ``dashboard`` builds the self-contained observability
   dashboard (bench trajectory across git SHAs, trace flame rollups,
-  metrics cards, job/chaos run health) as one HTML artifact;
+  metrics cards, chaos run health) as one HTML artifact;
 * ``chaos``       — sweep injected-fault severity against the archive's
-  resilient retrieval loop and report recovery rates (or, with
-  ``--kill-resume``, kill a durable job mid-shard and assert resume
-  bit-identity);
-* ``jobs``        — durable, checkpointed, resumable execution of the
-  full-scale pipeline and experiment runners
-  (``submit``/``status``/``resume``/``cancel``/``list``, with distinct
-  exit codes: 0 succeeded, 3 partial, 4 failed, 5 cancelled).
+  resilient retrieval loop and report recovery rates;
+* ``sweep``       — expand a declarative scenario matrix and run, resume,
+  inspect or list it cell by cell (exit codes: 0 ok, 4 a cell failed).
 
 All clustered files use DNASimulator's evyat text format
 (:mod:`repro.data.io`).
@@ -256,31 +252,19 @@ def _cmd_report_dashboard(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import importlib
 
-    if args.job_dir is not None and args.name != "fullscale":
-        raise ConfigError(
-            "--job-dir / --resume only apply to the 'fullscale' experiment"
-        )
     if args.clusters is not None and args.clusters < 1:
         raise ConfigError(f"n_clusters must be >= 1, got {args.clusters}")
     names = EXPERIMENTS if args.name == "all" else (args.name,)
-    exit_code = 0
     for name in names:
         module = importlib.import_module(f"repro.experiments.{name}")
         print(f"=== {name} ===")
         with observability.span("experiment", experiment=name):
-            if name == "fullscale" and args.job_dir is not None:
-                summary = module.run(
-                    n_clusters=args.clusters,
-                    job_dir=args.job_dir,
-                    resume=args.resume,
-                )
-                exit_code = summary.get("job_exit_code", 0)
-            elif name != "table_1_1":
+            if name != "table_1_1":
                 module.run(n_clusters=args.clusters)
             else:
                 module.run()
         print()
-    return exit_code
+    return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
@@ -289,28 +273,20 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.experiments import chaos
     from repro.robustness import SEVERITY_LEVELS
 
-    if args.kill_resume:
-        result = chaos.run_kill_resume(
-            n_clusters=args.clusters, seed=args.seed
-        )
-        exit_code = 0 if result["bit_identical"] else 1
-    else:
-        severities = (
-            tuple(args.severities) if args.severities else chaos.SEVERITIES
-        )
-        for severity in severities:
-            if severity not in SEVERITY_LEVELS:
-                raise SystemExit(
-                    f"unknown fault severity {severity!r}; choose from "
-                    f"{sorted(SEVERITY_LEVELS)}"
-                )
-        result = chaos.run(
-            n_clusters=args.clusters,
-            severities=severities,
-            n_trials=args.trials,
-            seed=args.seed,
-        )
-        exit_code = 0 if result["unhandled_errors"] == 0 else 1
+    severities = tuple(args.severities or chaos.SEVERITIES)
+    for severity in severities:
+        if severity not in SEVERITY_LEVELS:
+            raise SystemExit(
+                f"unknown fault severity {severity!r}; choose from "
+                f"{sorted(SEVERITY_LEVELS)}"
+            )
+    result = chaos.run(
+        n_clusters=args.clusters,
+        severities=severities,
+        n_trials=args.trials,
+        seed=args.seed,
+    )
+    exit_code = 0 if result["unhandled_errors"] == 0 else 1
     if args.json_out:
         with open(args.json_out, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=2, sort_keys=True, default=str)
@@ -347,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="partition streamed generation (dataset/generate --stream), "
-        "full-scale runs and jobs into N contiguous shards (bounded memory "
-        "and per-shard checkpoints at paper scale; results are identical "
+        "and full-scale runs into N contiguous shards (bounded memory "
+        "at paper scale; results are identical "
         "at any shard count; other stages ignore it; overrides "
         "REPRO_SHARDS; default: 1)",
     )
@@ -462,20 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
         "name", choices=EXPERIMENTS + ("all",), help="experiment id"
     )
     experiment.add_argument("--clusters", type=int, default=None)
-    experiment.add_argument(
-        "--job-dir",
-        default=None,
-        metavar="DIR",
-        help="(fullscale only) run through the durable job engine, "
-        "checkpointing each shard under DIR so the run can be "
-        "interrupted and resumed",
-    )
-    experiment.add_argument(
-        "--resume",
-        action="store_true",
-        help="(fullscale only, with --job-dir) resume the journal "
-        "instead of starting a new job",
-    )
     experiment.set_defaults(handler=_cmd_experiment)
 
     report = commands.add_parser(
@@ -503,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="DIR",
         help="directory holding a run's artifacts (trace JSONL, metrics "
-        "JSON, job journals, chaos outcomes, test summaries); "
+        "JSON, sweeps, chaos outcomes, test summaries); "
         "discovered by content, any layout works",
     )
     dashboard.add_argument(
@@ -537,155 +499,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument("--seed", type=int, default=0)
     chaos.add_argument(
-        "--kill-resume",
-        action="store_true",
-        help="engine-level chaos mode: kill a running durable full-scale "
-        "job mid-shard (before its checkpoint lands) and assert that "
-        "resuming the journal reproduces the uninterrupted result bit "
-        "for bit",
-    )
-    chaos.add_argument(
         "--json-out",
         default=None,
         metavar="FILE",
-        help="also write the sweep/kill-resume outcome document as JSON "
+        help="also write the sweep outcome document as JSON "
         "(the dashboard's run-health section discovers these)",
     )
     chaos.set_defaults(handler=_cmd_chaos)
 
-    _add_jobs_commands(commands)
     _add_sweep_commands(commands)
 
     return parser
-
-
-def _add_jobs_commands(commands) -> None:
-    """The ``dnasim jobs`` verb group (durable job engine)."""
-    jobs = commands.add_parser(
-        "jobs",
-        help="durable, checkpointed, resumable jobs "
-        "(submit/status/resume/cancel/list)",
-    )
-    jobs_dir = argparse.ArgumentParser(add_help=False)
-    jobs_dir.add_argument(
-        "--jobs-dir",
-        default=None,
-        metavar="DIR",
-        help="journal root directory (overrides REPRO_JOBS_DIR; "
-        "default: ~/.dnasim/jobs)",
-    )
-    verbs = jobs.add_subparsers(dest="jobs_command", required=True)
-
-    submit = verbs.add_parser(
-        "submit",
-        parents=[jobs_dir],
-        help="create a journal and run the job in the foreground "
-        "(exit 0 succeeded / 3 partial / 4 failed / 5 cancelled)",
-    )
-    submit.add_argument("job_id", help="unique job name (journal directory)")
-    submit.add_argument(
-        "--workload",
-        default="fullscale",
-        metavar="NAME",
-        help="'fullscale' (per-shard checkpoints) or 'experiment:<name>' "
-        "(one experiment runner as a single checkpointed unit)",
-    )
-    submit.add_argument("--clusters", type=int, default=1000)
-    submit.add_argument(
-        "--length", type=int, default=None, help="strand length"
-    )
-    submit.add_argument(
-        "--coverage", type=float, default=None, help="mean coverage"
-    )
-    submit.add_argument("--seed", type=int, default=0)
-    submit.add_argument(
-        "--algorithms", nargs="+", default=["majority"], metavar="ALGO"
-    )
-    submit.add_argument("--max-copies", type=int, default=4)
-    submit.add_argument(
-        "--max-attempts",
-        type=int,
-        default=3,
-        help="attempts per shard before quarantine",
-    )
-    submit.add_argument(
-        "--backoff-base", type=float, default=0.05, metavar="S"
-    )
-    submit.add_argument("--backoff-cap", type=float, default=2.0, metavar="S")
-    submit.add_argument(
-        "--shard-deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="wall-clock watchdog per shard attempt",
-    )
-    submit.add_argument(
-        "--no-partial",
-        action="store_true",
-        help="fail the whole job on the first exhausted shard instead of "
-        "degrading to a partial result",
-    )
-    submit.add_argument(
-        "--max-quarantined",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fail once more than N shards are quarantined",
-    )
-    submit.add_argument(
-        "--kill-worker-at",
-        type=int,
-        default=None,
-        metavar="SHARD",
-        help="chaos: the worker for this shard dies on its first attempt",
-    )
-    submit.add_argument(
-        "--crash-at-shard",
-        type=int,
-        default=None,
-        metavar="SHARD",
-        help="chaos: the engine dies when this shard's result arrives, "
-        "before its checkpoint is written",
-    )
-    submit.add_argument(
-        "--shard-delay",
-        type=float,
-        default=0.0,
-        metavar="S",
-        help="chaos/test: sleep this long per shard attempt (gives kill "
-        "windows a deterministic target)",
-    )
-    submit.set_defaults(handler=_cmd_jobs)
-
-    for verb, help_text in (
-        ("status", "print a job's durable status document as JSON"),
-        (
-            "resume",
-            "re-enter a job from its journal; completed shards replay "
-            "from checkpoints (exit codes as for submit)",
-        ),
-        (
-            "cancel",
-            "raise the durable cancel flag; the engine stops at its next "
-            "supervision tick",
-        ),
-    ):
-        sub = verbs.add_parser(verb, parents=[jobs_dir], help=help_text)
-        sub.add_argument("job_id")
-        if verb == "status":
-            sub.add_argument(
-                "--events",
-                action="store_true",
-                help="also replay events.jsonl into a compact per-shard "
-                "timeline (attempts, outcome, duration, quarantine "
-                "reasons)",
-            )
-        sub.set_defaults(handler=_cmd_jobs)
-
-    listing = verbs.add_parser(
-        "list", parents=[jobs_dir], help="list every journal under the root"
-    )
-    listing.set_defaults(handler=_cmd_jobs)
 
 
 def _add_sweep_commands(commands) -> None:
@@ -693,14 +517,14 @@ def _add_sweep_commands(commands) -> None:
     sweep = commands.add_parser(
         "sweep",
         help="declarative scenario sweeps: expand a TOML spec into a "
-        "matrix of durable, resumable cells (run/status/resume/list)",
+        "matrix of resumable cells (run/status/resume/list)",
     )
     verbs = sweep.add_subparsers(dest="sweep_command", required=True)
 
     run = verbs.add_parser(
         "run",
-        help="expand a sweep spec and run every cell through the durable "
-        "job engine (exit 0 ok / 3 partial / 4 failed; idempotent — "
+        help="expand a sweep spec and run every cell on the sharded "
+        "runner (exit 0 ok / 4 failed; idempotent — "
         "recorded cells are reused, not recomputed)",
     )
     run.add_argument("spec", metavar="SPEC.toml", help="sweep spec file")
@@ -708,7 +532,7 @@ def _add_sweep_commands(commands) -> None:
         "--out",
         required=True,
         metavar="DIR",
-        help="sweep directory (manifest + per-cell journals and records); "
+        help="sweep directory (manifest + per-cell records); "
         "owned by this spec — a different spec against the same "
         "directory is a config error",
     )
@@ -724,23 +548,21 @@ def _add_sweep_commands(commands) -> None:
         metavar="N",
         help="chaos: the orchestrator dies (as if SIGKILLed) after N "
         "cells have executed, before the Nth record is written; "
-        "'sweep resume' must replay it bit-identically",
+        "'sweep resume' must re-run it bit-identically",
     )
     run.set_defaults(handler=_cmd_sweep)
 
     resume = verbs.add_parser(
         "resume",
         help="continue a sweep from its own manifest: valid records are "
-        "reused, journalled cells replay from checkpoints, the rest run "
-        "fresh (exit codes as for run)",
+        "reused, the rest run fresh (exit codes as for run)",
     )
     resume.add_argument("dir", metavar="DIR", help="sweep directory")
     resume.set_defaults(handler=_cmd_sweep)
 
     status = verbs.add_parser(
         "status",
-        help="per-cell state of a sweep directory (records, journals, "
-        "staleness)",
+        help="per-cell state of a sweep directory (records, staleness)",
     )
     status.add_argument("dir", metavar="DIR", help="sweep directory")
     status.add_argument(
@@ -886,112 +708,6 @@ def _print_sweep_results(sweep_dir, format_table) -> None:
             ],
         )
     )
-
-
-def _cmd_jobs(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.jobs import (
-        JobJournal,
-        JobSpec,
-        default_jobs_root,
-        exit_code_for,
-        resume_job,
-        run_job,
-    )
-    from repro.parallel import resolve_workers
-    from repro.sharding.plan import resolve_shards
-
-    root = Path(args.jobs_dir) if args.jobs_dir else default_jobs_root()
-    command = args.jobs_command
-
-    if command == "submit":
-        spec = JobSpec(
-            job_id=args.job_id,
-            workload=args.workload,
-            n_clusters=args.clusters,
-            strand_length=args.length,
-            mean_coverage=args.coverage,
-            seed=args.seed,
-            shards=resolve_shards(None),
-            workers=resolve_workers(None),
-            algorithms=tuple(args.algorithms),
-            max_copies=args.max_copies,
-            max_attempts=args.max_attempts,
-            backoff_base_s=args.backoff_base,
-            backoff_cap_s=args.backoff_cap,
-            shard_deadline_s=args.shard_deadline,
-            allow_partial=not args.no_partial,
-            max_quarantined_shards=args.max_quarantined,
-            kill_worker_at_shard=args.kill_worker_at,
-            crash_engine_at_shard=args.crash_at_shard,
-            shard_delay_s=args.shard_delay,
-        )
-        root.mkdir(parents=True, exist_ok=True)
-        result = run_job(root, spec)
-        print(json.dumps(result.summary(), indent=2, sort_keys=True))
-        return exit_code_for(result.state)
-
-    if command == "resume":
-        result = resume_job(root, args.job_id)
-        print(json.dumps(result.summary(), indent=2, sort_keys=True))
-        return exit_code_for(result.state)
-
-    if command == "status":
-        journal = JobJournal.open(root, args.job_id)
-        spec = journal.spec()
-        print(
-            json.dumps(
-                {
-                    "job_id": args.job_id,
-                    "workload": spec.workload,
-                    "state": journal.state().value,
-                    "engine_alive": journal.engine_alive(),
-                    "quarantined": [
-                        {
-                            "shard_index": entry.shard_index,
-                            "attempts": entry.attempts,
-                            "reason": entry.reason,
-                        }
-                        for entry in journal.quarantined()
-                    ],
-                    "result": journal.read_result(),
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        if getattr(args, "events", False):
-            # The dashboard's journal-replay helper renders the same
-            # timeline the run-health section shows.
-            from repro.report.dashboard import (
-                format_shard_timeline,
-                shard_timeline,
-            )
-
-            print()
-            print(format_shard_timeline(shard_timeline(journal.events())))
-        return 0
-
-    if command == "cancel":
-        JobJournal.open(root, args.job_id).request_cancel()
-        print(f"cancel requested for job {args.job_id!r}")
-        return 0
-
-    # list
-    job_ids = JobJournal.list_jobs(root)
-    if not job_ids:
-        print(f"no jobs under {root}")
-        return 0
-    for job_id in job_ids:
-        journal = JobJournal.open(root, job_id)
-        alive = " (engine alive)" if journal.engine_alive() else ""
-        print(
-            f"{job_id:30s} {journal.state().value:10s} "
-            f"{journal.spec().workload}{alive}"
-        )
-    return 0
 
 
 def _export_observability(args: argparse.Namespace) -> None:

@@ -72,7 +72,7 @@ def atomic_writer(
     On error the temporary file is removed and ``path`` is untouched.
 
     This is the one durable-write primitive the repository shares: the
-    job journal (:mod:`repro.jobs.journal`), the experiment-context cache
+    sweep records (:mod:`repro.scenarios`), the experiment-context cache
     (:mod:`repro.experiments.cache`), and :class:`PoolWriter` all write
     through it instead of hand-rolling tmp-file/rename variants.
     """

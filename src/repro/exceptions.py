@@ -67,14 +67,6 @@ class DecodeError(ReproError):
     stage = "decode"
 
 
-class JobError(ReproError, RuntimeError):
-    """The durable job engine was asked for something its journal cannot
-    honour (unknown job id, invalid state transition, resuming a job
-    whose spec no longer matches its checkpoints)."""
-
-    stage = "jobs"
-
-
 class RetrievalError(DecodeError, RuntimeError):
     """A whole-file retrieval failed even after any configured retries.
 

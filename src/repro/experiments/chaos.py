@@ -203,118 +203,5 @@ def run(
     return result
 
 
-def run_kill_resume(
-    n_clusters: int | None = None,
-    shards: int = 4,
-    seed: int = 7,
-    verbose: bool = True,
-    jobs_root: str | None = None,
-) -> dict:
-    """Kill a running full-scale job mid-shard; assert resume bit-identity.
-
-    The engine-level chaos mode: a child process runs a
-    :mod:`repro.jobs` full-scale job whose engine is configured to die
-    (``os._exit``, no cleanup — a SIGKILL stand-in) the moment a middle
-    shard's result arrives, *before* that shard is checkpointed.  The
-    parent then resumes the orphaned journal in-process and checks the
-    merged result byte-for-byte against an uninterrupted golden
-    :func:`repro.sharding.run_fullscale` of the same parameters.
-
-    Returns a dict with ``bit_identical`` (the acceptance bar),
-    ``crash_exit``, ``checkpoints_before_resume``, and the states seen.
-    """
-    import json
-    import os
-    import subprocess
-    import sys
-    import tempfile
-    from pathlib import Path
-
-    import repro
-    from repro.exceptions import ChannelFaultError
-    from repro.experiments.common import DEFAULT_N_CLUSTERS
-    from repro.jobs import JobJournal, JobState, resume_job
-    from repro.sharding import run_fullscale
-
-    scale = n_clusters if n_clusters is not None else DEFAULT_N_CLUSTERS
-    scale = max(2 * shards, min(scale, 48))
-    crash_shard = shards // 2
-    job_id = "chaos-kill-resume"
-
-    golden = run_fullscale(
-        n_clusters=scale, shards=shards, workers=1, seed=seed
-    ).summary()
-
-    with tempfile.TemporaryDirectory() as scratch:
-        root = Path(jobs_root) if jobs_root else Path(scratch)
-        # The victim runs in a child interpreter: the injected engine
-        # crash is a real os._exit, which must not take the harness down.
-        child_env = dict(os.environ)
-        package_root = str(Path(repro.__file__).parents[1])
-        child_env["PYTHONPATH"] = os.pathsep.join(
-            p
-            for p in (package_root, child_env.get("PYTHONPATH"))
-            if p
-        )
-        child_script = (
-            "from repro.jobs import JobSpec, run_job\n"
-            f"spec = JobSpec(job_id={job_id!r}, n_clusters={scale}, "
-            f"shards={shards}, workers=1, seed={seed}, "
-            f"crash_engine_at_shard={crash_shard})\n"
-            f"run_job({str(root)!r}, spec)\n"
-        )
-        with span("chaos.kill_resume", shards=shards, crash_shard=crash_shard):
-            victim = subprocess.run(
-                [sys.executable, "-c", child_script],
-                env=child_env,
-                capture_output=True,
-                text=True,
-            )
-            if victim.returncode != 137:
-                raise ChannelFaultError(
-                    "kill-resume victim exited "
-                    f"{victim.returncode}, expected 137 (injected crash); "
-                    f"stderr: {victim.stderr.strip()[-500:]}"
-                )
-            journal = JobJournal.open(root, job_id)
-            state_after_crash = journal.state()
-            checkpoints = sorted(journal.checkpointed_shards(shards))
-            resumed = resume_job(root, job_id)
-        bit_identical = (
-            resumed.state is JobState.SUCCEEDED
-            and resumed.result == golden
-        )
-        counter("chaos.kill_resume_runs").inc()
-        if not bit_identical:
-            counter("chaos.kill_resume_mismatches").inc()
-
-    result = {
-        "bit_identical": bit_identical,
-        "crash_exit": victim.returncode,
-        "crash_shard": crash_shard,
-        "checkpoints_before_resume": checkpoints,
-        "state_after_crash": state_after_crash.value,
-        "state_after_resume": resumed.state.value,
-        "n_clusters": scale,
-        "shards": shards,
-    }
-    if verbose:
-        print(
-            f"Kill-resume chaos: engine killed at shard {crash_shard} "
-            f"({len(checkpoints)}/{shards} shards checkpointed), "
-            f"journal state {state_after_crash.value!r}"
-        )
-        print(
-            "resume: state "
-            f"{resumed.state.value!r}, bit-identical to uninterrupted run: "
-            f"{bit_identical}"
-        )
-        if not bit_identical:
-            print("MISMATCH:")
-            print("  golden :", json.dumps(golden, sort_keys=True))
-            print("  resumed:", json.dumps(resumed.result, sort_keys=True))
-    return result
-
-
 if __name__ == "__main__":
     run()

@@ -26,32 +26,12 @@ from repro.sharding import run_fullscale
 ALGORITHMS = ("majority", "bma")
 
 
-def run(
-    n_clusters: int | None = None,
-    verbose: bool = True,
-    job_dir: str | None = None,
-    job_id: str = "fullscale",
-    resume: bool = False,
-) -> dict:
-    """Run the sharded full-scale pipeline; returns its merged summary.
-
-    With ``job_dir`` the run goes through the durable
-    :mod:`repro.jobs` engine instead of the one-shot runner: every
-    shard is checkpointed under ``job_dir/<job_id>/`` as it completes,
-    so a run interrupted at any point (Ctrl-C, SIGKILL, power loss) can
-    be continued with ``resume=True`` — or ``dnasim experiment
-    fullscale --job-dir ... --resume`` — and produces the same merged
-    summary the uninterrupted run would have.
-    """
+def run(n_clusters: int | None = None, verbose: bool = True) -> dict:
+    """Run the sharded full-scale pipeline; returns its merged summary."""
     from repro.experiments.common import DEFAULT_N_CLUSTERS
 
     scale = n_clusters if n_clusters is not None else DEFAULT_N_CLUSTERS
     started = time.perf_counter()
-    if job_dir is not None:
-        return _run_as_job(
-            job_dir, job_id, scale, resume=resume, verbose=verbose,
-            started=started,
-        )
     result = run_fullscale(
         n_clusters=scale, seed=DATASET_SEED, algorithms=ALGORITHMS
     )
@@ -80,66 +60,6 @@ def run(
                 ],
             )
         )
-    return summary
-
-
-def _run_as_job(
-    job_dir: str,
-    job_id: str,
-    scale: int,
-    resume: bool,
-    verbose: bool,
-    started: float,
-) -> dict:
-    """The checkpointed path: drive :func:`run_fullscale`'s plan through
-    the durable job engine so the run survives interruption."""
-    from repro.jobs import JobSpec, exit_code_for, resume_job, run_job
-    from repro.parallel import resolve_workers
-    from repro.sharding import resolve_shards
-
-    if resume:
-        result = resume_job(job_dir, job_id)
-    else:
-        spec = JobSpec(
-            job_id=job_id,
-            n_clusters=scale,
-            seed=DATASET_SEED,
-            shards=resolve_shards(None),
-            workers=resolve_workers(None),
-            algorithms=ALGORITHMS,
-        )
-        result = run_job(job_dir, spec)
-    elapsed = time.perf_counter() - started
-    summary = dict(result.result or {})
-    summary["wall_time_s"] = round(elapsed, 3)
-    summary["job_id"] = result.job_id
-    summary["job_state"] = result.state.value
-    summary["job_exit_code"] = exit_code_for(result.state)
-    if verbose:
-        print(
-            f"Full-scale durable job {result.job_id!r}: state "
-            f"{result.state.value}, {result.completed_shards}/"
-            f"{result.n_shards} shards checkpointed ({elapsed:.1f}s)"
-        )
-        if result.quarantined:
-            print(
-                "quarantined shards: "
-                + ", ".join(
-                    f"#{q.shard_index} ({q.reason}, {q.attempts} attempts)"
-                    for q in result.quarantined
-                )
-            )
-        if summary.get("accuracy"):
-            print(
-                format_table(
-                    ["Algorithm", "Per-strand (%)", "Per-char (%)"],
-                    [
-                        [name, percent(report["per_strand"]),
-                         percent(report["per_character"])]
-                        for name, report in summary["accuracy"].items()
-                    ],
-                )
-            )
     return summary
 
 

@@ -18,8 +18,6 @@ from repro.report.dashboard import (
     SECTION_IDS,
     build_dashboard_html,
     flame_rollup,
-    format_shard_timeline,
-    shard_timeline,
     write_dashboard,
 )
 from repro.report.history import (
@@ -41,12 +39,10 @@ __all__ = [
     "build_dashboard_html",
     "curve_chart",
     "flame_rollup",
-    "format_shard_timeline",
     "grouped_bar_chart",
     "history_path",
     "line_chart",
     "load_history",
     "read_history_file",
-    "shard_timeline",
     "write_dashboard",
 ]

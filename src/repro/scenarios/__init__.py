@@ -3,8 +3,8 @@
 This package turns hand-written experiment modules into data.  A TOML
 (or in-code) :class:`SweepSpec` names a scenario matrix — channel ×
 coverage × reconstructor × fault severity × shard/worker layout —
-:func:`run_sweep` executes every cell through the crash-safe
-job engine with per-cell durable journals and stamped provenance
+:func:`run_sweep` executes every cell on the sharded full-scale
+runner with stamped per-cell provenance
 records, and :class:`SweepStore` queries the results.  ``dnasim sweep``
 exposes run/status/resume/list on the command line; the report
 dashboard renders recorded sweeps in its "sweep" section.

@@ -1,8 +1,7 @@
 """The sweep orchestrator: a scenario matrix, executed durably.
 
-Every :class:`~repro.scenarios.spec.ScenarioCell` runs as one job in the
-crash-safe :mod:`repro.jobs` engine, under its own journal inside the
-sweep directory.  On top of the per-cell journals the orchestrator keeps
+Every :class:`~repro.scenarios.spec.ScenarioCell` runs as one
+:func:`repro.sharding.run_fullscale` call, and the orchestrator keeps
 two sweep-level artifacts, both provenance-stamped like the committed
 ``BENCH_*.json`` records:
 
@@ -17,12 +16,11 @@ two sweep-level artifacts, both provenance-stamped like the committed
     its digest, the job outcome, and the merged result.  A record is
     reused on re-run/resume only when it re-validates (stamp intact,
     digests matching the current spec); anything stale or tampered is
-    re-derived from the journal instead — bit-identical, because shard
-    execution is pure and checkpoints are digest-verified.
+    re-run instead — bit-identical, because shard execution is pure.
 
 Killing a sweep at any instant — SIGKILL included — loses at most
-bookkeeping: :func:`resume_sweep` reuses valid records, replays
-journalled results, and re-runs only what never completed.
+the cell in flight: :func:`resume_sweep` reuses valid records and
+re-runs only what never completed.
 """
 
 from __future__ import annotations
@@ -32,11 +30,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.data.io import atomic_write
-from repro.exceptions import ConfigError
-from repro.jobs import JobJournal, exit_code_for, resume_job, run_job
+from repro.exceptions import ConfigError, ReproError
 from repro.observability import counter, get_logger, span
 from repro.observability.bench import assert_stamped, content_digest, stamp_record
 from repro.scenarios.spec import ScenarioCell, SweepSpec
+from repro.sharding import run_fullscale
 
 import json
 
@@ -47,9 +45,6 @@ SWEEP_RECORD = "scenario-sweep"
 
 #: The per-cell record discriminator.
 CELL_RECORD = "scenario-cell"
-
-#: Sub-directory of a sweep dir holding the per-cell job journals.
-JOBS_SUBDIR = "jobs"
 
 #: Sub-directory holding the per-cell provenance records.
 CELLS_SUBDIR = "cells"
@@ -66,7 +61,7 @@ class CellOutcome:
     state: str
     complete: bool
     #: True when a valid provenance record satisfied the cell without
-    #: touching its journal.
+    #: running it.
     reused: bool
     exit_code: int
     record: dict
@@ -83,8 +78,7 @@ class SweepOutcome:
 
     @property
     def exit_code(self) -> int:
-        """Worst per-cell exit code (0 ok / 3 degraded / 4 failed / 5
-        cancelled) — the ``dnasim sweep`` process exit code."""
+        """The ``dnasim sweep`` exit code: 0 ok, 4 when a cell failed."""
         return max((outcome.exit_code for outcome in self.cells), default=0)
 
     @property
@@ -122,10 +116,6 @@ def _manifest_path(sweep_dir: Path) -> Path:
 
 def _cell_record_path(sweep_dir: Path, cell_id: str) -> Path:
     return sweep_dir / CELLS_SUBDIR / f"{cell_id}.json"
-
-
-def _jobs_root(sweep_dir: Path) -> Path:
-    return sweep_dir / JOBS_SUBDIR
 
 
 def read_manifest(sweep_dir: str | Path) -> dict:
@@ -230,8 +220,7 @@ def run_sweep(
     """Execute (or continue) a sweep spec against a sweep directory.
 
     Idempotent and crash-safe: cells with valid provenance records are
-    reused without recomputation, cells with journals but no (valid)
-    record are resumed from their checkpoints, and everything else runs
+    reused without recomputation, and everything else runs
     fresh.  Re-running a *completed* sweep touches nothing but reads.
 
     Args:
@@ -240,8 +229,7 @@ def run_sweep(
         echo: optional ``print``-like callable for per-cell progress.
         crash_after_cells: chaos hook — ``os._exit(137)`` after this
             many cells have *executed* (not reused), before the last
-            one's record is written; exercises the kill/resume path the
-            way ``crash_engine_at_shard`` does for single jobs.
+            one's record is written; exercises the kill/resume path.
 
     Raises:
         ConfigError: when ``sweep_dir`` already belongs to a different
@@ -262,8 +250,6 @@ def run_sweep(
     cells = spec.expand()
     _write_manifest(sweep_dir, spec, cells)
     (sweep_dir / CELLS_SUBDIR).mkdir(parents=True, exist_ok=True)
-    jobs_root = _jobs_root(sweep_dir)
-    jobs_root.mkdir(parents=True, exist_ok=True)
 
     outcomes: list[CellOutcome] = []
     executed = 0
@@ -274,7 +260,6 @@ def run_sweep(
                 spec,
                 spec_digest,
                 sweep_dir,
-                jobs_root,
                 crash=(
                     crash_after_cells is not None
                     and executed + 1 >= crash_after_cells
@@ -303,7 +288,6 @@ def _run_cell(
     spec: SweepSpec,
     spec_digest: str,
     sweep_dir: Path,
-    jobs_root: Path,
     crash: bool,
 ) -> CellOutcome:
     record_path = _cell_record_path(sweep_dir, cell.cell_id)
@@ -327,16 +311,27 @@ def _run_cell(
             reason=reason,
         )
 
+    result, error = None, None
     with span("sweep.cell", cell=cell.cell_id, index=cell.index):
-        if (jobs_root / cell.cell_id / "job.json").exists():
-            result = resume_job(jobs_root, cell.cell_id)
-        else:
-            result = run_job(jobs_root, cell.job_spec())
+        try:
+            result = run_fullscale(
+                n_clusters=cell.n_clusters,
+                strand_length=cell.strand_length,
+                mean_coverage=cell.coverage,
+                seed=cell.seed,
+                shards=cell.shards,
+                workers=cell.workers,
+                algorithms=(cell.algorithm,),
+                max_copies=cell.max_copies,
+                parameters=cell.parameters(),
+                fault_severity=cell.severity,
+            ).summary()
+        except ReproError as failure:
+            error = str(failure)
     if crash:
-        # Chaos hook: die the way SIGKILL would — job journal durable,
-        # cell record never written.  Resume must replay from the
-        # journal, bit-identically.
+        # Chaos hook: die like SIGKILL, before the record is written.
         os._exit(137)
+    state = "succeeded" if error is None else "failed"
 
     record = {
         "record": CELL_RECORD,
@@ -347,24 +342,24 @@ def _run_cell(
         "config": cell.config(),
         "cell_digest": cell.digest(),
         "spec_digest": spec_digest,
-        "job_state": result.state.value,
-        "complete": result.complete,
-        "result": result.result,
-        "error": result.error,
+        "job_state": state,
+        "complete": error is None,
+        "result": result,
+        "error": error,
     }
     record["payload_digest"] = _payload_digest(record)
     record = stamp_record(record)
     atomic_write(record_path, json.dumps(record, indent=2) + "\n")
-    if result.state.value == "succeeded":
+    if state == "succeeded":
         counter("sweep.cells_completed").inc()
     else:
         counter("sweep.cells_failed").inc()
     return CellOutcome(
         cell=cell,
-        state=result.state.value,
-        complete=result.complete,
+        state=state,
+        complete=error is None,
         reused=False,
-        exit_code=exit_code_for(result.state),
+        exit_code=0 if error is None else 4,
         record=record,
     )
 
@@ -387,14 +382,13 @@ def sweep_status(sweep_dir: str | Path) -> dict:
     """A JSON-ready status summary of a sweep directory.
 
     Per cell: ``recorded`` (valid provenance record present), the
-    recorded/journalled job state, and whether the record is stale with
+    recorded job state, and whether the record is stale with
     respect to the manifest's spec.
     """
     sweep_dir = Path(sweep_dir)
     manifest = read_manifest(sweep_dir)
     spec = SweepSpec.from_json(manifest["spec"])
     spec_digest = manifest["spec_digest"]
-    jobs_root = _jobs_root(sweep_dir)
     cells = []
     counts = {"recorded": 0, "pending": 0, "stale": 0}
     for cell in spec.expand():
@@ -407,11 +401,6 @@ def sweep_status(sweep_dir: str | Path) -> dict:
             recorded = valid
             stale = not valid
             state = record.get("job_state")
-        if state is None and (jobs_root / cell.cell_id / "job.json").exists():
-            try:
-                state = JobJournal.open(jobs_root, cell.cell_id).state().value
-            except Exception:  # corrupt journal: surface as unknown
-                state = "unknown"
         counts["recorded" if recorded else "stale" if stale else "pending"] += 1
         cells.append(
             {

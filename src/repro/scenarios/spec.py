@@ -37,7 +37,6 @@ from repro.data.nanopore import (
 )
 from repro.exceptions import ConfigError
 from repro.experiments.common import DATASET_SEED
-from repro.jobs.spec import JobSpec
 from repro.observability.bench import content_digest
 from repro.robustness.faults import SEVERITY_LEVELS
 from repro.sharding.runner import RECONSTRUCTORS
@@ -159,11 +158,11 @@ class ScenarioCell:
     """One fully-resolved point of the scenario matrix.
 
     Self-contained: a cell carries both its axis values and the
-    spec-level scale parameters, so :meth:`job_spec` and
+    spec-level scale parameters, so running it and
     :meth:`digest` need nothing but the cell.  ``index`` is the cell's
     position in the lexicographic cross product — stable across
     execution orders, which is what keys a resumed sweep back onto its
-    journals.
+    records.
     """
 
     index: int
@@ -204,7 +203,7 @@ class ScenarioCell:
 
     @property
     def cell_id(self) -> str:
-        """Path-safe journal-directory name, unique within a sweep."""
+        """Path-safe record name, unique within a sweep."""
         return (
             f"cell-{self.index:03d}-{self.channel}-{self.algorithm}"
             f"-{self.digest()[:8]}"
@@ -213,24 +212,6 @@ class ScenarioCell:
     def parameters(self) -> NanoporeParameters | None:
         """The cell's channel parameters (``None`` = paper defaults)."""
         return nanopore_parameters(dict(self.channel_parameters))
-
-    def job_spec(self, **overrides) -> JobSpec:
-        """The durable :class:`repro.jobs.JobSpec` that runs this cell."""
-        settings = {
-            "job_id": self.cell_id,
-            "n_clusters": self.n_clusters,
-            "strand_length": self.strand_length,
-            "mean_coverage": self.coverage,
-            "seed": self.seed,
-            "shards": self.shards,
-            "workers": self.workers,
-            "algorithms": (self.algorithm,),
-            "max_copies": self.max_copies,
-            "fault_severity": self.severity,
-            "channel_parameters": dict(self.channel_parameters) or None,
-        }
-        settings.update(overrides)
-        return JobSpec(**settings)
 
 
 @dataclass

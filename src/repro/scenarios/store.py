@@ -4,8 +4,7 @@ The orchestrator's on-disk layout (stamped manifest + one stamped record
 per cell) *is* the results store; this module is the read side.  A
 :class:`SweepStore` loads a sweep directory and answers axis-filtered
 queries without re-running anything, and :func:`list_sweeps` discovers
-every sweep under a root the way ``dnasim jobs list`` discovers
-journals.
+every sweep under a root.
 """
 
 from __future__ import annotations

@@ -17,9 +17,8 @@ default scales.  This package closes that gap:
   <repro.metrics.accuracy.AccuracyTally.merge>`) so peak memory is
   bounded by one shard, not the archive.
 
-Shards act only where they bound memory or checkpoint work: streamed
-generation, the full-scale runner, the durable job engine
-(:mod:`repro.jobs`) and the sweep ``shards`` axis.  Their results are
+Shards act only where they bound memory: streamed generation, the
+full-scale runner and the sweep ``shards`` axis.  Their results are
 identical at every shard count.  In-memory stages accept a ``shards=``
 keyword and ignore it.
 """

@@ -3,7 +3,7 @@
 A *shard* is a contiguous, order-preserving range of a run's clusters
 (:func:`split_contiguous`) small enough to simulate, profile,
 reconstruct, and score in memory.
-Shards are the unit of memory and of checkpointing, and only where that
+Shards are the unit of memory, and only where that
 matters do they act:
 
 * streamed generation (:meth:`Simulator.iter_shards
@@ -11,9 +11,8 @@ matters do they act:
   :func:`~repro.data.nanopore.iter_nanopore_clusters`), where one shard
   at a time is held per worker and written to disk in original index
   order;
-* the full-scale runner (:mod:`repro.sharding.runner`) and the durable
-  job engine (:mod:`repro.jobs`), where each shard is one checkpoint,
-  and the sweep ``shards`` axis that feeds them.
+* the full-scale runner (:mod:`repro.sharding.runner`), where each
+  shard is one pool task, and the sweep ``shards`` axis that feeds it.
 
 Per-shard results merge through the associative merge machinery
 (:meth:`ErrorStatistics.merge

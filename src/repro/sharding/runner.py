@@ -83,11 +83,9 @@ class FullScalePlan:
 
     A pure function of the run parameters: the same ``(n_clusters,
     strand_length, mean_coverage, seed, shards, algorithms, max_copies)``
-    always yields the same per-shard work items, so any executor —
-    :func:`run_fullscale`'s one-shot ``parallel_stream`` or the checkpointed
-    :class:`repro.jobs.JobEngine` — produces bit-identical merged results
-    from the same plan, regardless of scheduling, retries, or crashes in
-    between.
+    always yields the same per-shard work items, so
+    :func:`run_fullscale` produces bit-identical merged results from the
+    same plan at any worker count and in any completion order.
     """
 
     config: ShardConfig
@@ -220,7 +218,7 @@ def plan_fullscale(
     Validates the parameters, draws the per-cluster coverages from the
     run seed, and partitions the clusters into contiguous shards.  The
     returned :class:`FullScalePlan` fully determines every shard's work:
-    executing its shards in any order — or across process restarts — and
+    executing its shards in any order and
     merging with :func:`merge_shard_results` reproduces
     :func:`run_fullscale` bit for bit.
 
@@ -229,8 +227,8 @@ def plan_fullscale(
 
     Raises:
         ConfigError: unknown algorithm or severity names, or
-            ``n_clusters`` below 1 (the bound :class:`repro.jobs.JobSpec`
-            enforces; a 0-cluster accuracy would read as total failure).
+            ``n_clusters`` below 1 (a 0-cluster accuracy would read as
+            total failure).
     """
     # Imported lazily: repro.data.nanopore imports this package's plan
     # module, so a module-level import here would be circular.
@@ -291,8 +289,7 @@ def merge_shard_results(
 
     Every field is built with the associative merge machinery, so the
     outcome depends only on the plan and the per-shard summaries — not on
-    which process computed them, in how many attempts, or whether a crash
-    and resume happened in between.
+    which process computed them.
     """
     if len(shard_results) != fullscale_plan.n_shards:
         raise ValueError(

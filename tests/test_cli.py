@@ -193,16 +193,13 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize(
         "argv",
-        [
-            ["experiment", "fullscale", "--clusters", "0"],
-            ["jobs", "submit", "zero", "--jobs-dir", "{out}", "--clusters", "0"],
-        ],
-        ids=["fullscale", "jobs-submit"],
+        [["experiment", "fullscale", "--clusters", "0"]],
+        ids=["fullscale"],
     )
     def test_zero_clusters_rejected_on_both_fullscale_paths(
-        self, argv, tmp_path, capsys
+        self, argv, capsys
     ):
-        code = main([arg.format(out=tmp_path / "jobs") for arg in argv])
+        code = main(argv)
         assert code == 2
         assert capsys.readouterr().err == (
             "dnasim: error: [config] n_clusters must be >= 1, got 0\n"

@@ -1,5 +1,5 @@
 """Tests for the observability dashboard: the bench-trajectory store,
-flame rollups, journal replay, HTML generation, and the CLI surface."""
+flame rollups, HTML generation, and the CLI surface."""
 
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from repro.report.dashboard import (
     committed_floor,
     collect_run_inputs,
     flame_rollup,
-    format_shard_timeline,
-    shard_timeline,
     write_dashboard,
 )
 from repro.report.history import (
@@ -105,21 +103,6 @@ METRICS = {
     ],
 }
 
-JOB_EVENTS = [
-    {"event": "submitted", "t": 100.0, "workload": "fullscale"},
-    {"event": "state_change", "previous": "pending", "state": "running",
-     "t": 100.1},
-    {"event": "shard_started", "shard": 0, "attempt": 0, "t": 100.2},
-    {"event": "shard_succeeded", "shard": 0, "attempt": 0, "t": 100.9},
-    {"event": "shard_started", "shard": 1, "attempt": 0, "t": 101.0},
-    {"event": "shard_failed", "shard": 1, "attempt": 0,
-     "reason": "worker died", "t": 101.2},
-    {"event": "shard_started", "shard": 1, "attempt": 1, "t": 101.3},
-    {"event": "shard_succeeded", "shard": 1, "attempt": 1, "t": 101.8},
-    {"event": "state_change", "previous": "running", "state": "succeeded",
-     "t": 101.9},
-]
-
 CHAOS = {
     "severities": ["mild", "moderate"],
     "recovery_rate": {"mild": 1.0, "moderate": 0.5},
@@ -138,22 +121,6 @@ def run_dir(tmp_path):
         "".join(json.dumps(span) + "\n" for span in SPANS)
     )
     (root / "metrics.json").write_text(json.dumps(METRICS))
-    job = root / "jobs" / "demo"
-    job.mkdir(parents=True)
-    (job / "job.json").write_text(
-        json.dumps(
-            {
-                "format_version": 1,
-                "job_id": "demo",
-                "state": "succeeded",
-                "quarantined": [],
-                "spec": {"workload": "fullscale"},
-            }
-        )
-    )
-    (job / "events.jsonl").write_text(
-        "".join(json.dumps(event) + "\n" for event in JOB_EVENTS)
-    )
     (root / "chaos.json").write_text(json.dumps(CHAOS))
     (root / "conformance.json").write_text(
         json.dumps({"suite": "channel-conformance", "passed": 12, "failed": 0})
@@ -269,69 +236,6 @@ class TestFlameRollup:
 
 
 # ------------------------------------------------------------------ #
-# Journal replay
-# ------------------------------------------------------------------ #
-
-
-class TestShardTimeline:
-    def test_replay_attempts_and_outcomes(self):
-        timeline = shard_timeline(JOB_EVENTS)
-        assert [row["shard"] for row in timeline] == [0, 1]
-        shard0, shard1 = timeline
-        assert shard0["outcome"] == "succeeded"
-        assert shard0["attempts"] == 1
-        assert shard0["duration_s"] == pytest.approx(0.7)
-        assert shard1["outcome"] == "succeeded"  # failed then retried
-        assert shard1["attempts"] == 2
-        assert shard1["reason"] == "worker died"
-
-    def test_quarantine_and_crash(self):
-        events = [
-            {"event": "shard_started", "shard": 3, "attempt": 0, "t": 1.0},
-            {"event": "shard_quarantined", "shard": 3, "attempts": 3,
-             "reason": "poison", "t": 2.0},
-            {"event": "chaos_engine_crash", "shard": 5, "t": 3.0},
-        ]
-        rows = {row["shard"]: row for row in shard_timeline(events)}
-        assert rows[3]["outcome"] == "quarantined"
-        assert rows[3]["attempts"] == 3
-        assert rows[3]["reason"] == "poison"
-        assert rows[5]["outcome"] == "crashed"
-
-    def test_checkpoint_replay_marks_shards(self):
-        events = [
-            {"event": "checkpoints_replayed", "shards": [0, 2], "t": 1.0},
-        ]
-        rows = {row["shard"]: row for row in shard_timeline(events)}
-        assert rows[0]["outcome"] == "succeeded"
-        assert rows[0]["replayed"] is True
-        assert rows[2]["replayed"] is True
-
-    def test_torn_tail_tolerated_via_reader(self, tmp_path):
-        # The CLI and dashboard read events through the torn-tolerant
-        # JSONL reader; a SIGKILL mid-append must not lose the replay.
-        path = tmp_path / "events.jsonl"
-        path.write_text(
-            json.dumps(JOB_EVENTS[2]) + "\n"
-            + json.dumps(JOB_EVENTS[3]) + "\n"
-            + '{"event": "shard_sta'  # torn tail
-        )
-        timeline = shard_timeline(read_history_file(path))
-        assert len(timeline) == 1
-        assert timeline[0]["outcome"] == "succeeded"
-
-    def test_format_is_compact_text(self):
-        text = format_shard_timeline(shard_timeline(JOB_EVENTS))
-        lines = text.splitlines()
-        assert lines[0].startswith("shard")
-        assert len(lines) == 3  # header + 2 shards
-        assert "worker died" in text
-
-    def test_format_empty(self):
-        assert "no shard events" in format_shard_timeline([])
-
-
-# ------------------------------------------------------------------ #
 # Dashboard document
 # ------------------------------------------------------------------ #
 
@@ -353,8 +257,7 @@ class TestDashboard:
         # metrics: family cards and quantile columns
         assert "cache events" in document
         assert "p95" in document
-        # run health: the job's shard table, chaos table, conformance
-        assert "worker died" in document
+        # run health: chaos table, conformance
         assert "recovered exactly" in document
         assert "channel-conformance" in document
 
@@ -445,31 +348,33 @@ class TestDiscovery:
         inputs = collect_run_inputs(run_dir)
         assert [label for label, _ in inputs.traces] == ["trace.jsonl"]
         assert [label for label, _ in inputs.metrics] == ["metrics.json"]
-        assert [job["job_id"] for job in inputs.jobs] == ["demo"]
         assert [label for label, _ in inputs.chaos_sweeps] == ["chaos.json"]
         assert [label for label, _ in inputs.test_summaries] == [
             "conformance.json"
         ]
 
     def test_job_internal_files_not_misclassified(self, run_dir):
-        # events.jsonl lives inside the job dir: it must not be picked
-        # up as a trace, and job.json must not look like metrics.
+        # Sweep directories written before cell records were the only
+        # resume state still hold per-cell job journals: their
+        # events.jsonl must not be picked up as a trace, and job.json
+        # must not look like metrics.
+        job = run_dir / "jobs" / "demo"
+        job.mkdir(parents=True)
+        (job / "job.json").write_text(
+            json.dumps({"format_version": 1, "job_id": "demo",
+                        "state": "succeeded", "spec": {}})
+        )
+        (job / "events.jsonl").write_text(
+            json.dumps({"event": "shard_started", "shard": 0, "t": 1.0})
+            + "\n"
+        )
         inputs = collect_run_inputs(run_dir)
         assert all("events" not in label for label, _ in inputs.traces)
         assert all("job.json" not in label for label, _ in inputs.metrics)
 
-    def test_kill_resume_outcome_discovered(self, tmp_path):
-        (tmp_path / "kr.json").write_text(
-            json.dumps({"bit_identical": True, "crash_exit": 1})
-        )
-        inputs = collect_run_inputs(tmp_path)
-        assert [label for label, _ in inputs.kill_resume] == ["kr.json"]
-        document = build_dashboard_html(tmp_path, None)
-        assert "resume bit-identical" in document
-
     def test_missing_run_dir(self, tmp_path):
         inputs = collect_run_inputs(tmp_path / "nope")
-        assert inputs.traces == [] and inputs.jobs == []
+        assert inputs.traces == [] and inputs.sweeps == []
 
 
 # ------------------------------------------------------------------ #
@@ -520,39 +425,6 @@ class TestDashboardCLI:
         code = main(["experiment", "table_1_1"])
         assert code == 0
         assert not (tmp_path / "dashboard.html").exists()
-
-    def test_jobs_status_events_timeline(self, tmp_path, capsys):
-        jobs_dir = tmp_path / "jobs"
-        code = main(
-            [
-                "jobs", "submit", "tiny",
-                "--jobs-dir", str(jobs_dir),
-                "--clusters", "8",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-        code = main(
-            ["jobs", "status", "tiny", "--jobs-dir", str(jobs_dir),
-             "--events"]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert '"state": "succeeded"' in out  # the JSON document
-        lines = out.splitlines()
-        header = next(line for line in lines if line.startswith("shard"))
-        assert "attempts" in header and "outcome" in header
-        assert any("succeeded" in line for line in lines)
-
-    def test_jobs_status_without_events_unchanged(self, tmp_path, capsys):
-        jobs_dir = tmp_path / "jobs"
-        main(["jobs", "submit", "tiny", "--jobs-dir", str(jobs_dir),
-              "--clusters", "8"])
-        capsys.readouterr()
-        main(["jobs", "status", "tiny", "--jobs-dir", str(jobs_dir)])
-        out = capsys.readouterr().out
-        assert "shard  attempts" not in out
-        json.loads(out)  # pure JSON document, nothing appended
 
     def test_chaos_json_out(self, tmp_path, capsys):
         out_file = tmp_path / "chaos.json"

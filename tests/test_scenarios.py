@@ -10,8 +10,8 @@ Three layers, matching the package:
   shrink the matrix).
 * **Orchestrator conformance** — every artifact a sweep writes passes
   ``assert_stamped``; a perturbed spec is a loud mismatch against an
-  existing sweep directory; a tampered cell record is detected and
-  re-derived, never silently reused.
+  existing sweep directory; a tampered or failed cell record is
+  detected and re-derived, never silently reused.
 * **Retired backends** — the alignment and channel paths are chosen
   from the input shape, so a stale ``REPRO_*_BACKEND`` environment
   cannot change what a cell computes, and a spec naming a retired
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.core import channel_backend
 from repro.core.channel import Channel
 from repro.exceptions import ConfigError
 from repro.observability.bench import assert_stamped
+from repro.scenarios import orchestrator
 from repro.scenarios import (
     AXES,
     AXIS_DEFAULTS,
@@ -211,27 +213,67 @@ class TestShuffledOrder:
             tiny_spec(order="shufled")
 
 
-class TestJobSpecMapping:
-    def test_cell_maps_onto_job_spec(self):
-        spec = wide_spec()
-        cell = next(
-            c
-            for c in spec.expand()
-            if c.channel == "hot" and c.shards == 2 and c.severity == "mild"
-        )
-        job = cell.job_spec()
-        assert job.job_id == cell.cell_id
-        assert job.n_clusters == spec.n_clusters
-        assert job.mean_coverage == cell.coverage
-        assert job.seed == spec.seed
-        assert job.shards == 2
-        assert job.algorithms == (cell.algorithm,)
-        assert job.fault_severity == "mild"
-        assert job.channel_parameters == dict(cell.channel_parameters)
+def run_fullscale_arguments(spec, sweep_dir, monkeypatch) -> dict:
+    """Run ``spec`` with ``run_fullscale`` captured; map each cell to the
+    keyword arguments of the one ``run_fullscale`` call it made."""
+    calls = []
 
-    def test_paper_channel_pins_no_parameter_overrides(self):
-        job = tiny_spec().expand()[0].job_spec()
-        assert job.channel_parameters is None
+    def capture(**kwargs):
+        calls.append(kwargs)
+        return SimpleNamespace(summary=dict)
+
+    monkeypatch.setattr(orchestrator, "run_fullscale", capture)
+    outcome = run_sweep(spec, sweep_dir)
+    assert outcome.exit_code == 0
+    assert len(calls) == spec.n_cells
+    return dict(zip((c.cell for c in outcome.cells), calls))
+
+
+class TestJobSpecMapping:
+    """Each cell runs as one ``run_fullscale`` call with its own
+    coordinates: coverage is the mean coverage, severity the fault
+    severity, and a preset's overrides the channel parameters."""
+
+    def test_cell_maps_onto_job_spec(self, tmp_path, monkeypatch):
+        spec = tiny_spec(
+            axes={
+                "channel": ("hot",),
+                "coverage": (6.0,),
+                "algorithm": ("bma",),
+                "severity": ("mild",),
+                "shards": (1, 2),
+            },
+            channels={"hot": {"substitution_rate": 0.04,
+                              "deletion_rate": 0.02}},
+        )
+        by_cell = run_fullscale_arguments(spec, tmp_path / "sweep", monkeypatch)
+        assert len(by_cell) == 2  # one cell per shards value
+        for cell, kwargs in by_cell.items():
+            parameters = kwargs.pop("parameters")
+            assert kwargs == {
+                "n_clusters": spec.n_clusters,
+                "strand_length": spec.strand_length,
+                "mean_coverage": 6.0,
+                "seed": spec.seed,
+                "shards": cell.shards,
+                "workers": cell.workers,
+                "algorithms": ("bma",),
+                "max_copies": spec.max_copies,
+                "fault_severity": "mild",
+            }
+            assert parameters == cell.parameters()
+            assert parameters.substitution_rate == 0.04
+            assert parameters.deletion_rate == 0.02
+
+    def test_paper_channel_pins_no_parameter_overrides(
+        self, tmp_path, monkeypatch
+    ):
+        spec = tiny_spec()
+        by_cell = run_fullscale_arguments(spec, tmp_path / "sweep", monkeypatch)
+        assert {cell.channel for cell in by_cell} == {"paper"}
+        for cell, kwargs in by_cell.items():
+            assert cell.parameters() is None
+            assert kwargs["parameters"] is None
 
 
 class TestValidation:
@@ -416,8 +458,8 @@ class TestConformance:
         again = run_sweep(spec, tmp_path / "sweep")
         tampered = next(c for c in again.cells if c.cell.index == 0)
         assert not tampered.reused
-        # Re-derived from the journal: the forged number is gone and the
-        # record holds the original, journalled result again.
+        # Re-run: the forged number is gone and the record holds the
+        # original result again.
         rewritten = json.loads(record_path.read_text())
         assert rewritten["result"] == pristine_result
         assert rewritten["result"] == first.cells[0].record["result"]
@@ -457,6 +499,61 @@ class TestConformance:
     def test_resume_of_non_sweep_directory_fails(self, tmp_path):
         with pytest.raises(ConfigError, match="not a sweep directory"):
             resume_sweep(tmp_path)
+
+    def test_failed_cell_is_recorded_and_rerun(self, tmp_path, monkeypatch):
+        """A run that raises fails its own cell only: the record says so,
+        the sweep goes on, and the next pass re-runs the failed cell."""
+        real_run_fullscale = orchestrator.run_fullscale
+
+        def fail_majority(**kwargs):
+            if kwargs["algorithms"] == ("majority",):
+                raise ConfigError("injected shard failure")
+            return real_run_fullscale(**kwargs)
+
+        spec = tiny_spec()
+        monkeypatch.setattr(orchestrator, "run_fullscale", fail_majority)
+        outcome = run_sweep(spec, tmp_path / "sweep")
+        assert outcome.exit_code == 4
+        failed, later = outcome.cells
+        assert failed.record["job_state"] == "failed"
+        assert failed.record["complete"] is False
+        assert failed.record["result"] is None
+        assert failed.record["error"] == "injected shard failure"
+        assert later.state == "succeeded" and later.exit_code == 0
+
+        monkeypatch.setattr(orchestrator, "run_fullscale", real_run_fullscale)
+        again = run_sweep(spec, tmp_path / "sweep")
+        assert again.exit_code == 0
+        assert [c.reused for c in again.cells] == [False, True]
+        assert again.cells[0].state == "succeeded"
+
+    def test_sweep_dir_with_stale_job_journals_is_reused(self, tmp_path):
+        """Sweep directories written when each cell ran as a durable job
+        also hold ``jobs/<cell_id>/job.json``: their records still
+        validate, and the journals are ignored."""
+        spec = tiny_spec()
+        sweep_dir = tmp_path / "sweep"
+        run_sweep(spec, sweep_dir)
+        for cell in spec.expand():
+            journal = sweep_dir / "jobs" / cell.cell_id
+            journal.mkdir(parents=True)
+            (journal / "job.json").write_text(
+                json.dumps({"format_version": 1, "job_id": cell.cell_id,
+                            "state": "running", "spec": {}})
+            )
+        outcome = resume_sweep(sweep_dir)
+        assert outcome.exit_code == 0
+        assert outcome.reused == 2
+        status = sweep_status(sweep_dir)
+        assert status["recorded"] == 2
+        assert [cell["state"] for cell in status["cells"]] == [
+            "succeeded", "succeeded"
+        ]
+
+        next((sweep_dir / "cells").glob("cell-000-*.json")).unlink()
+        status = sweep_status(sweep_dir)
+        assert status["pending"] == 1
+        assert status["cells"][0]["state"] is None
 
 
 class TestStore:

@@ -474,8 +474,7 @@ class TestRunFullscale:
 
     @pytest.mark.parametrize("n_clusters", (0, -3))
     def test_rejects_fewer_than_one_cluster(self, n_clusters):
-        """The bound ``JobSpec`` enforces, so a full-scale run and a job
-        accept the same parameters."""
+        """A 0-cluster accuracy would read as total failure."""
         with pytest.raises(
             ConfigError, match=rf"^n_clusters must be >= 1, got {n_clusters}$"
         ):
