@@ -41,22 +41,7 @@ from repro.data.nanopore import iter_nanopore_clusters, make_nanopore_dataset
 from repro.exceptions import ConfigError, ReproError
 from repro.sharding.plan import set_default_shards
 from repro.metrics.accuracy import evaluate_reconstruction
-from repro.reconstruct.base import Reconstructor
-from repro.reconstruct.bma import BMALookahead
-from repro.reconstruct.divider_bma import DividerBMA
-from repro.reconstruct.iterative import IterativeReconstruction
-from repro.reconstruct.majority import PositionalMajority
-from repro.reconstruct.msa import StarMSAConsensus
-from repro.reconstruct.two_way import TwoWayIterative
-
-RECONSTRUCTORS: dict[str, type] = {
-    "bma": BMALookahead,
-    "divbma": DividerBMA,
-    "iterative": IterativeReconstruction,
-    "two-way-iterative": TwoWayIterative,
-    "majority": PositionalMajority,
-    "msa": StarMSAConsensus,
-}
+from repro.reconstruct import RECONSTRUCTORS, Reconstructor
 
 EXPERIMENTS = (
     "fullscale",

@@ -1,8 +1,8 @@
 """Provenance stamping for the committed benchmark records.
 
-``BENCH_throughput.json`` and ``BENCH_kernels.json`` track the perf
-trajectory PR over PR, which only works if every record says *which code
-produced it and when*.  :func:`stamp_record` adds a schema version, the
+``BENCH_throughput.json``, ``BENCH_kernels.json`` and
+``BENCH_pipeline.json`` track the perf trajectory PR over PR, which only
+works if every record says *which code produced it and when*.  :func:`stamp_record` adds a schema version, the
 git SHA of the working tree, and an ISO-8601 UTC timestamp; the bench
 tests assert the stamp with :func:`assert_stamped` so an unstamped
 record can never be committed again.

@@ -153,6 +153,19 @@ class _Survey:
     n_clusters_used: int
 
 
+@dataclass
+class _Decoded:
+    """One Reed-Solomon decode of a file's strands (padded data)."""
+
+    data: bytes
+    #: Whether each byte of ``data`` is trustworthy.
+    recovered_flags: list[bool]
+    n_erasures: int
+    n_corrected: int
+    #: The first group or column over the RS budget; ``None`` if exact.
+    failure: str | None
+
+
 class DNAArchive:
     """A key-value DNA archival store.
 
@@ -409,15 +422,15 @@ class DNAArchive:
         survey = self._survey(
             stored, strands, channel_model, coverages, reconstructor, faults
         )
-        data, n_erasures, n_corrected = self._decode_groups(
-            stored, survey.payload_by_index
-        )
+        decoded = self._decode_groups(stored, survey.payload_by_index)
+        if decoded.failure is not None:
+            raise ArchiveError(decoded.failure)
         return RetrievalReport(
-            data=data[: stored.data_length],
+            data=decoded.data[: stored.data_length],
             n_reads=survey.n_reads,
             n_clusters_used=survey.n_clusters_used,
-            n_erasures=n_erasures,
-            n_corrected_errors=n_corrected,
+            n_erasures=decoded.n_erasures,
+            n_corrected_errors=decoded.n_corrected,
         )
 
     def retrieve(
@@ -508,11 +521,8 @@ class DNAArchive:
                     n_missing = stored.n_total_strands - len(payload_by_index)
                     if attempt_span is not None:
                         attempt_span.set(missing_strands=n_missing)
-                    try:
-                        data, n_erasures, n_corrected = self._decode_groups(
-                            stored, payload_by_index
-                        )
-                    except ArchiveError as error:
+                    decoded = self._decode_groups(stored, payload_by_index)
+                    if decoded.failure is not None:
                         counter("retry.attempts", outcome="decode_failure").inc()
                         if attempt_span is not None:
                             attempt_span.set(outcome="decode_failure")
@@ -523,8 +533,8 @@ class DNAArchive:
                             coverage=attempt_coverage,
                             reconstructor=algorithm.name,
                             missing_strands=n_missing,
-                            stage=error.stage,
-                            error=str(error),
+                            stage=ArchiveError.stage,
+                            error=decoded.failure,
                         )
                         attempts.append(
                             AttemptReport(
@@ -535,7 +545,7 @@ class DNAArchive:
                                 n_missing_strands=n_missing,
                                 reconstructor=algorithm.name,
                                 succeeded=False,
-                                failure=str(error),
+                                failure=decoded.failure,
                             )
                         )
                         continue
@@ -555,15 +565,15 @@ class DNAArchive:
                     )
                 return RecoveryResult(
                     key=key,
-                    data=data[: stored.data_length],
+                    data=decoded.data[: stored.data_length],
                     complete=True,
                     data_length=stored.data_length,
                     recovered_bytes=stored.data_length,
                     erasure_map=(),
                     strand_failures={},
                     attempts=tuple(attempts),
-                    n_erasures=n_erasures,
-                    n_corrected_errors=n_corrected,
+                    n_erasures=decoded.n_erasures,
+                    n_corrected_errors=decoded.n_corrected,
                     n_reads=total_reads,
                 )
 
@@ -576,21 +586,20 @@ class DNAArchive:
                 attempts=len(attempts),
                 missing_strands=stored.n_total_strands - len(payload_by_index),
             )
-            data, recovered_flags, n_erasures, n_corrected = (
-                self._decode_groups_partial(stored, payload_by_index)
-            )
-            flags = recovered_flags[: stored.data_length]
+            # The last attempt decoded exactly these payloads (a deadline
+            # stop adds none), so its salvage is what the pool supports.
+            flags = decoded.recovered_flags[: stored.data_length]
             return RecoveryResult(
                 key=key,
-                data=data[: stored.data_length],
+                data=decoded.data[: stored.data_length],
                 complete=False,
                 data_length=stored.data_length,
                 recovered_bytes=sum(flags),
                 erasure_map=ranges_from_flags(flags),
                 strand_failures=failures,
                 attempts=tuple(attempts),
-                n_erasures=n_erasures,
-                n_corrected_errors=n_corrected,
+                n_erasures=decoded.n_erasures,
+                n_corrected_errors=decoded.n_corrected,
                 n_reads=total_reads,
             )
 
@@ -613,15 +622,22 @@ class DNAArchive:
 
     def _decode_groups(
         self, stored: StoredFile, payload_by_index: dict[int, bytes]
-    ) -> tuple[bytes, int, int]:
-        """Strict decode: every group must fit its Reed-Solomon budget.
+    ) -> _Decoded:
+        """Decode every Reed-Solomon group; never raises.
 
-        Raises:
-            ArchiveError: as soon as any group exceeds the budget.
+        Per group and byte column: if the RS budget holds, correct as
+        usual; otherwise keep the CRC-validated payload bytes of present
+        strands verbatim (a valid CRC makes them near-certainly correct)
+        and mark the missing strands' bytes unrecovered.  The result's
+        ``failure`` names the first group or column the budget could not
+        cover (``None`` when the decode is exact), which :meth:`read`
+        raises as an :class:`ArchiveError`.
         """
         data = bytearray()
+        recovered_flags: list[bool] = []
         n_erasures = 0
         n_corrected = 0
+        failure: str | None = None
         for index, k, group_indices in self._iter_groups(stored):
             erasure_rows = [
                 row
@@ -629,8 +645,9 @@ class DNAArchive:
                 if strand_index not in payload_by_index
             ]
             n_erasures += len(erasure_rows)
-            if len(erasure_rows) > self.rs_group_parity:
-                raise ArchiveError(
+            budget_holds = len(erasure_rows) <= self.rs_group_parity
+            if not budget_holds and failure is None:
+                failure = (
                     f"group at strand {index}: {len(erasure_rows)} erasures "
                     f"exceed {self.rs_group_parity} parity strands"
                 )
@@ -639,58 +656,7 @@ class DNAArchive:
                 for strand_index in group_indices
             ]
             decoded_chunks = [bytearray() for _ in range(k)]
-            for byte_position in range(self.payload_bytes):
-                column = bytes(
-                    payload[byte_position] for payload in group_payloads
-                )
-                try:
-                    corrected = self._reed_solomon.decode(
-                        column, erasure_positions=erasure_rows
-                    )
-                except ReedSolomonError as error:
-                    raise ArchiveError(
-                        f"group at strand {index}, byte {byte_position}: {error}"
-                    ) from error
-                if corrected != column[: len(corrected)]:
-                    n_corrected += 1
-                for row in range(k):
-                    decoded_chunks[row].append(corrected[row])
-            for chunk in decoded_chunks:
-                data.extend(chunk)
-        return bytes(data), n_erasures, n_corrected
-
-    def _decode_groups_partial(
-        self, stored: StoredFile, payload_by_index: dict[int, bytes]
-    ) -> tuple[bytes, list[bool], int, int]:
-        """Best-effort decode: never raises, recovers what it can.
-
-        Per group and byte column: if the RS budget holds, correct as
-        usual; otherwise keep the CRC-validated payload bytes of present
-        strands verbatim (a valid CRC makes them near-certainly correct)
-        and mark the missing strands' bytes unrecovered.
-
-        Returns ``(data, recovered_flags, n_erasures, n_corrected)`` where
-        ``recovered_flags[i]`` says whether byte ``i`` of the padded data
-        is trustworthy.
-        """
-        data = bytearray()
-        recovered_flags: list[bool] = []
-        n_erasures = 0
-        n_corrected = 0
-        for _index, k, group_indices in self._iter_groups(stored):
-            erasure_rows = [
-                row
-                for row, strand_index in enumerate(group_indices)
-                if strand_index not in payload_by_index
-            ]
-            n_erasures += len(erasure_rows)
-            group_payloads = [
-                payload_by_index.get(strand_index, bytes(self.payload_bytes))
-                for strand_index in group_indices
-            ]
-            decoded_chunks = [bytearray() for _ in range(k)]
-            chunk_flags = [[False] * self.payload_bytes for _ in range(k)]
-            budget_holds = len(erasure_rows) <= self.rs_group_parity
+            chunk_flags = [[True] * self.payload_bytes for _ in range(k)]
             for byte_position in range(self.payload_bytes):
                 column = bytes(
                     payload[byte_position] for payload in group_payloads
@@ -701,22 +667,28 @@ class DNAArchive:
                         corrected = self._reed_solomon.decode(
                             column, erasure_positions=erasure_rows
                         )
-                    except ReedSolomonError:
-                        corrected = None
+                    except ReedSolomonError as error:
+                        if failure is None:
+                            failure = (
+                                f"group at strand {index}, "
+                                f"byte {byte_position}: {error}"
+                            )
                 if corrected is not None:
                     if corrected != column[: len(corrected)]:
                         n_corrected += 1
                     for row in range(k):
                         decoded_chunks[row].append(corrected[row])
-                        chunk_flags[row][byte_position] = True
                 else:
                     # RS cannot help this column: present strands keep
                     # their CRC-validated bytes, missing ones are erased.
-                    erased = set(erasure_rows)
                     for row in range(k):
                         decoded_chunks[row].append(column[row])
-                        chunk_flags[row][byte_position] = row not in erased
+                    for row in erasure_rows:
+                        if row < k:
+                            chunk_flags[row][byte_position] = False
             for row in range(k):
                 data.extend(decoded_chunks[row])
                 recovered_flags.extend(chunk_flags[row])
-        return bytes(data), recovered_flags, n_erasures, n_corrected
+        return _Decoded(
+            bytes(data), recovered_flags, n_erasures, n_corrected, failure
+        )

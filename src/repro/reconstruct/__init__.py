@@ -8,11 +8,24 @@ from repro.reconstruct.majority import PositionalMajority
 from repro.reconstruct.msa import StarMSAConsensus
 from repro.reconstruct.two_way import TwoWayIterative
 
+#: Every algorithm by its user-facing name: ``dnasim evaluate
+#: --algorithms``, :func:`repro.sharding.run_fullscale`'s ``algorithms``
+#: and a sweep spec's ``algorithm`` axis all read this one registry.
+RECONSTRUCTORS: dict[str, type[Reconstructor]] = {
+    "bma": BMALookahead,
+    "divbma": DividerBMA,
+    "iterative": IterativeReconstruction,
+    "two-way-iterative": TwoWayIterative,
+    "majority": PositionalMajority,
+    "msa": StarMSAConsensus,
+}
+
 __all__ = [
     "BMALookahead",
     "DividerBMA",
     "IterativeReconstruction",
     "PositionalMajority",
+    "RECONSTRUCTORS",
     "Reconstructor",
     "StarMSAConsensus",
     "TwoWayIterative",

@@ -38,8 +38,8 @@ from repro.data.nanopore import (
 from repro.exceptions import ConfigError
 from repro.experiments.common import DATASET_SEED
 from repro.observability.bench import content_digest
+from repro.reconstruct import RECONSTRUCTORS
 from repro.robustness.faults import SEVERITY_LEVELS
-from repro.sharding.runner import RECONSTRUCTORS
 
 #: The matrix axes, in canonical (expansion) order.  Cell indices are
 #: positions in the lexicographic cross product over exactly this order,

@@ -8,14 +8,14 @@ default scales.  This package closes that gap:
 * :mod:`repro.sharding.plan` — deterministic shard assignment
   (order-preserving contiguous ranges, :func:`split_contiguous`), plus
   the ``REPRO_SHARDS``/``--shards`` default resolution;
-* :mod:`repro.sharding.runner` — the full-scale pipeline: per-shard
-  generate → profile → reconstruct → score workers on
-  :func:`repro.parallel.parallel_stream`, merged with the associative
-  merge machinery (:meth:`ErrorStatistics.merge
+* :mod:`repro.sharding.runner` — :func:`run_fullscale`, the full-scale
+  pipeline: per-shard generate → profile → reconstruct → score tasks on
+  :func:`repro.parallel.parallel_stream`, whose summaries it folds in
+  shard order as they arrive (:meth:`ErrorStatistics.merge
   <repro.analysis.error_stats.ErrorStatistics.merge>`,
   :meth:`AccuracyTally.merge
-  <repro.metrics.accuracy.AccuracyTally.merge>`) so peak memory is
-  bounded by one shard, not the archive.
+  <repro.metrics.accuracy.AccuracyTally.merge>`), so peak memory is
+  bounded by the shards in flight, not the archive.
 
 Shards act only where they bound memory: streamed generation, the
 full-scale runner and the sweep ``shards`` axis.  Their results are
@@ -36,15 +36,7 @@ from repro.sharding.plan import (
 #: reconstruction stack, and every stage module imports this package for
 #: plan machinery alone — eager re-export would make that import heavy
 #: and circular.
-_RUNNER_EXPORTS = (
-    "FullScalePlan",
-    "FullScaleResult",
-    "ShardConfig",
-    "merge_shard_results",
-    "plan_fullscale",
-    "run_fullscale",
-    "run_shard",
-)
+_RUNNER_EXPORTS = ("FullScaleResult", "run_fullscale", "run_shard")
 
 
 def __getattr__(name: str):
@@ -62,11 +54,7 @@ __all__ = [
     "resolve_shards",
     "set_default_shards",
     "split_contiguous",
-    "FullScalePlan",
     "FullScaleResult",
-    "ShardConfig",
-    "merge_shard_results",
-    "plan_fullscale",
     "run_fullscale",
     "run_shard",
 ]

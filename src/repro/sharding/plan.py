@@ -11,8 +11,9 @@ matters do they act:
   :func:`~repro.data.nanopore.iter_nanopore_clusters`), where one shard
   at a time is held per worker and written to disk in original index
   order;
-* the full-scale runner (:mod:`repro.sharding.runner`), where each
-  shard is one pool task, and the sweep ``shards`` axis that feeds it.
+* :func:`~repro.sharding.runner.run_fullscale`, where each shard is
+  one pool task whose summaries are folded in shard order as they
+  arrive, and the sweep ``shards`` axis that calls it.
 
 Per-shard results merge through the associative merge machinery
 (:meth:`ErrorStatistics.merge

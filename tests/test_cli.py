@@ -191,20 +191,6 @@ class TestErrorHandling:
             f"dnasim: error: [config] n_clusters must be >= 1, got {clusters}\n"
         )
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["experiment", "fullscale", "--clusters", "0"]],
-        ids=["fullscale"],
-    )
-    def test_zero_clusters_rejected_on_both_fullscale_paths(
-        self, argv, capsys
-    ):
-        code = main(argv)
-        assert code == 2
-        assert capsys.readouterr().err == (
-            "dnasim: error: [config] n_clusters must be >= 1, got 0\n"
-        )
-
     def test_debug_flag_reraises(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text("ACGT\nACGA\n")

@@ -696,7 +696,8 @@ def test_git_sha_outside_a_checkout_is_unknown(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "bench_name", ["BENCH_throughput.json", "BENCH_kernels.json"]
+    "bench_name",
+    ["BENCH_throughput.json", "BENCH_kernels.json", "BENCH_pipeline.json"],
 )
 def test_committed_bench_records_are_stamped(bench_name):
     record = json.loads((REPO_ROOT / bench_name).read_text())

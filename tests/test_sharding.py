@@ -37,7 +37,6 @@ from repro.robustness import RetryPolicy
 from repro.sharding import (
     batched,
     default_shards,
-    plan_fullscale,
     resolve_shards,
     run_fullscale,
     set_default_shards,
@@ -478,7 +477,7 @@ class TestRunFullscale:
         with pytest.raises(
             ConfigError, match=rf"^n_clusters must be >= 1, got {n_clusters}$"
         ):
-            plan_fullscale(n_clusters=n_clusters)
+            run_fullscale(n_clusters=n_clusters)
 
     def test_custom_parameters_flow_through(self):
         quiet = NanoporeParameters(
