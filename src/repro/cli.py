@@ -353,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="generate shard by shard and write clusters to disk as they "
-        "are produced (bounded memory; per-cluster seeds, so the drawn "
-        "noise differs from the default serial stream)",
+        "are produced (memory holds one shard per worker in flight, so "
+        "pass the global --shards N to bound it: at the default of one "
+        "shard it holds the whole dataset; per-cluster seeds, so the "
+        "drawn noise differs from the default serial stream)",
     )
     dataset.set_defaults(handler=_cmd_dataset)
 
@@ -396,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream",
         action="store_true",
         help="simulate shard by shard and write clusters to disk as they "
-        "are produced (bounded memory; requires --parallel-seeds)",
+        "are produced (memory holds one shard per worker in flight, so "
+        "pass the global --shards N to bound it: at the default of one "
+        "shard it holds the whole output; requires --parallel-seeds)",
     )
     generate.set_defaults(handler=_cmd_generate)
 

@@ -123,12 +123,14 @@ class Simulator:
     ) -> "Iterator[Cluster]":
         """Stream simulated clusters shard by shard, in reference order.
 
-        The bounded-memory counterpart of :meth:`simulate` for
-        paper-scale generation (``dnasim generate --stream``): clusters
-        are produced in contiguous shards (at most ``workers`` shards in
-        flight) and yielded in the original reference order at any shard
-        count, so they can be written straight to disk through
-        :class:`repro.data.io.PoolWriter`.  The yielded clusters are
+        The streaming counterpart of :meth:`simulate` for paper-scale
+        generation (``dnasim generate --stream``): clusters are produced
+        in contiguous shards (at most ``workers`` shards in flight) and
+        yielded in the original reference order at any shard count, so
+        they can be written straight to disk through
+        :class:`repro.data.io.PoolWriter`.  Memory is bounded by one
+        shard per worker in flight, so the bound needs ``shards`` > 1: a
+        single shard is the whole output.  The yielded clusters are
         identical to :meth:`simulate`'s at any shard and worker count.
 
         Requires ``per_cluster_seeds=True``: each cluster's noise comes

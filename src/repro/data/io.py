@@ -72,9 +72,9 @@ def atomic_writer(
     On error the temporary file is removed and ``path`` is untouched.
 
     This is the one durable-write primitive the repository shares: the
-    sweep records (:mod:`repro.scenarios`), the experiment-context cache
-    (:mod:`repro.experiments.cache`), and :class:`PoolWriter` all write
-    through it instead of hand-rolling tmp-file/rename variants.
+    sweep manifests and cell records (:mod:`repro.scenarios`) write
+    through it via :func:`atomic_write`, and :class:`PoolWriter` keeps
+    the same contract for streamed output.
     """
     path = Path(path)
     if "b" in mode:

@@ -229,9 +229,11 @@ def iter_nanopore_clusters(
 
     The streaming counterpart of :func:`make_nanopore_dataset` for
     paper-scale generation: one process pool serves the whole stream, and
-    at most ``workers`` shards are in flight plus the one being consumed,
-    instead of the whole pool, so 10,000 clusters / ~270k reads can be
-    written straight to disk in bounded memory.
+    at most ``workers`` shards are in flight plus the one being consumed.
+    Memory is therefore bounded by one shard per worker in flight, not by
+    the stream: the bound needs ``shards`` > 1, since a single shard is
+    the whole dataset.  With enough shards, 10,000 clusters / ~270k reads
+    are written straight to disk in bounded memory.
 
     Unlike the serial generator, randomness is derived **per cluster**
     from ``(seed, index)`` by the convention of

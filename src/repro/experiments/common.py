@@ -1,14 +1,16 @@
 """Shared infrastructure for the paper-reproduction experiments.
 
 Every table and figure of the paper maps to one runner module in this
-package (see DESIGN.md section 3).  Runners share a cached *context* — the
+package (see DESIGN.md section 3).  Runners share a *context* — the
 synthetic Nanopore dataset, its fitted error profile, and the
-fixed-coverage trims — so a full benchmark session generates the dataset
-once.
+fixed-coverage trims — built in process and kept in a small in-memory
+LRU, so one process (``experiment all``, ``report figures``, a benchmark
+session) generates the dataset once per scale.
 
 Scale: the paper's dataset has 10,000 clusters; experiments default to
 ``DEFAULT_N_CLUSTERS`` so the whole suite runs on a laptop in minutes.
-Override with the ``REPRO_N_CLUSTERS`` environment variable or the
+Override with the ``REPRO_N_CLUSTERS`` environment variable (a positive
+integer, else a :class:`~repro.exceptions.ConfigError` on import) or the
 runners' ``n_clusters`` argument; EXPERIMENTS.md records the scale used
 for the committed numbers.
 """
@@ -21,20 +23,39 @@ from collections import OrderedDict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.experiments import cache as context_cache
 from repro.core.profile import ErrorProfile, SimulatorStage
 from repro.core.simulator import Simulator
 from repro.core.coverage import ConstantCoverage
 from repro.core.strand import StrandPool
 from repro.data.nanopore import make_nanopore_dataset
+from repro.exceptions import ConfigError
 from repro.observability import span
 from repro.reconstruct.base import Reconstructor
 from repro.reconstruct.bma import BMALookahead
 from repro.reconstruct.divider_bma import DividerBMA
 from repro.reconstruct.iterative import IterativeReconstruction
 
+
+def _checked_scale(n_clusters: int) -> int:
+    """``n_clusters`` itself, or a :class:`ConfigError` when it is < 1."""
+    if n_clusters < 1:
+        raise ConfigError(f"n_clusters must be >= 1, got {n_clusters}")
+    return n_clusters
+
+
+def _scale_from_env() -> int:
+    raw = os.environ.get("REPRO_N_CLUSTERS", "200")
+    try:
+        scale = int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"REPRO_N_CLUSTERS must be an integer, got {raw!r}"
+        ) from None
+    return _checked_scale(scale)
+
+
 #: Default experiment scale (clusters). The paper uses 10,000.
-DEFAULT_N_CLUSTERS = int(os.environ.get("REPRO_N_CLUSTERS", "200"))
+DEFAULT_N_CLUSTERS = _scale_from_env()
 
 #: Dataset seed shared by all experiments (reproducibility).
 DATASET_SEED = 2
@@ -52,7 +73,7 @@ PROFILE_COPIES = 4
 
 @dataclass
 class ExperimentContext:
-    """Cached dataset + profile shared across experiment runners."""
+    """Dataset + fitted profile shared across experiment runners."""
 
     n_clusters: int = DEFAULT_N_CLUSTERS
     real_pool: StrandPool = field(init=False)
@@ -61,27 +82,14 @@ class ExperimentContext:
     _shuffled: StrandPool = field(init=False)
 
     def __post_init__(self) -> None:
-        cached = context_cache.load_context_artifacts(
-            self.n_clusters, DATASET_SEED, PROFILE_COPIES
-        )
-        if cached is not None:
-            self.real_pool, statistics = cached
-            self.profile = ErrorProfile(statistics)
-        else:
-            with span("context.build", n_clusters=self.n_clusters, seed=DATASET_SEED):
-                self.real_pool = make_nanopore_dataset(
-                    n_clusters=self.n_clusters, seed=DATASET_SEED
-                )
-                self.profile = ErrorProfile.from_pool(
-                    self.real_pool, max_copies_per_cluster=PROFILE_COPIES
-                )
-                context_cache.store_context_artifacts(
-                    self.n_clusters,
-                    DATASET_SEED,
-                    PROFILE_COPIES,
-                    self.real_pool,
-                    self.profile.statistics,
-                )
+        _checked_scale(self.n_clusters)
+        with span("context.build", n_clusters=self.n_clusters, seed=DATASET_SEED):
+            self.real_pool = make_nanopore_dataset(
+                n_clusters=self.n_clusters, seed=DATASET_SEED
+            )
+            self.profile = ErrorProfile.from_pool(
+                self.real_pool, max_copies_per_cluster=PROFILE_COPIES
+            )
         rng = random.Random(SHUFFLE_SEED)
         self._shuffled = self.real_pool.shuffled_copies(rng).with_min_coverage(10)
 
@@ -112,8 +120,8 @@ class ExperimentContext:
 #: dataset plus fitted profile, so an unbounded map would leak one
 #: dataset per scale during sweeps (sensitivity studies, chaos at
 #: multiple ``n_clusters``); two covers the common "main scale plus one
-#: sweep point" access pattern, and evicted scales reload cheaply from
-#: the on-disk cache.
+#: sweep point" access pattern, and an evicted scale is rebuilt on its
+#: next request.
 MAX_CACHED_CONTEXTS = 2
 
 _CONTEXTS: OrderedDict[int, ExperimentContext] = OrderedDict()
@@ -138,7 +146,7 @@ def get_context(n_clusters: int | None = None) -> ExperimentContext:
 
 def clear_contexts() -> None:
     """Drop every in-memory context (tests, and sweeps that want a clean
-    slate between scales).  The on-disk artifact cache is unaffected."""
+    slate between scales)."""
     _CONTEXTS.clear()
 
 

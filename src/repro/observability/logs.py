@@ -1,9 +1,9 @@
 """Structured key=value / JSON logging.
 
-Every deliberate event in the pipeline — a cache discard, a malformed
-environment variable, a failed retrieval attempt, an injected fault —
-goes through a :class:`StructuredLogger` so it is greppable
-(``event=cache.stale_discard key=...``) and machine-parseable
+Every deliberate event in the pipeline — a malformed environment
+variable, a failed retrieval attempt, an injected fault — goes through
+a :class:`StructuredLogger` so it is greppable
+(``event=invalid_shards_env value=...``) and machine-parseable
 (``--log-json``).  This replaces the seed code's silent failure paths:
 nothing is ever swallowed without at least a structured record at an
 appropriate level.
@@ -111,9 +111,6 @@ class StructuredLogger:
 
     def __init__(self, name: str) -> None:
         self.name = name
-
-    def is_enabled_for(self, level: str) -> bool:
-        return LEVELS[level] >= _CONFIG.level
 
     def log(self, level: str, event: str, **fields: object) -> None:
         if LEVELS[level] < _CONFIG.level:

@@ -72,10 +72,6 @@ class AmplifiedPool:
         """Total molecules descended from source strand ``index``."""
         return sum(count for _sequence, count in self.molecules[index])
 
-    def copy_numbers(self) -> list[int]:
-        """Copy number per source strand."""
-        return [self.copy_number(index) for index in range(len(self.molecules))]
-
     def sample_reads(self, n_reads: int, rng: random.Random) -> list[tuple[int, str]]:
         """Draw reads proportionally to molecule abundance.
 

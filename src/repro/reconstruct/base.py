@@ -15,7 +15,7 @@ from collections.abc import Callable, Sequence
 from functools import partial
 from itertools import chain
 
-from repro.core.strand import Cluster, StrandPool
+from repro.core.strand import StrandPool
 from repro.observability import counter, span
 from repro.parallel import stream_chunks
 
@@ -41,10 +41,6 @@ class Reconstructor(ABC):
                 erasure); implementations must return ``""`` in that case.
             strand_length: the designed strand length L.
         """
-
-    def reconstruct_cluster(self, cluster: Cluster, strand_length: int) -> str:
-        """Reconstruct from a :class:`Cluster` (ignores its reference)."""
-        return self.reconstruct(cluster.copies, strand_length)
 
     def reconstruct_many(
         self, copies_lists: Sequence[Sequence[str]], strand_length: int

@@ -114,7 +114,6 @@ def committed_floor(bench: str, label: str) -> float:
 
 #: Counter-name prefixes rolled up into the headline metric cards.
 COUNTER_FAMILIES = (
-    ("cache", "cache."),
     ("retry", "retry."),
     ("faults", "faults."),
     ("chaos", "chaos."),
@@ -662,8 +661,8 @@ def _metrics_section(snapshots: list[tuple[str, dict]]) -> str:
         gauges = snapshot.get("gauges", [])
         histograms = snapshot.get("histograms", [])
 
-        # Headline family cards (cache hit/miss, retry/fault events,
-        # shard/sweep counters) — summed over label sets.
+        # Headline family cards (retry/fault events, cluster and sweep
+        # counters) — summed over label sets.
         cards = []
         for family, prefix in COUNTER_FAMILIES:
             total = sum(

@@ -7,7 +7,6 @@ fixed seeds.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -17,22 +16,6 @@ from repro.core.errors import ErrorModel
 from repro.core.simulator import Simulator
 from repro.core.strand import Cluster, StrandPool
 from repro.data.nanopore import make_nanopore_dataset
-
-
-@pytest.fixture(scope="session", autouse=True)
-def isolated_context_cache(tmp_path_factory):
-    """Point the persistent context cache at a per-session directory.
-
-    Keeps the tier-1 suite hermetic: a stale ``~/.cache/dnasim`` entry
-    from an older checkout must never feed cached artifacts into these
-    tests.  Individual tests monkeypatch ``REPRO_CACHE_DIR`` further
-    when they need a private directory.
-    """
-    if "REPRO_CACHE_DIR" not in os.environ:
-        os.environ["REPRO_CACHE_DIR"] = str(
-            tmp_path_factory.mktemp("dnasim-cache")
-        )
-    yield
 
 
 @pytest.fixture

@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
 from repro.data.io import read_pool, write_pool, write_references
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -190,6 +197,29 @@ class TestErrorHandling:
         assert captured.err == (
             f"dnasim: error: [config] n_clusters must be >= 1, got {clusters}\n"
         )
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("abc", "REPRO_N_CLUSTERS must be an integer, got 'abc'"),
+            ("0", "n_clusters must be >= 1, got 0"),
+            ("-3", "n_clusters must be >= 1, got -3"),
+        ],
+        ids=["abc", "0", "-3"],
+    )
+    def test_bad_scale_env_exits_with_config_message(self, value, message):
+        # The default scale is read when the experiment modules are
+        # imported, so each value needs a fresh interpreter.
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "experiment", "table_2_1"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "REPRO_N_CLUSTERS": value},
+            timeout=120,
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert completed.stderr == f"dnasim: error: [config] {message}\n"
 
     def test_debug_flag_reraises(self, tmp_path):
         path = tmp_path / "broken.txt"

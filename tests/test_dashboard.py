@@ -86,8 +86,8 @@ SPANS = [
 METRICS = {
     "schema_version": 1,
     "counters": [
-        {"name": "cache.hit", "labels": {}, "value": 7},
-        {"name": "cache.miss", "labels": {}, "value": 3},
+        {"name": "sweep.cells_completed", "labels": {}, "value": 7},
+        {"name": "sweep.cells_reused", "labels": {}, "value": 3},
         {"name": "retry.attempts", "labels": {"op": "shard"}, "value": 2},
     ],
     "gauges": [{"name": "pool.size", "labels": {}, "value": 42}],
@@ -255,7 +255,7 @@ class TestDashboard:
         # flame: nested span paths with self/total bars
         assert "experiment/reconstruct/cluster" in document
         # metrics: family cards and quantile columns
-        assert "cache events" in document
+        assert "sweep events" in document
         assert "p95" in document
         # run health: chaos table, conformance
         assert "recovered exactly" in document

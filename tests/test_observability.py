@@ -6,7 +6,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import pickle
 import random
 import subprocess
 from pathlib import Path
@@ -19,7 +18,6 @@ from repro.core.coverage import ConstantCoverage
 from repro.core.errors import ErrorModel
 from repro.core.simulator import Simulator
 from repro.data.io import write_pool
-from repro.experiments import cache as context_cache
 from repro.observability.bench import (
     BENCH_SCHEMA_VERSION,
     assert_stamped,
@@ -487,57 +485,6 @@ def test_traced_gestalt_curves_show_block_span_and_pair_count():
     records = observability.tracer().records
     assert [r["name"] for r in records].count("align.gestalt_many") == 1
     assert _counter_totals()[("kernel.calls", (("kernel", "gestalt"),))] == 2
-
-
-# ------------------------------------------------------------------ #
-# Cache lifecycle events
-# ------------------------------------------------------------------ #
-
-
-def test_cache_lifecycle_counters_and_logs(monkeypatch, tmp_path, small_pool):
-    from repro.core.profile import ErrorProfile
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    stream = io.StringIO()
-    configure_logging(level="debug", stream=stream)
-    observability.enable(tracing=False, metrics=True)
-    statistics = ErrorProfile.from_pool(small_pool).statistics
-    key_args = (len(small_pool), 123, None)
-
-    assert context_cache.load_context_artifacts(*key_args) is None  # miss
-    assert context_cache.store_context_artifacts(
-        *key_args, small_pool, statistics
-    )
-    cached = context_cache.load_context_artifacts(*key_args)  # hit
-    assert cached is not None
-
-    path = context_cache.context_cache_path(*key_args)
-    path.write_bytes(b"not a pickle")
-    assert context_cache.load_context_artifacts(*key_args) is None
-    assert not path.exists()  # unreadable entries are discarded
-
-    path.write_bytes(
-        pickle.dumps({"pool": small_pool, "statistics": "wrong type"})
-    )
-    assert context_cache.load_context_artifacts(*key_args) is None  # stale
-    assert not path.exists()
-
-    counters = {
-        c["name"]: c["value"]
-        for c in observability.registry().to_json()["counters"]
-    }
-    assert counters["cache.miss"] == 1
-    assert counters["cache.store"] == 1
-    assert counters["cache.hit"] == 1
-    assert counters["cache.unreadable_discard"] == 1
-    assert counters["cache.stale_discard"] == 1
-
-    output = stream.getvalue()
-    key = context_cache.context_cache_key(*key_args)
-    for event in ("cache.miss", "cache.hit", "cache.unreadable_discard"):
-        assert f"event={event}" in output
-    assert f"key={key}" in output
 
 
 # ------------------------------------------------------------------ #

@@ -1,4 +1,4 @@
-"""Tests for the parallel execution engine and the context caches.
+"""Tests for the parallel execution engine and the in-memory context LRU.
 
 The load-bearing property throughout: for the RNG-free stages (profile
 fitting, reconstruction, curve accumulation) and for the per-cluster-
@@ -26,7 +26,6 @@ from repro.core.simulator import Simulator
 from repro.core.strand import Cluster
 from repro.data.io import PoolWriter
 from repro.data.nanopore import make_nanopore_dataset
-from repro.experiments import cache as context_cache
 from repro.metrics.curves import (
     merge_curves,
     post_reconstruction_curves,
@@ -532,69 +531,9 @@ class TestSeededSimulator:
         ]
 
 
-class TestContextDiskCache:
-    @pytest.fixture(autouse=True)
-    def isolated_cache(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(context_cache.CACHE_DIR_ENV, str(tmp_path))
-        monkeypatch.delenv(context_cache.CACHE_ENABLED_ENV, raising=False)
-        from repro.experiments import common
-
-        common.clear_contexts()
-        yield
-        common.clear_contexts()
-
-    def test_second_build_hits_cache(self, monkeypatch):
-        from repro.experiments import common
-
-        first = common.ExperimentContext(12)
-        assert context_cache.context_cache_path(
-            12, common.DATASET_SEED, common.PROFILE_COPIES
-        ).exists()
-
-        def explode(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("dataset regenerated despite cache hit")
-
-        monkeypatch.setattr(common, "make_nanopore_dataset", explode)
-        second = common.ExperimentContext(12)
-        assert second.real_pool.total_copies == first.real_pool.total_copies
-        assert second.profile.statistics == first.profile.statistics
-
-    def test_corrupt_entry_regenerates(self):
-        from repro.experiments import common
-
-        path = context_cache.context_cache_path(
-            11, common.DATASET_SEED, common.PROFILE_COPIES
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"not a pickle")
-        context = common.ExperimentContext(11)
-        assert len(context.real_pool) == 11
-        # The corrupt file was replaced by a fresh entry.
-        assert context_cache.load_context_artifacts(
-            11, common.DATASET_SEED, common.PROFILE_COPIES
-        ) is not None
-
-    def test_disabled_cache_writes_nothing(self, monkeypatch, tmp_path):
-        from repro.experiments import common
-
-        monkeypatch.setenv(context_cache.CACHE_ENABLED_ENV, "off")
-        common.ExperimentContext(10)
-        assert list(tmp_path.iterdir()) == []
-
-    def test_clear_cache(self):
-        from repro.experiments import common
-
-        common.ExperimentContext(10)
-        assert context_cache.clear_cache() == 1
-        assert context_cache.load_context_artifacts(
-            10, common.DATASET_SEED, common.PROFILE_COPIES
-        ) is None
-
-
 class TestContextLRU:
     @pytest.fixture(autouse=True)
-    def isolated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(context_cache.CACHE_DIR_ENV, str(tmp_path))
+    def isolated(self):
         from repro.experiments import common
 
         common.clear_contexts()
@@ -610,7 +549,7 @@ class TestContextLRU:
         assert list(common._CONTEXTS) == [9, 10]
         assert common.get_context(9) is second
         assert common.get_context(10) is third
-        # Scale 8 was evicted; a fresh request rebuilds (from disk cache).
+        # Scale 8 was evicted; a fresh request rebuilds it.
         assert common.get_context(8) is not first
 
     def test_reuse_refreshes_recency(self):
@@ -627,4 +566,19 @@ class TestContextLRU:
 
         common.get_context(8)
         common.clear_contexts()
+        assert len(common._CONTEXTS) == 0
+
+    def test_building_a_context_writes_no_file(self, monkeypatch, tmp_path):
+        from repro.experiments import common
+
+        monkeypatch.setenv("HOME", str(tmp_path))
+        common.ExperimentContext(10)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_scale_below_one_is_a_config_error(self):
+        from repro.exceptions import ConfigError
+        from repro.experiments import common
+
+        with pytest.raises(ConfigError, match="n_clusters must be >= 1, got 0"):
+            common.get_context(0)
         assert len(common._CONTEXTS) == 0
