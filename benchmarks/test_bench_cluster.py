@@ -65,6 +65,17 @@ SIGNED_UP_FRONT = {
     "wall_s": {"5500": 0.58, "22000": 4.15, "55000": 18.65},
 }
 
+#: This bench at ``66880d4``, when every lane of greedy's lockstep
+#: distance calls ran the full two-word forward pass to its text's end:
+#: the host of the record, the median of five runs per size taken
+#: alternately with five of the banded pass, and the same comparisons.
+#: Kept in the record beside the figures it measures.
+FULL_PASS = {
+    "git_sha": "66880d4",
+    "peak_rss_mb": {"5500": 54.2, "22000": 72.3, "55000": 110.2},
+    "wall_s": {"5500": 0.36, "22000": 3.06, "55000": 17.91},
+}
+
 _CHILD_TEMPLATE = """\
 import json, random, resource, time
 from repro.cluster.greedy import GreedyClusterer
@@ -166,6 +177,7 @@ def test_bench_cluster_readouts(tmp_path):
             "readouts": runs,
             "largest": runs[-1],
             "signed_up_front": SIGNED_UP_FRONT,
+            "full_pass": FULL_PASS,
         }
     )
     assert_stamped(record)

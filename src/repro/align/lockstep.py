@@ -10,9 +10,9 @@ Iterative (DESIGN §17) votes from the maps; the lockstep profile fit
 :func:`~repro.align.operations.edit_operations` returns with
 ``rng=None``: a lane's operations depend only on its own pattern and
 text, so aligning lanes together changes none of them.
-:func:`lane_distances` runs the forward pass alone and reads each lane's
-banded distance off its final column: greedy clustering's prefetch
-(DESIGN §9).
+:func:`lane_distances` runs a distance-only pass, banded for a band of
+at most 31, and reads each lane's banded distance: greedy clustering's
+prefetch (DESIGN §9).
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.align.kernels import compact_code_points
+from repro.align.kernels import _count_kernel_call, compact_code_points
+from repro.observability import _state as _obs_state
 
 #: Code points lie in ``[0, 0x110000)``, so ``index * SYMBOLS + code
 #: point`` packs an (index, symbol) pair into one int64 key.
@@ -41,8 +42,16 @@ _COLUMN_BYTES = 3 << 19
 
 #: The most lanes one distance-only pass runs at once
 #: (:func:`lane_distances`).  At paper shape a lane and its share of the
-#: set-up take ~0.5 KB, so a pass stays under 2 MB.
+#: set-up take ~0.5 KB, banded pass or full, so a pass stays under 2 MB.
 _DISTANCE_LANES = 4096
+
+#: Columns between two reads of the banded pass's diagonal cells
+#: (:func:`_banded_pass`).  Replaying greedy's ``cluster_readout`` calls
+#: (seeds 2 and 11, and 22,000 reads), every 24 to 64 columns ran ~10%
+#: faster than every 8, or than no read before the texts' ends: a read
+#: and its compaction cost about what a few columns of the pass do, and
+#: by column 32 most lanes that will leave have.
+_CUTOFF_COLUMNS = 32
 
 #: A dense Eq table may hold this many slots per pattern symbol
 #: (:func:`_match_table`); a wider block alphabet keys its symbols.
@@ -178,14 +187,19 @@ def _group_distances(
 ) -> np.ndarray:
     """:func:`lane_distances` over one group of lanes, in one pass.
 
-    The DP's top row is ``D[0][n] = n``, so a lane's distance is its
-    text's length plus its +1 vertical deltas minus its -1 ones in the
-    final column.  The clamp gives exactly what
+    A band of at most 31 takes :func:`_banded_pass`, which reads each
+    lane's distance off its diagonal and drops a lane once that passes
+    ``band``.  A wider one takes the full forward pass: the DP's top row
+    is ``D[0][n] = n``, so a lane's distance is its text's length plus
+    its +1 vertical deltas minus its -1 ones in the final column,
+    clamped.  Both give exactly what
     :meth:`~repro.align.kernels.CompiledPattern.banded_distances` returns
     (a length difference above ``band`` already puts the distance above
     it).  The pass holds, per lane, the ranks of its text's symbols (one
-    byte each for an ASCII block) and two uint64 words per pattern word;
-    no column is kept.
+    byte each for an ASCII block) and its VP/VN words; no column is
+    kept.  With metrics on, ``kernel.calls{kernel="lane_distances"}``
+    counts the group's lanes and ``kernel.cutoff_lanes`` those the
+    banded pass dropped before their texts' ends.
     """
     block = _lay_out(patterns, texts_lists)
     peq, base, symbol = _match_table(
@@ -193,13 +207,158 @@ def _group_distances(
     )
     lengths, rows, order = block.lengths, block.rows, block.order
     del block  # the pass reads the ranks: the text codes go first
-    positive, negative = _forward_pass(peq, base, symbol[:-1], lengths, rows)
-    sorted_distances = np.minimum(
-        lengths + _popcount(positive) - _popcount(negative), band + 1
-    )
+    if 2 * band + 1 <= 64:
+        sorted_distances, cut = _banded_pass(
+            peq, base, symbol[:-1], lengths, rows, band
+        )
+    else:
+        positive, negative = _forward_pass(peq, base, symbol[:-1], lengths, rows)
+        sorted_distances = np.minimum(
+            lengths + _popcount(positive) - _popcount(negative), band + 1
+        )
+        cut = 0
+    if _obs_state.registry is not None:
+        _count_kernel_call("lane_distances", len(lengths))
+        _obs_state.registry.counter(
+            "kernel.cutoff_lanes", kernel="lane_distances"
+        ).inc(cut)
     distances = np.empty_like(sorted_distances)
     distances[order] = sorted_distances
     return distances
+
+
+def _banded_pass(
+    peq: np.ndarray,
+    base: np.ndarray,
+    symbol: np.ndarray,
+    lengths: np.ndarray,
+    rows: np.ndarray,
+    band: int,
+) -> tuple[np.ndarray, int]:
+    """``min(distance, band + 1)`` of every lane, for ``2 * band + 1 <=
+    64``, and how many lanes the cut-off took out of the pass: Hyyrö's
+    banded forward pass, one uint64 VP/VN word per lane.
+
+    Bit ``b`` of a lane's words at text column ``j`` is pattern row
+    ``j - band + b``: the word holds diagonals ``-band`` to ``63 - band``
+    and slides down one row per column, so D0 shifts right by one where
+    the full pass shifts HP/HN left.  The row entering at bit 63 reads a
+    +1 vertical delta and the row above the top cell a +1 horizontal one,
+    which bound the cells outside the word from above; rows above row 0
+    (at most ``band``, none matching) extend the top row ``D[0][j] = j``
+    upwards.  So every cell lies between the exact distance and the best
+    path inside the word, and is exact wherever the distance is within
+    ``band``.  The Eq word of column ``j`` is pattern bits from
+    ``j - band - 1`` on: one funnel shift of :func:`_match_table`'s
+    words, by the same offset for every lane.
+
+    D0's bit 0 tells whether the top cell kept its diagonal's value, so
+    that cell is ``band + j`` less the set bits seen.  The diagonal
+    through ``(m, n)`` sits at bit ``m - n + band``, its cell the top
+    cell plus the vertical deltas above it.  When lanes reach their
+    texts' ends they read their distances off it.  Every
+    :data:`_CUTOFF_COLUMNS` columns every lane reads it: the DP never
+    decreases along a diagonal, so a lane whose cell passes ``band``
+    already holds ``band + 1`` and leaves the pass.
+    """
+    width = len(symbol)
+    distances = np.full(len(lengths), band + 1, dtype=np.int64)
+    # The bit of each lane's diagonal through (m, n).  A lane whose
+    # length difference passes ``band`` keeps ``band + 1`` and never
+    # enters, so every text read ends by column ``m + band``, which the
+    # funnel shift's table covers.
+    diagonal = rows - lengths + band
+    lane = np.flatnonzero((diagonal >= 0) & (diagonal <= 2 * band))
+    k = len(lane)
+    if not k:
+        return distances, 0
+    if k < len(lengths):
+        lengths, diagonal, base = lengths[lane], diagonal[lane], base[lane]
+        symbol = symbol[:, lane]
+    above = (_ONE << diagonal.astype(np.uint64)) - _ONE
+    # The diagonal cell is ``level + column`` plus the set bits of ``VP &
+    # above`` and ``~VN & above``: ``level`` holds ``band`` less the set
+    # bits of ``above`` and the D0 bits 0 folded so far.
+    level = band - diagonal
+    # Pattern bit s of every pattern sits at bit s + 64 here: the word
+    # before the first and the one after the last match nothing.
+    table = np.zeros((len(peq) + 2, peq.shape[1]), dtype=np.uint64)
+    table[1:-1] = peq
+    negative = np.full(k, (1 << band) - 1, dtype=np.uint64)
+    positive = ~negative
+    top_stayed = np.empty((_CUTOFF_COLUMNS, k), dtype=np.uint8)
+    reading = np.searchsorted(-lengths, -np.arange(width + 1), side="left")
+    first_column, folded, cut = 0, 0, 0
+    for column in range(width + 1):
+        # ``column`` columns are done; the first ``reading`` lanes read on.
+        k_next = reading[column - first_column]
+        if k_next < k:
+            ending = slice(k_next, k)
+            cell = _diagonal_cells(
+                level[ending], positive[ending], negative[ending], above[ending]
+            )
+            cell += column
+            cell -= top_stayed[: column - folded, ending].sum(axis=0, dtype=np.int64)
+            distances[lane[ending]] = np.minimum(cell, band + 1)
+            k = k_next
+            if not k:
+                break
+            base, positive, negative = base[:k], positive[:k], negative[:k]
+            symbol, top_stayed = symbol[:, :k], top_stayed[:, :k]
+        if column - folded == _CUTOFF_COLUMNS:
+            level[:k] -= top_stayed.sum(axis=0, dtype=np.int64)
+            folded = column
+            cell = _diagonal_cells(level[:k], positive, negative, above[:k])
+            keep = np.flatnonzero(cell + column <= band)
+            if len(keep) < k:
+                cut += k - len(keep)
+                if not len(keep):
+                    break
+                lane, lengths, above, level, base, positive, negative = (
+                    array[keep]
+                    for array in (lane, lengths, above, level, base, positive, negative)
+                )
+                symbol = symbol[column - first_column :, keep]
+                top_stayed = top_stayed[:, : len(keep)]
+                first_column = column
+                reading = np.searchsorted(
+                    -lengths, -np.arange(column, width + 1), side="left"
+                )
+                k = len(keep)
+        offset = column - band + 64
+        word, shift = offset >> 6, np.uint64(offset & 63)
+        shifted = table[word]
+        if shift:
+            shifted = shifted >> shift
+            shifted |= table[word + 1] << (np.uint64(64) - shift)
+        eq = np.take(shifted, base + symbol[column - first_column])
+        eq |= negative
+        d0 = eq & positive
+        d0 += positive
+        d0 ^= positive
+        d0 |= eq
+        np.bitwise_and(d0, _ONE, out=top_stayed[column - folded], casting="unsafe")
+        horizontal_negative = positive & d0
+        horizontal_positive = d0 | positive
+        np.invert(horizontal_positive, out=horizontal_positive)
+        horizontal_positive |= negative
+        # Shifted, D0 is each next-column cell's diagonal one row up.
+        d0 = d0 >> _ONE
+        negative = horizontal_positive & d0
+        # VP's bit 63 was set and VN's clear, so HP's is clear and the new
+        # VP's is set again: the row entering the word reads +1.
+        positive = d0 | horizontal_positive
+        np.invert(positive, out=positive)
+        positive |= horizontal_negative
+    return distances, cut
+
+
+def _diagonal_cells(
+    level: np.ndarray, positive: np.ndarray, negative: np.ndarray, above: np.ndarray
+) -> np.ndarray:
+    """:func:`_banded_pass`'s diagonal cells less their column: ``level``
+    plus the set bits of ``VP & above`` and of ``~VN & above``."""
+    return level + _popcount(np.stack((positive & above, ~negative & above)))
 
 
 class _Block(NamedTuple):
@@ -402,15 +561,36 @@ def _forward_pass(
     return final_positive, final_negative
 
 
-#: Set bits of every byte value.
-_BYTE_BITS = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
+#: The SWAR popcount's masks: alternate bits, bit pairs, nibbles, and
+#: the multiplier that sums a word's bytes into its top byte.
+_PAIRS, _QUADS, _NIBBLES, _BYTE_SUM = (
+    np.uint64(mask)
+    for mask in (
+        0x5555555555555555,
+        0x3333333333333333,
+        0x0F0F0F0F0F0F0F0F,
+        0x0101010101010101,
+    )
+)
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
-    """Set bits per lane of ``(words, lanes)`` uint64 words."""
-    n_lanes = words.shape[1]
-    as_bytes = np.ascontiguousarray(words).view(np.uint8)
-    return _BYTE_BITS[as_bytes].reshape(len(words), n_lanes, 8).sum(axis=(0, 2))
+    """Set bits per lane of ``(words, lanes)`` uint64 words: per word,
+    the two-, four- and eight-bit partial sums, then one multiply that
+    adds the bytes up (NumPy 1.24 has no ``bitwise_count``)."""
+    counts = words >> _ONE
+    counts &= _PAIRS
+    np.subtract(words, counts, out=counts)
+    quads = counts >> np.uint64(2)
+    quads &= _QUADS
+    counts &= _QUADS
+    counts += quads
+    np.right_shift(counts, np.uint64(4), out=quads)
+    counts += quads
+    counts &= _NIBBLES
+    counts *= _BYTE_SUM
+    counts >>= np.uint64(56)
+    return counts.sum(axis=0, dtype=np.int64)
 
 
 def _shift_up(words: np.ndarray) -> np.ndarray:

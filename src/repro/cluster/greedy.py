@@ -5,8 +5,11 @@ distance similarity under the assumption that similar reads are noisy
 copies of the same reference strand (Section 1.1.2).  The algorithm is a
 single greedy sweep — each read joins the first existing cluster whose
 representative is within the distance threshold, else founds a new
-cluster — with a q-gram min-hash index supplying candidate clusters so
-the sweep stays near-linear instead of quadratic.
+cluster — with a q-gram min-hash index supplying candidate clusters.
+The index prunes most pairs, but not enough to make the work linear:
+on the Nanopore-like read-outs of ``benchmarks/test_bench_cluster.py``
+the comparisons per read grow with the read-out (7.4, 26.8 and 65.2 at
+5,500, 22,000 and 55,000 reads), so the total stays quadratic.
 
 The sweep's decisions are serial, but its distances are not: each
 depends only on two strings.  Reads go through in blocks of
@@ -57,7 +60,8 @@ class GreedyClusteringResult:
 
 
 class GreedyClusterer:
-    """Near-linear greedy clustering with a q-gram candidate index.
+    """Greedy clustering with a q-gram candidate index (whose comparisons
+    per read still grow with the read-out: see the module docstring).
 
     Args:
         distance_threshold: maximum edit distance between a read and a

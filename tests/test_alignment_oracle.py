@@ -438,7 +438,7 @@ def lane_distance_corpus(seed: int) -> list[tuple[list[str], list[list[str]]]]:
     an alphabet that the Eq table keys its symbols, and non-ASCII and
     ``N`` ones, each against texts of symbols its pattern lacks; the
     wide patterns again against ASCII texts only; empty patterns only;
-    and multi-word homopolymers."""
+    multi-word homopolymers; and :func:`_banded_pass_blocks`."""
     rng = random.Random(seed)
     pairs = shared_corpus(seed)
     inputs = [
@@ -472,7 +472,74 @@ def lane_distance_corpus(seed: int) -> list[tuple[list[str], list[list[str]]]]:
             [["A" * 150, "A" * 129 + "C"], ["G", "G" * 30 + "A" * 20], ["ACGT" * 49]],
         )
     )
+    inputs += _banded_pass_blocks(rng)
     return inputs
+
+
+def _banded_pass_blocks(rng: random.Random) -> list[tuple[list[str], list[list[str]]]]:
+    """Blocks aimed at the banded pass (bands up to 31): patterns across
+    each word boundary its Eq funnel shift crosses, each against copies
+    that run to their texts' ends and an unrelated strand that leaves
+    early; length differences of every band and one past it; a block
+    whose every lane leaves early; lanes that leave at different columns
+    while copies of other lengths finish their texts; empty patterns and
+    texts; and texts outside the band that outrun every copy's end."""
+    boundary = [_strand(rng, length) for length in (63, 64, 65, 127, 128, 129, 200)]
+    blocks = [
+        (
+            boundary,
+            [
+                [
+                    pattern,
+                    _mutate(rng, pattern, "ACGT", 2),
+                    _mutate(rng, pattern, "ACGT", 20),
+                    _strand(rng, len(pattern)),
+                ]
+                for pattern in boundary
+            ],
+        )
+    ]
+    pattern = _strand(rng, 110)
+    differences = (0, 1, 2, 3, 4, 25, 26, 31, 32, 33)
+    blocks.append(
+        (
+            [pattern],
+            [
+                [pattern[: 110 - difference] for difference in differences]
+                + [pattern + _strand(rng, difference) for difference in differences]
+            ],
+        )
+    )
+    blocks.append(([pattern], [[_strand(rng, rng.randint(100, 120)) for _ in range(6)]]))
+    blocks.append(
+        (
+            [pattern, _strand(rng, 90)],
+            [
+                [
+                    _mutate(rng, pattern, "ACGT", edits)
+                    for edits in (0, 5, 10, 20, 24, 26, 30, 40, 60)
+                ]
+                + [pattern[:80], pattern + _strand(rng, 30)],
+                [_strand(rng, length) for length in (70, 90, 110)],
+            ],
+        )
+    )
+    lengths = (0, 1, 3, 4, 25, 26, 31, 32, 33)
+    blocks.append(
+        (
+            ["A" * length for length in lengths] + [""],
+            [["", "A"] for _ in lengths] + [["C" * length for length in lengths]],
+        )
+    )
+    # Too few lanes leave for the cut-off to compact them, while one text
+    # outside every band runs on past the longest pattern's last word:
+    # under band 3, eight copies of a 64-character pattern 3 longer;
+    # under band 25, eight of a 128-character one 25 longer.
+    for length, extra, outside in ((64, 3, 80), (128, 25, 300)):
+        pattern = _strand(rng, length)
+        copy = pattern + _strand(rng, extra)
+        blocks.append(([pattern, "A"], [[copy] * 8, ["G" * outside]]))
+    return blocks
 
 
 def _shifted(text: str) -> str:
@@ -482,10 +549,11 @@ def _shifted(text: str) -> str:
 
 
 def _lane_distance_bands(patterns: list[str], texts_lists: list[list[str]]) -> tuple[int, ...]:
-    """Bands 0, 1 and 3, greedy's threshold 25, and one at least as wide
-    as every string (the exact distance)."""
+    """Bands 0, 1 and 3, greedy's threshold 25, 31 (the widest the banded
+    pass takes) and 32 (the narrowest it leaves to the full pass), and
+    one at least as wide as every string (the exact distance)."""
     texts = [text for texts in texts_lists for text in texts]
-    return (0, 1, 3, 25, max(map(len, patterns + texts)))
+    return (0, 1, 3, 25, 31, 32, max(map(len, patterns + texts)))
 
 
 #: A lane cap of the ``lane_distances`` entry that splits most blocks,
@@ -1729,6 +1797,61 @@ def test_corpus_covers_its_regions():
     ), "no pattern whose texts a small lane cap splits"
     for symbol in ("N", "a", "é", "\U0001F600", "\ud800"):
         assert any(symbol in pattern for pattern in lane_patterns), symbol
+    assert 200 in set(map(len, lane_patterns))
+    lane_pairs = [
+        (pattern, text)
+        for patterns, texts_lists in lane_blocks
+        for pattern, texts in zip(patterns, texts_lists)
+        for text in texts
+    ]
+    gaps = {abs(len(pattern) - len(text)) for pattern, text in lane_pairs}
+    for band in (0, 1, 3, 25, 31, 32):
+        assert {band, band + 1} <= gaps, band
+    assert any(pattern and not text for pattern, text in lane_pairs)
+    assert any(text and not pattern for pattern, text in lane_pairs)
+    # Under greedy's threshold, a block whose every lane leaves the banded
+    # pass early, and one where some leave while copies of two lengths
+    # read to their texts' ends.
+    ascii_blocks = [
+        (patterns, texts_lists)
+        for patterns, texts_lists in lane_blocks
+        if _texts_ascii(texts_lists) and "".join(patterns).isascii()
+    ]
+    leaving = []
+    for patterns, texts_lists in ascii_blocks:
+        lanes = [
+            (text, kernels._python_distance(pattern, text))
+            for pattern, texts in zip(patterns, texts_lists)
+            for text in texts
+            if abs(len(pattern) - len(text)) <= 25
+        ]
+        leaving.append(
+            (
+                bool(lanes) and all(distance > 25 for _, distance in lanes),
+                any(distance > 25 for _, distance in lanes)
+                and len({len(text) for text, distance in lanes if distance <= 25}) > 1,
+            )
+        )
+    assert any(every for every, _ in leaving), "no block whose every lane leaves"
+    assert any(mixed for _, mixed in leaving), "no block mixing leaving and ending lanes"
+    # Under bands 3 and 25, a block where copies read to their texts'
+    # ends past the longest pattern's last full word while a text outside
+    # the band runs on beyond them.
+    for band in (3, 25):
+        assert any(
+            max(map(len, patterns)) % 64 == 0
+            and any(
+                len(text) == len(pattern) + band
+                for pattern, texts in zip(patterns, texts_lists)
+                for text in texts
+            )
+            and any(
+                len(text) - len(pattern) > 2 * band + 8
+                for pattern, texts in zip(patterns, texts_lists)
+                for text in texts
+            )
+            for patterns, texts_lists in ascii_blocks
+        ), band
     traffic = []
     for threshold, reads in greedy_corpus(0):
         assert len(reads) > SMALL_BLOCKS[0] + 3 * SMALL_BLOCKS[1]

@@ -487,6 +487,24 @@ def test_traced_gestalt_curves_show_block_span_and_pair_count():
     assert _counter_totals()[("kernel.calls", (("kernel", "gestalt"),))] == 2
 
 
+def test_lane_distances_count_lanes_and_cutoff_lanes():
+    """``lane_distances`` counts its lanes under
+    ``kernel.calls{kernel="lane_distances"}`` and the lanes its banded
+    pass dropped before their texts' ends under ``kernel.cutoff_lanes``:
+    the two texts far from the pattern under band 3, none under a band
+    too wide for the banded pass."""
+    from repro.align.lockstep import lane_distances
+
+    pattern = "".join(random.Random(3).choices("ACGT", k=110))
+    texts = [pattern, "T" * 110, "G" * 110]
+    observability.enable(tracing=True, metrics=True)
+    assert lane_distances([pattern], [texts], 3).tolist() == [0, 4, 4]
+    assert lane_distances([pattern], [texts], 40).tolist() == [0, 41, 41]
+    totals = _counter_totals()
+    assert totals[("kernel.calls", (("kernel", "lane_distances"),))] == 6
+    assert totals[("kernel.cutoff_lanes", (("kernel", "lane_distances"),))] == 2
+
+
 # ------------------------------------------------------------------ #
 # Retry / fault event stream
 # ------------------------------------------------------------------ #
